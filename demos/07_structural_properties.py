@@ -2,7 +2,8 @@
 
 Each verdict is a checkable matrix condition.  The sufficient-condition
 fields assert a property when True; False only means the witness was not
-found.  Pseudo-freeness and Hausdorffness use None for "unknown".
+found.  Pseudo-freeness is decided exactly; Hausdorffness uses None for
+"unknown".
 """
 
 from kep import IntMatrix, classify
@@ -39,8 +40,8 @@ show("permutation", [[0, 1], [1, 0]], [[0, 1], [1, 0]])
 # every edge with zero carry), which is the shift-of-finite-type situation.
 show("A=(2), B=(0)", [[2]], [[0]])
 
-# B nonzero off the support: the matching-support criterion fails but no
-# edge can witness a refutation, so the verdict stays unknown.
+# B nonzero off the support: the supports differ, but B is nonzero on every
+# edge, so no m != 0 fixes an edge with zero carry and the pair is pseudo-free.
 show("off-support B", [[1, 0], [1, 1]], [[1, 5], [1, 1]])
 
 # An irreducible 2x2 pair with condition (O): A_ii >= 2 and A_ii > |B_ii|.

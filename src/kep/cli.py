@@ -1,10 +1,10 @@
 """Command line surface: JSON in, JSON report out, deterministic exit codes.
 
-Exit codes: 0 success, 1 unrealizable target or inconclusive check,
-2 malformed input or usage, 3 violated input assumption (named in the
-error report).  Integers whose magnitude exceeds 53 bits are serialized
-as strings so reports survive consumers that parse JSON numbers as
-doubles.
+Exit codes: 0 success, 1 unrealizable target, or a check that found a
+failure or a pair that is not pseudo-free, 2 malformed or unreadable input
+or usage, 3 violated input assumption (named in the error report).
+Integers whose magnitude exceeds 53 bits are serialized as strings so
+reports survive consumers that parse JSON numbers as doubles.
 """
 
 from __future__ import annotations
@@ -35,17 +35,18 @@ from .invariants import (
     compare,
     hk_check,
     homology,
-    limit_route_homology,
     realize,
 )
 from .selfsim import (
-    Path,
+    _validate_nonnegative_no_zero_rows,
     build_graph,
     is_pseudo_free,
     kappa_edge,
     kappa_path,
     parse_path,
+    path_ending_at,
     phi_vertex_sum,
+    random_walk,
     validate_path,
 )
 
@@ -136,12 +137,7 @@ def parse_input(data: bytes | str) -> InputDocument:
         if "B" in doc:
             raise InputValidationError("unexpected B", "sft mode takes only A")
         b = None
-    # Standing assumptions: A nonnegative with no zero rows; shapes agree.
-    for i, row in enumerate(a):
-        if any(x < 0 for x in row):
-            raise InputValidationError("negative entry", f"A row {i + 1} has a negative entry")
-        if all(x == 0 for x in row):
-            raise InputValidationError("zero row", f"A row {i + 1} is identically zero")
+    _validate_nonnegative_no_zero_rows(a)
     return InputDocument(mode=mode, n=n, a=a, b=b)
 
 
@@ -236,10 +232,13 @@ def _emit_error(code: int, assumption: str, message: str) -> int:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -330,27 +329,6 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_walk(graph, rng: random.Random, start: int, length: int) -> Path:
-    if length == 0:
-        return Path.empty(start)
-    edges = []
-    v = start
-    for _ in range(length):
-        e = rng.choice(graph.out_edges(v))
-        edges.append(e)
-        v = e.target
-    return Path(tuple(edges))
-
-
-def _path_ending_at(graph, rng: random.Random, vertex: int, max_len: int) -> Path:
-    for _ in range(32):
-        start = rng.choice(list(graph.vertices()))
-        p = _random_walk(graph, rng, start, rng.randint(0, max_len))
-        if p.range == vertex:
-            return p
-    return Path.empty(vertex)
-
-
 def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
     a = doc.a
     b = doc.b if doc.b is not None else IntMatrix.zeros(doc.n, doc.n)
@@ -377,7 +355,7 @@ def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
         record("edge_action_law", via_both == step)
         record("edge_cocycle_law", phi12 == phi1 + phi2)
 
-        p = _random_walk(graph, rng, rng.choice(vertices), rng.randint(1, 6))
+        p = random_walk(graph, rng, rng.choice(vertices), rng.randint(1, 6))
         q_m2, pphi2 = kappa_path(a, b, m2, p)
         q_both, pphi12 = kappa_path(a, b, m1 + m2, p)
         q_step, pphi1 = kappa_path(a, b, m1, q_m2)
@@ -389,8 +367,8 @@ def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
         expected_sum = m1 * b[v - 1, w - 1] if a[v - 1, w - 1] else 0
         record("carry_sum", phi_vertex_sum(a, b, m1, v, w) == expected_sum)
 
-        beta = _random_walk(graph, rng, rng.choice(vertices), rng.randint(0, 2))
-        alpha = _path_ending_at(graph, rng, beta.range, 2)
+        beta = random_walk(graph, rng, rng.choice(vertices), rng.randint(0, 2))
+        alpha = path_ending_at(graph, rng, beta.range, 2)
         s1 = Slice(alpha, rng.randint(-3, 3), beta, ctx)
         record("invert_involution", invert_slice(invert_slice(s1)) == s1)
         left_unit = compose_slices(invert_slice(s1), s1)
@@ -400,23 +378,24 @@ def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
             len(refine_slice(s1)) == len(graph.out_edges(s1.beta.range)),
         )
 
-        gamma = _path_ending_at(graph, rng, s1.beta.range, 2)
+        gamma = path_ending_at(graph, rng, s1.beta.range, 2)
         s2 = Slice(s1.beta, rng.randint(-3, 3), gamma, ctx)
         direct = compose_slices(s1, s2)
         piecewise = {compose_slices(s1, child) for child in refine_slice(s2)}
         record("refine_compose_coherence", piecewise == set(refine_slice(direct)))
 
-        delta = _path_ending_at(graph, rng, s2.beta.range, 2)
+        delta = path_ending_at(graph, rng, s2.beta.range, 2)
         s3 = Slice(s2.beta, rng.randint(-3, 3), delta, ctx)
         for middle in refine_slice(s2):
             lhs = compose_slices(compose_slices(s1, middle), s3)
             rhs = compose_slices(s1, compose_slices(middle, s3))
             record("associativity", lhs is not None and rhs is not None and slices_equal(lhs, rhs))
 
+    evidence = hk_check(a, b)
     one_time = {
-        "hk_identity": hk_check(a, b).ok,
+        "hk_identity": evidence.ok,
         "route_agreement": (
-            homology(a, b).isomorphic_to(limit_route_homology(a, b))
+            homology(a, b).isomorphic_to(evidence.homology)
             if doc.mode == "katsura"
             else True
         ),
@@ -495,8 +474,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         return _emit_error(EXIT_PARSE, "parse", str(exc))
-    except FileNotFoundError as exc:
-        return _emit_error(EXIT_PARSE, "parse", f"cannot read input: {exc}")
     except InputValidationError as exc:
         return _emit_error(EXIT_VALIDATION, exc.assumption, str(exc))
 

@@ -99,33 +99,37 @@ def _lattice_basis(vectors: list[Vector], dim: int) -> list[Vector]:
     return [h.column(j) for j in range(h.cols) if any(h.column(j))]
 
 
-def _solve_exact(basis: IntMatrix, target: Vector) -> Vector:
-    """Solve basis @ c = target over the integers (basis has full column
-    rank, so the solution is unique); raises InternalError if unsolvable."""
+def _solve_exact(basis: IntMatrix, targets: list[Vector]) -> list[Vector]:
+    """Solve basis @ c = target over the integers for every target with one
+    Smith form (basis has full column rank, so each solution is unique);
+    raises InternalError if some target is unsolvable."""
     decomp = snf(basis)
     diag = decomp.diagonal()
-    rhs = decomp.U.apply(target)
-    y = []
-    for i in range(basis.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if rhs[i] != 0:
-                raise InternalError("vector not in lattice span")
-            if i < basis.cols:
-                y.append(0)
-        else:
-            if rhs[i] % d:
-                raise InternalError("vector not in lattice span")
-            y.append(rhs[i] // d)
-    return decomp.V.apply(tuple(y))
+    solutions = []
+    for target in targets:
+        rhs = decomp.U.apply(target)
+        y = []
+        for i in range(basis.rows):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if rhs[i] != 0:
+                    raise InternalError("vector not in lattice span")
+                if i < basis.cols:
+                    y.append(0)
+            else:
+                if rhs[i] % d:
+                    raise InternalError("vector not in lattice span")
+                y.append(rhs[i] // d)
+        solutions.append(decomp.V.apply(tuple(y)))
+    return solutions
 
 
-def _fixed_sublattice(limit: StationaryLimit) -> list[Vector]:
-    """Basis of L' = {x : (T - I) x lies in the eventual kernel}."""
+def _fixed_sublattice(limit: StationaryLimit, ek: list[Vector]) -> list[Vector]:
+    """Basis of L' = {x : (T - I) x lies in the eventual kernel}, given a
+    basis `ek` of the eventual kernel."""
     t = limit.matrix
     n = limit.dim
     t_minus_i = t - IntMatrix.identity(n)
-    ek = eventual_kernel(limit)
     if not ek:
         return _lattice_basis(kernel_basis(t_minus_i), n)
     # {x : (T-I)x in <EK>} is the projection to the x-block of the kernel
@@ -144,15 +148,14 @@ def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
     The result is abstractly isomorphic to kernel_group(I - T).
     """
     ek = eventual_kernel(limit)
-    fixed = _fixed_sublattice(limit)
+    fixed = _fixed_sublattice(limit, ek)
     if not fixed:
         if ek:
             raise InternalError("eventual kernel escaped the fixed sublattice")
         return FGAbelianGroup.trivial()
     if not ek:
         return FGAbelianGroup.free(len(fixed))
-    basis = IntMatrix.from_columns(fixed)
-    coords = [_solve_exact(basis, g) for g in ek]
+    coords = _solve_exact(IntMatrix.from_columns(fixed), ek)
     quotient = from_cokernel(IntMatrix.from_columns(coords))
     if quotient.torsion:
         raise InternalError("fixed-point quotient acquired torsion")

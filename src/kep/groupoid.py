@@ -133,13 +133,13 @@ def slices_equal(s1: Slice, s2: Slice) -> bool:
 class PropertyReport:
     """Structural verdicts for the groupoid of a pair (A, B).
 
-    ``pseudo_free`` and ``hausdorff`` use None for "unknown".  The
-    effectiveness, minimality and principality fields are sufficient
-    conditions: True asserts the property, False only means the witness
-    was not found.
+    ``pseudo_free`` is decided exactly; ``hausdorff`` uses None for
+    "unknown".  The effectiveness, minimality and principality fields are
+    sufficient conditions: True asserts the property, False only means the
+    witness was not found.
     """
 
-    pseudo_free: bool | None
+    pseudo_free: bool
     hausdorff: bool | None
     effective_sufficient: bool
     minimal_pi_sufficient: bool
@@ -230,11 +230,11 @@ def _is_acyclic(a: IntMatrix) -> bool:
     return all(state[i] != 0 or visit(i) for i in range(n))
 
 
-def classify(a: IntMatrix, b: IntMatrix, window: int = 20) -> PropertyReport:
+def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     """Evaluate the structural conditions the pair (A, B) is known to control.
 
-    Pseudo-freeness uses the matching-support criterion (with a brute
-    refutation window); Hausdorffness is asserted only as its consequence.
+    Pseudo-freeness is decided exactly (B nonzero on the support of A);
+    Hausdorffness is asserted only as its consequence.
     Effectiveness is certified by "every cycle has an exit" plus a
     contracting cycle reachable from every vertex.  Minimality and pure
     infiniteness are certified by A irreducible and not a permutation.
@@ -245,12 +245,10 @@ def classify(a: IntMatrix, b: IntMatrix, window: int = 20) -> PropertyReport:
     graph = build_graph(a)
     notes = []
 
-    pf: PseudoFreeness = is_pseudo_free(a, b, window)
-    if pf.verdict is None:
-        notes.append(f"pseudo-freeness unknown within window {window}")
-    elif pf.verdict is False:
+    pf: PseudoFreeness = is_pseudo_free(a, b)
+    if not pf.verdict:
         notes.append(f"pseudo-freeness fails: m={pf.witness[0]} fixes {pf.witness[1]} with zero carry")
-    hausdorff = True if pf.verdict is True else None
+    hausdorff = True if pf.verdict else None
 
     exits = _every_cycle_has_exit(graph)
     contracting = _contraction_reachable_everywhere(a, b)

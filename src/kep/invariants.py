@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import FGAbelianGroup, direct_sum, from_cokernel, is_isomorphic, kernel_group
+from .abgroup import FGAbelianGroup, direct_sum, from_cokernel, is_isomorphic
 from .dirlimit import StationaryLimit, coker_one_minus_shift, ker_one_minus_shift
 from .errors import InputValidationError, InternalError
 from .groupoid import PropertyReport, classify
-from .intmat import IntMatrix, det, snf
-from .selfsim import _validate_nonnegative_no_zero_rows, _validate_pair, supports_match
+from .intmat import IntMatrix, det
+from .selfsim import _validate_pair, supports_match
 
 VALIDITY_OK = "ok"
 VALIDITY_FORMULA_ONLY = "formula-only (theorem hypothesis unmet)"
@@ -51,6 +51,10 @@ class HomologyTuple:
 
     def isomorphic_to(self, other: "HomologyTuple") -> bool:
         return all(is_isomorphic(g, h) for g, h in zip(self.degrees(), other.degrees()))
+
+    def k_groups(self) -> tuple[FGAbelianGroup, FGAbelianGroup]:
+        """(H0 ⊕ H2, H1): the groups the (HK) identity equates with (K0, K1)."""
+        return direct_sum(self.h0, self.h2), self.h1
 
 
 @dataclass(frozen=True)
@@ -79,36 +83,30 @@ def _one_minus(m: IntMatrix) -> IntMatrix:
 
 
 def homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
-    """Homology of the groupoid of (A, B) by the closed matrix formulas."""
+    """Homology of the groupoid of (A, B) by the closed matrix formulas.
+
+    One Smith form per matrix: for square M the kernel lattice is free of
+    rank nullity(M), which is the free rank of coker(M).
+    """
     _validate_pair(a, b)
-    ia, ib = _one_minus(a), _one_minus(b)
+    coker_ia = from_cokernel(_one_minus(a))
+    coker_ib = from_cokernel(_one_minus(b))
     return HomologyTuple(
-        h0=from_cokernel(ia),
-        h1=direct_sum(kernel_group(ia), from_cokernel(ib)),
-        h2=kernel_group(ib),
+        h0=coker_ia,
+        h1=direct_sum(FGAbelianGroup.free(coker_ia.free_rank), coker_ib),
+        h2=FGAbelianGroup.free(coker_ib.free_rank),
     )
 
 
 def ktheory(a: IntMatrix, b: IntMatrix) -> tuple[FGAbelianGroup, FGAbelianGroup]:
     """K-theory (K0, K1) of the algebra of the pair."""
-    _validate_pair(a, b)
-    ia, ib = _one_minus(a), _one_minus(b)
-    return (
-        direct_sum(from_cokernel(ia), kernel_group(ib)),
-        direct_sum(from_cokernel(ib), kernel_group(ia)),
-    )
+    return homology(a, b).k_groups()
 
 
 def sft_homology(a: IntMatrix) -> HomologyTuple:
     """Homology of the shift-of-finite-type groupoid of A:
-    (coker(I - A), ker(I - A), 0)."""
-    _validate_nonnegative_no_zero_rows(a)
-    ia = _one_minus(a)
-    return HomologyTuple(
-        h0=from_cokernel(ia),
-        h1=kernel_group(ia),
-        h2=FGAbelianGroup.trivial(),
-    )
+    (coker(I - A), ker(I - A), 0), the pair (A, 0)."""
+    return homology(a, IntMatrix.zeros(a.rows, a.cols))
 
 
 def limit_route_homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
@@ -133,18 +131,21 @@ def limit_route_homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
 class HkEvidence:
     """Outcome of the two-route identity check K_i = sum of H_(2n+i)."""
 
-    ok: bool
     k0: FGAbelianGroup
     k1: FGAbelianGroup
     homology: HomologyTuple  # the limit-route tuple
 
     @property
     def k0_expected(self) -> FGAbelianGroup:
-        return direct_sum(self.homology.h0, self.homology.h2)
+        return self.homology.k_groups()[0]
 
     @property
     def k1_expected(self) -> FGAbelianGroup:
-        return self.homology.h1
+        return self.homology.k_groups()[1]
+
+    @property
+    def ok(self) -> bool:
+        return is_isomorphic(self.k0, self.k0_expected) and is_isomorphic(self.k1, self.k1_expected)
 
 
 def hk_check(a: IntMatrix, b: IntMatrix) -> HkEvidence:
@@ -152,9 +153,7 @@ def hk_check(a: IntMatrix, b: IntMatrix) -> HkEvidence:
     genuinely different routes: K through Smith forms of I - A and I - B,
     H through the stationary-limit model."""
     k0, k1 = ktheory(a, b)
-    h = limit_route_homology(a, b)
-    ok = is_isomorphic(k0, direct_sum(h.h0, h.h2)) and is_isomorphic(k1, h.h1)
-    return HkEvidence(ok=ok, k0=k0, k1=k1, homology=h)
+    return HkEvidence(k0, k1, limit_route_homology(a, b))
 
 
 @dataclass(frozen=True)
@@ -181,24 +180,28 @@ class InvariantReport:
 
 
 def analyze(operand: Operand) -> InvariantReport:
-    """Full invariant report for a pair or an SFT comparison object."""
+    """Full invariant report for a pair or an SFT comparison object.
+
+    The formula route runs once: K is read off its homology.  The limit
+    route runs once and is checked against both.
+    """
     a = operand.a
     b = operand.b_or_zero()
     _validate_pair(a, b)
     properties = classify(a, b)
-    if operand.mode == "sft":
-        h = sft_homology(a)
+    h = homology(a, b)
+    if operand.mode == "sft" or supports_match(a, b):
         validity = VALIDITY_OK
     else:
-        h = homology(a, b)
-        validity = VALIDITY_OK if supports_match(a, b) else VALIDITY_FORMULA_ONLY
-    evidence = hk_check(a, b)
+        validity = VALIDITY_FORMULA_ONLY
+    k0, k1 = h.k_groups()
+    evidence = HkEvidence(k0, k1, limit_route_homology(a, b))
     return InvariantReport(
         mode=operand.mode,
         properties=properties,
         homology=h,
-        k0=evidence.k0,
-        k1=evidence.k1,
+        k0=k0,
+        k1=k1,
         det_ia=det(_one_minus(a)),
         det_ib=det(_one_minus(b)),
         hk_ok=evidence.ok,
@@ -236,19 +239,15 @@ def compare(p1: Operand, p2: Operand) -> ComparisonReport:
 
     Besides homology and K-theory the report carries the kernel groups
     ker(I - A) and ker(I - B), which are themselves invariants of Kakutani
-    equivalence, and both determinants det(I - A), det(I - B).
+    equivalence, and both determinants det(I - A), det(I - B).  Both
+    kernels are read off the homology: ker(I - A) is free of the rank of
+    H0's free part, and ker(I - B) is H2.
     """
     left = analyze(p1)
     right = analyze(p2)
     h_iso = tuple(
         is_isomorphic(g, h)
         for g, h in zip(left.homology.degrees(), right.homology.degrees())
-    )
-    ker_ia = tuple(
-        kernel_group(_one_minus(op.a)) for op in (p1, p2)
-    )
-    ker_ib = tuple(
-        kernel_group(_one_minus(op.b_or_zero())) for op in (p1, p2)
     )
     distinguished = not all(h_iso)
     return ComparisonReport(
@@ -257,8 +256,8 @@ def compare(p1: Operand, p2: Operand) -> ComparisonReport:
         homology_isomorphic=h_iso,  # type: ignore[arg-type]
         k0_equal=is_isomorphic(left.k0, right.k0),
         k1_equal=is_isomorphic(left.k1, right.k1),
-        ker_ia_isomorphic=is_isomorphic(*ker_ia),
-        ker_ib_isomorphic=is_isomorphic(*ker_ib),
+        ker_ia_isomorphic=left.homology.h0.free_rank == right.homology.h0.free_rank,
+        ker_ib_isomorphic=is_isomorphic(left.homology.h2, right.homology.h2),
         distinguished=distinguished,
         verdict=VERDICT_DISTINGUISHED if distinguished else VERDICT_NOT_DISTINGUISHED,
     )
@@ -313,14 +312,6 @@ def realize(target_k0: FGAbelianGroup, target_k1: FGAbelianGroup) -> RealizeResu
     return RealizeResult(ok=True, a=a, b=b, k0=k0, k1=k1)
 
 
-def rank_constraint_holds(a: IntMatrix, b: IntMatrix) -> bool:
-    """free_rank(K0) = nullity(I-A) + nullity(I-B) = free_rank(K1)."""
-    ia, ib = _one_minus(a), _one_minus(b)
-    nullity = (ia.cols - snf(ia).rank()) + (ib.cols - snf(ib).rank())
-    k0, k1 = ktheory(a, b)
-    return k0.free_rank == nullity == k1.free_rank
-
-
 __all__ = [
     "HomologyTuple",
     "Operand",
@@ -336,7 +327,6 @@ __all__ = [
     "analyze",
     "compare",
     "realize",
-    "rank_constraint_holds",
     "VERDICT_DISTINGUISHED",
     "VERDICT_NOT_DISTINGUISHED",
     "VALIDITY_OK",

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from random import Random
 from typing import Iterable
 
 from .errors import InputValidationError
@@ -151,13 +153,14 @@ class Graph:
 
 
 def _validate_nonnegative_no_zero_rows(a: IntMatrix) -> None:
+    """The standing assumptions on A: square, nonnegative, no zero rows."""
     if not a.is_square:
         raise InputValidationError("shape mismatch", "matrix must be square")
     for i, row in enumerate(a):
         if any(x < 0 for x in row):
-            raise InputValidationError("negative entry", f"row {i + 1} has a negative entry")
+            raise InputValidationError("negative entry", f"A row {i + 1} has a negative entry")
         if all(x == 0 for x in row):
-            raise InputValidationError("zero row", f"row {i + 1} is identically zero")
+            raise InputValidationError("zero row", f"A row {i + 1} is identically zero")
 
 
 def _validate_pair(a: IntMatrix, b: IntMatrix) -> None:
@@ -170,6 +173,31 @@ def build_graph(a: IntMatrix) -> Graph:
     """Graph of A; A must be square and nonnegative with no zero rows."""
     _validate_nonnegative_no_zero_rows(a)
     return Graph(a)
+
+
+def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
+    """A path of the given length from `start`, each edge drawn uniformly
+    from the out-edges of the current vertex."""
+    if length == 0:
+        return Path.empty(start)
+    edges = []
+    v = start
+    for _ in range(length):
+        e = rng.choice(graph.out_edges(v))
+        edges.append(e)
+        v = e.target
+    return Path(tuple(edges))
+
+
+def path_ending_at(graph: Graph, rng: Random, vertex: int, max_len: int) -> Path:
+    """A random walk of length at most `max_len` with range `vertex`: up to
+    32 draws, then the empty path at `vertex`."""
+    for _ in range(32):
+        start = rng.choice(list(graph.vertices()))
+        p = random_walk(graph, rng, start, rng.randint(0, max_len))
+        if p.range == vertex:
+            return p
+    return Path.empty(vertex)
 
 
 def _check_edge(a: IntMatrix, e: Edge) -> int:
@@ -231,14 +259,11 @@ def kappa_path_preimage(a: IntMatrix, b: IntMatrix, m: int, target: Path) -> Pat
 class PseudoFreeness:
     """Outcome of the pseudo-freeness test.
 
-    verdict True means the support criterion held (B and A vanish on exactly
-    the same entries).  verdict False comes with a witness (m, edge) where
-    kappa_m fixes the edge with zero carry.  verdict None means the brute
-    search window was exhausted without a refutation; the test never proves
-    pseudo-freeness by search alone.
+    verdict False comes with a witness (m, edge) where kappa_m fixes the
+    edge with zero carry.
     """
 
-    verdict: bool | None
+    verdict: bool
     witness: tuple[int, Edge] | None = None
 
 
@@ -249,77 +274,54 @@ def supports_match(a: IntMatrix, b: IntMatrix) -> bool:
     )
 
 
-def is_pseudo_free(a: IntMatrix, b: IntMatrix, window: int = 20) -> PseudoFreeness:
+def is_pseudo_free(a: IntMatrix, b: IntMatrix) -> PseudoFreeness:
     """Decide pseudo-freeness: no m != 0 may fix an edge with zero carry.
 
-    The matching-support criterion is sufficient and needs no search.  When
-    it fails, a brute search over 0 < |m| <= window looks for a refuting
-    (m, edge); absence of a witness is reported as unknown.
+    kappa_m fixes e(i, j, t) with zero carry exactly when
+    m * B[i, j] + t = t, that is m * B[i, j] = 0.  So the pair is
+    pseudo-free iff B[i, j] != 0 wherever A[i, j] > 0 (Exel-Pardo,
+    Adv. Math. 306 (2017)); otherwise the first such (i, j) in row-major
+    order gives the witness (1, e(i, j, 0)).
     """
     _validate_pair(a, b)
-    if supports_match(a, b):
-        return PseudoFreeness(True)
-    graph = build_graph(a)
-    for mag in range(1, window + 1):
-        for m in (mag, -mag):
-            for e in graph.edges():
-                image, carry = kappa_edge(a, b, m, e)
-                if image == e and carry == 0:
-                    return PseudoFreeness(False, (m, e))
-    return PseudoFreeness(None)
+    for i, (row_a, row_b) in enumerate(zip(a, b)):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            if x > 0 and y == 0:
+                return PseudoFreeness(False, (1, Edge(i + 1, j + 1, 0)))
+    return PseudoFreeness(True)
 
 
-def default_fix_depth(b: IntMatrix, x: EventuallyPeriodicPath) -> int:
-    max_b = max(abs(v) for v in b.entries)
-    return 10 * len(x.period) * (1 + max_b)
+def _divide_along(a: IntMatrix, b: IntMatrix, value: int, edges: tuple[Edge, ...]) -> int | None:
+    """value * B(edges) / A(edges), or None if some prefix leaves Z."""
+    for e in edges:
+        a_entry = _check_edge(a, e)
+        num = value * b[e.source - 1, e.target - 1]
+        if num % a_entry:
+            return None
+        value = num // a_entry
+    return value
 
 
-def fixes_path(
-    a: IntMatrix,
-    b: IntMatrix,
-    m: int,
-    x: EventuallyPeriodicPath,
-    depth: int | None = None,
-) -> bool:
+def fixes_path(a: IntMatrix, b: IntMatrix, m: int, x: EventuallyPeriodicPath) -> bool:
     """Whether kappa_m fixes the eventually periodic path x.
 
-    Evaluates the divisibility criterion m * B(x|l) / A(x|l) in Z for
-    l = 1, 2, ...: the running value must stay an integer at every prefix.
-    Returns False at the first failure.  Returns True when the state
-    (running value, position in the period) repeats, which settles all
-    longer prefixes, or when `depth` prefixes all passed.
+    That holds iff m * B(x|l) / A(x|l) is an integer for every prefix
+    length l.  Write B(period) / A(period) = p/q in lowest terms.  Once a
+    whole period passes with the running value v, q = 1 settles every later
+    period (each of its prefixes gives p times an integer already seen).
+    If q > 1, a passing period maps v to v * p/q with p prime to q, which
+    lowers the valuation of v at every prime dividing q; a nonzero v thus
+    fails within log2|v| + 1 periods.
     """
-    if depth is None:
-        depth = default_fix_depth(b, x)
-    value = m
-    seen: set[tuple[int, int]] = set()
-    period = x.period.edges
-    steps = 0
-    for e in x.prefix.edges:
-        a_entry = _check_edge(a, e)
-        num = value * b[e.source - 1, e.target - 1]
-        if num % a_entry:
-            return False
-        value = num // a_entry
-        steps += 1
-        if steps >= depth:
+    ratio = Fraction(1)
+    for e in x.period.edges:
+        ratio *= Fraction(b[e.source - 1, e.target - 1], _check_edge(a, e))
+    value = _divide_along(a, b, m, x.prefix.edges)
+    while value:
+        value = _divide_along(a, b, value, x.period.edges)
+        if value is not None and ratio.denominator == 1:
             return True
-    idx = 0
-    while True:
-        state = (value, idx)
-        if state in seen:
-            return True
-        seen.add(state)
-        e = period[idx]
-        a_entry = _check_edge(a, e)
-        num = value * b[e.source - 1, e.target - 1]
-        if num % a_entry:
-            return False
-        value = num // a_entry
-        idx = (idx + 1) % len(period)
-        steps += 1
-        if steps >= depth:
-            return True
+    return value == 0
 
 
 def phi_vertex_sum(a: IntMatrix, b: IntMatrix, m: int, v: int, w: int) -> int:

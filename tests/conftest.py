@@ -13,6 +13,7 @@ from itertools import product
 from math import gcd, lcm
 
 from kep import Graph, IntMatrix, Path
+from kep.selfsim import random_walk
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
@@ -47,29 +48,8 @@ def random_pseudo_free_pair(
             return IntMatrix(a_rows), IntMatrix(b_rows)
 
 
-def random_walk(graph: Graph, rng: random.Random, start: int, length: int) -> Path:
-    if length == 0:
-        return Path.empty(start)
-    edges = []
-    v = start
-    for _ in range(length):
-        e = rng.choice(graph.out_edges(v))
-        edges.append(e)
-        v = e.target
-    return Path(tuple(edges))
-
-
 def random_path(graph: Graph, rng: random.Random, length: int) -> Path:
     return random_walk(graph, rng, rng.choice(list(graph.vertices())), length)
-
-
-def path_ending_at(graph: Graph, rng: random.Random, vertex: int, max_len: int) -> Path:
-    """A random path with range `vertex` (falls back to the empty path)."""
-    for _ in range(40):
-        p = random_path(graph, rng, rng.randint(0, max_len))
-        if p.range == vertex:
-            return p
-    return Path.empty(vertex)
 
 
 # ---------------------------------------------------------------------------

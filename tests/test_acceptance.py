@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 from math import gcd
 
-from conftest import path_ending_at, random_matrix, random_path, random_pseudo_free_pair
+from conftest import random_matrix, random_path, random_pseudo_free_pair
 from kep import (
     Edge,
     EventuallyPeriodicPath,
@@ -42,6 +42,7 @@ from kep import (
 )
 from kep.cli import main
 from kep.invariants import VERDICT_DISTINGUISHED, Operand
+from kep.selfsim import path_ending_at
 
 
 @contextmanager

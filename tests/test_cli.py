@@ -138,6 +138,18 @@ class TestAnalyze:
     def test_exit_2_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/nowhere.json"]) == EXIT_PARSE
 
+    def test_exit_2_directory(self, capsys, tmp_path):
+        assert main(["analyze", str(tmp_path)]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+
+    def test_exit_2_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"mode":"sft","n":1,"A":[[2]],"note":"\xe9"}')
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+
     def test_exit_2_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_PARSE
 
@@ -236,6 +248,14 @@ class TestCheck:
             "route_agreement",
         ):
             assert doc["checks"][name]["failures"] == 0
+
+    def test_b_off_support_passes(self, capsys, tmp_path):
+        # Supports differ, but B is nonzero on every edge: pseudo-free.
+        path = tmp_path / "off.json"
+        path.write_text('{"mode":"katsura","n":2,"A":[[2,0],[1,2]],"B":[[1,5],[1,1]]}')
+        code, doc = run_json(capsys, ["check", str(path), "--trials", "10"])
+        assert code == EXIT_OK
+        assert doc["pseudo_free"] is True and doc["failures"] == 0
 
     def test_deterministic_given_seed(self, capsys, pair_file):
         main(["check", pair_file, "--trials", "10", "--seed", "9"])

@@ -95,8 +95,8 @@ class TestFixedSublattice:
             n = rng.randint(1, 4)
             t = random_matrix(rng, n, n, -3, 3)
             lim = StationaryLimit(t)
-            fixed = _fixed_sublattice(lim)
             ek = eventual_kernel(lim)
+            fixed = _fixed_sublattice(lim, ek)
             t_minus_i = t - IntMatrix.identity(n)
             for v in fixed:
                 image = t_minus_i.apply(v)

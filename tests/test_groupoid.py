@@ -1,6 +1,6 @@
 import random
 
-from conftest import path_ending_at, random_pseudo_free_pair, random_walk
+from conftest import random_pseudo_free_pair
 from kep import (
     Edge,
     IntMatrix,
@@ -16,6 +16,7 @@ from kep import (
     slice_image_cylinder,
     slices_equal,
 )
+from kep.selfsim import path_ending_at, random_walk
 
 A1 = IntMatrix([[2]])
 B1 = IntMatrix([[1]])

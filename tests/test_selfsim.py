@@ -19,6 +19,7 @@ from kep import (
     parse_path,
     phi_vertex_sum,
 )
+from kep.selfsim import path_ending_at
 
 A1 = IntMatrix([[2]])
 B1 = IntMatrix([[1]])
@@ -175,13 +176,35 @@ class TestPseudoFree:
         b = IntMatrix([[1, 1], [1, 1]])
         assert is_pseudo_free(a, b).verdict is True
 
-    def test_unknown_when_b_off_support(self):
-        # B nonzero where A vanishes: the criterion fails but no edge can
-        # witness a refutation, so the search stays inconclusive.
+    def test_matches_brute_search(self):
+        # Closed form against the definition: search 0 < |m| <= 6 over all
+        # edges for a zero-carry fixed point, in the same order.
+        rng = random.Random(61)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            a = IntMatrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+            if not all(any(row) for row in a):
+                continue
+            b = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            edges = build_graph(a).edges()
+            found = None
+            for mag in range(1, 7):
+                for m in (mag, -mag):
+                    for e in edges:
+                        if found is None and kappa_edge(a, b, m, e) == (e, 0):
+                            found = (m, e)
+            result = is_pseudo_free(a, b)
+            assert result.verdict is (found is None)
+            assert result.witness == found
+
+    def test_b_off_support_is_pseudo_free(self):
+        # B nonzero where A vanishes: supports differ, but B is nonzero on
+        # every edge, so no m != 0 fixes an edge with zero carry.
         a = IntMatrix([[1, 0], [1, 1]])
         b = IntMatrix([[1, 5], [1, 1]])
-        result = is_pseudo_free(a, b, window=6)
-        assert result.verdict is None
+        result = is_pseudo_free(a, b)
+        assert result.verdict is True
+        assert result.witness is None
 
 
 class TestFixesPath:
@@ -197,6 +220,35 @@ class TestFixesPath:
     def test_balanced_ratio_cycles(self):
         x = EventuallyPeriodicPath(Path.empty(1), Path.of([E0]))
         assert fixes_path(A1, IntMatrix([[2]]), 1, x)
+
+    def test_halving_ratio_escapes_past_many_periods(self):
+        # m * 2^-l stays integral for l <= 20 and leaves Z at l = 21.
+        x = EventuallyPeriodicPath(Path.empty(1), Path.of([E0]))
+        assert not fixes_path(A1, B1, 2**20, x)
+        assert not fixes_path(A1, B1, -(2**40), x)
+
+    def test_matches_long_prefix_evaluation(self):
+        # With |m| <= 50, |B| <= 3 and a prefix of at most 2 edges the value
+        # entering the period has |v| <= 450, so a failure comes within
+        # log2(450) + 1 < 10 periods of at most 3 edges: 40 prefixes decide.
+        rng = random.Random(62)
+        verdicts = set()
+        for _ in range(400):
+            a, b = random_pseudo_free_pair(rng, max_n=3, a_range=(1, 4), b_range=(-3, 3))
+            g = build_graph(a)
+            period = path_ending_at(g, rng, 1, 3)
+            if not period.edges or period.source != 1:
+                continue
+            prefix = path_ending_at(g, rng, 1, 2)
+            m = rng.randint(-50, 50)
+            value, integral = m, True
+            for e in (list(prefix.edges) + list(period.edges) * 40)[:40]:
+                num = value * b[e.source - 1, e.target - 1]
+                integral = integral and num % a[e.source - 1, e.target - 1] == 0
+                value = num // a[e.source - 1, e.target - 1]
+            assert fixes_path(a, b, m, EventuallyPeriodicPath(prefix, period)) == integral
+            verdicts.add(integral)
+        assert verdicts == {True, False}
 
     def test_prefix_failure(self):
         # prefix edge already breaks divisibility for odd m
