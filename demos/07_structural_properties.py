@@ -15,8 +15,7 @@ def show(title, a, b):
     print("  pseudo_free:", report.pseudo_free, " hausdorff:", report.hausdorff)
     print("  effective_sufficient:", report.effective_sufficient,
           " minimal_pi_sufficient:", report.minimal_pi_sufficient)
-    print("  condition_O:", report.condition_O,
-          " principal_sufficient:", report.principal_sufficient)
+    print("  condition_O:", report.condition_O)
     for note in report.notes:
         print("  note:", note)
     print()

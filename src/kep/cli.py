@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 unrealizable target, or a check that found a
 failure or a pair that is not pseudo-free, 2 malformed or unreadable input
-or usage, 3 violated input assumption (named in the error report).
+or usage, 3 violated input assumption (named in the error report), 4 violated
+internal invariant (a defect in kep; the error report names the invariant).
 Integers whose magnitude exceeds 53 bits are serialized as strings so
 reports survive consumers that parse JSON numbers as doubles.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .abgroup import FGAbelianGroup
-from .errors import InputValidationError
+from .errors import InputValidationError, InternalError
 from .groupoid import (
     PropertyReport,
     Slice,
@@ -50,13 +51,14 @@ from .selfsim import (
     validate_path,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _SAFE_INT = 1 << 53
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERNAL = 4
 
 
 class ParseError(ValueError):
@@ -166,8 +168,6 @@ def _json_properties(p: PropertyReport) -> dict[str, Any]:
         "hausdorff": p.hausdorff,
         "effective_sufficient": p.effective_sufficient,
         "minimal_pi_sufficient": p.minimal_pi_sufficient,
-        "principal_sufficient": p.principal_sufficient,
-        "unit_space_compact": p.unit_space_compact,
         "condition_O": p.condition_O,
         "notes": list(p.notes),
     }
@@ -476,6 +476,8 @@ def main(argv: list[str] | None = None) -> int:
         return _emit_error(EXIT_PARSE, "parse", str(exc))
     except InputValidationError as exc:
         return _emit_error(EXIT_VALIDATION, exc.assumption, str(exc))
+    except InternalError as exc:
+        return _emit_error(EXIT_INTERNAL, "internal invariant", str(exc))
 
 
 def run(command: str, args: list[str]) -> int:

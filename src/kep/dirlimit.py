@@ -45,48 +45,23 @@ class StationaryLimit:
         return self.matrix.rows
 
 
-@dataclass(frozen=True)
-class LimitElement:
-    """A staged representative [vector, stage] of an element of the limit."""
-
-    stage: int
-    vector: Vector
-
-    def __post_init__(self):
-        if self.stage < 0:
-            raise ValueError("stage must be nonnegative")
-
-
-def _power(m: IntMatrix, k: int) -> IntMatrix:
-    result = IntMatrix.identity(m.rows)
-    for _ in range(k):
-        result = result @ m
-    return result
-
-
-def limit_equal(limit: StationaryLimit, a: LimitElement, b: LimitElement) -> bool:
-    """Whether two staged vectors define the same element of the limit.
-
-    [x, i] and [y, j] (i <= j) agree iff T^k (T^(j-i) x - y) = 0 for some
-    k >= 0; k = n always suffices because kernels of powers stabilize by
-    dimension n.
-    """
-    n = limit.dim
-    if len(a.vector) != n or len(b.vector) != n:
-        raise ValueError("vector length does not match the limit dimension")
-    if a.stage > b.stage:
-        a, b = b, a
-    shifted = _power(limit.matrix, b.stage - a.stage).apply(a.vector)
-    diff = tuple(x - y for x, y in zip(shifted, b.vector))
-    return all(x == 0 for x in _power(limit.matrix, n).apply(diff))
-
-
 def eventual_kernel(limit: StationaryLimit) -> list[Vector]:
-    """Basis of ker(T^n), the vectors that eventually die in the limit.
+    """Canonical basis of ker(T^n), the vectors that eventually die in the
+    limit, computed without matrix powers.
 
-    The lattice is saturated: k*x in the span with k != 0 forces x in it.
+    The chain K_0 = 0, K_(j+1) = {x : T x in K_j} climbs through ker T^j.
+    Each K_j is saturated (k*x in K_j with k != 0 forces x in K_j), and
+    nested saturated lattices of equal rank are equal, so the chain has
+    reached ker T^n once its rank stops growing; rank n is all of Z^n.
+    An injective T therefore costs one Smith form of T itself.
     """
-    return kernel_basis(_power(limit.matrix, limit.dim))
+    t = limit.matrix
+    ek: list[Vector] = []
+    while True:
+        nxt = _preimage(t, ek)
+        if len(nxt) == len(ek) or len(nxt) == limit.dim:
+            return nxt
+        ek = nxt
 
 
 def _lattice_basis(vectors: list[Vector], dim: int) -> list[Vector]:
@@ -97,6 +72,19 @@ def _lattice_basis(vectors: list[Vector], dim: int) -> list[Vector]:
         return []
     h = hnf(IntMatrix.from_columns(nonzero))
     return [h.column(j) for j in range(h.cols) if any(h.column(j))]
+
+
+def _preimage(m: IntMatrix, basis: list[Vector]) -> list[Vector]:
+    """Canonical basis of {x : M x lies in the span of `basis`}.
+
+    That lattice is the projection to the x-block of the kernel of the
+    block matrix [M | -basis]; with `basis` empty it is ker M.
+    """
+    n = m.cols
+    if not basis:
+        return _lattice_basis(kernel_basis(m), n)
+    combined = hstack(m, -IntMatrix.from_columns(basis))
+    return _lattice_basis([v[:n] for v in kernel_basis(combined)], n)
 
 
 def _solve_exact(basis: IntMatrix, targets: list[Vector]) -> list[Vector]:
@@ -127,16 +115,7 @@ def _solve_exact(basis: IntMatrix, targets: list[Vector]) -> list[Vector]:
 def _fixed_sublattice(limit: StationaryLimit, ek: list[Vector]) -> list[Vector]:
     """Basis of L' = {x : (T - I) x lies in the eventual kernel}, given a
     basis `ek` of the eventual kernel."""
-    t = limit.matrix
-    n = limit.dim
-    t_minus_i = t - IntMatrix.identity(n)
-    if not ek:
-        return _lattice_basis(kernel_basis(t_minus_i), n)
-    # {x : (T-I)x in <EK>} is the projection to the x-block of the kernel
-    # of the block matrix [T-I | -EK].
-    combined = hstack(t_minus_i, -IntMatrix.from_columns(ek))
-    projected = [v[:n] for v in kernel_basis(combined)]
-    return _lattice_basis(projected, n)
+    return _preimage(limit.matrix - IntMatrix.identity(limit.dim), ek)
 
 
 def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:

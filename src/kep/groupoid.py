@@ -134,17 +134,15 @@ class PropertyReport:
     """Structural verdicts for the groupoid of a pair (A, B).
 
     ``pseudo_free`` is decided exactly; ``hausdorff`` uses None for
-    "unknown".  The effectiveness, minimality and principality fields are
-    sufficient conditions: True asserts the property, False only means the
-    witness was not found.
+    "unknown".  The effectiveness and minimality fields are sufficient
+    conditions: True asserts the property, False only means the witness was
+    not found.
     """
 
     pseudo_free: bool
     hausdorff: bool | None
     effective_sufficient: bool
     minimal_pi_sufficient: bool
-    principal_sufficient: bool
-    unit_space_compact: bool
     condition_O: bool
     notes: tuple[str, ...] = ()
 
@@ -214,22 +212,6 @@ def _contraction_reachable_everywhere(a: IntMatrix, b: IntMatrix) -> bool:
     return len(reached) == n
 
 
-def _is_acyclic(a: IntMatrix) -> bool:
-    n = a.rows
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    def visit(i: int) -> bool:
-        state[i] = 1
-        for j in range(n):
-            if a[i, j] > 0:
-                if state[j] == 1:
-                    return False
-                if state[j] == 0 and not visit(j):
-                    return False
-        state[i] = 2
-        return True
-    return all(state[i] != 0 or visit(i) for i in range(n))
-
-
 def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     """Evaluate the structural conditions the pair (A, B) is known to control.
 
@@ -238,8 +220,6 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     Effectiveness is certified by "every cycle has an exit" plus a
     contracting cycle reachable from every vertex.  Minimality and pure
     infiniteness are certified by A irreducible and not a permutation.
-    The principality test (acyclic graph with |B| < A on the support) can
-    never fire here: with no zero rows a finite graph always has a cycle.
     """
     _validate_pair(a, b)
     graph = build_graph(a)
@@ -253,16 +233,6 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     exits = _every_cycle_has_exit(graph)
     contracting = _contraction_reachable_everywhere(a, b)
 
-    acyclic = _is_acyclic(a)
-    small_b = all(
-        abs(b[i, j]) < a[i, j] for i in range(a.rows) for j in range(a.cols) if a[i, j] > 0
-    )
-    if not acyclic:
-        notes.append(
-            "principality test needs an acyclic graph; every vertex emits an edge, "
-            "so a finite graph of this kind always has a cycle"
-        )
-
     condition_o = all(
         a[i, i] >= 2 and a[i, i] > abs(b[i, i]) for i in range(a.rows)
     )
@@ -272,8 +242,6 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
         hausdorff=hausdorff,
         effective_sufficient=exits and contracting,
         minimal_pi_sufficient=is_irreducible(a) and not is_permutation(a),
-        principal_sufficient=acyclic and small_b,
-        unit_space_compact=True,
         condition_O=condition_o,
         notes=tuple(notes),
     )

@@ -4,6 +4,7 @@ import pytest
 
 from kep.cli import (
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
@@ -12,7 +13,7 @@ from kep.cli import (
     parse_input,
     run,
 )
-from kep.errors import InputValidationError
+from kep.errors import InputValidationError, InternalError
 
 PAIR_DOC = '{"mode":"katsura","n":1,"A":[[2]],"B":[[1]]}'
 SFT_DOC = '{"mode":"sft","n":2,"A":[[2,1],[1,2]]}'
@@ -93,7 +94,7 @@ class TestAnalyze:
         assert doc["K"] == ["Z", "Z"]
         assert doc["hk_ok"] is True
         assert doc["oracle_ok"] is True
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["input"]["A"] == [[2]]
         assert doc["det"] == {"I_minus_A": -1, "I_minus_B": 0}
 
@@ -152,6 +153,19 @@ class TestAnalyze:
 
     def test_exit_2_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_PARSE
+
+    def test_exit_4_internal_invariant(self, capsys, monkeypatch, pair_file):
+        def broken(operand):
+            raise InternalError("fixed-point quotient acquired torsion")
+
+        monkeypatch.setattr("kep.cli.analyze", broken)
+        assert main(["analyze", pair_file]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_INTERNAL
+        assert err["assumption"] == "internal invariant"
+        assert err["message"] == "fixed-point quotient acquired torsion"
 
 
 class TestCompare:
@@ -291,7 +305,7 @@ def test_every_report_carries_schema_and_echo(capsys, pair_file, sft_file):
     for argv in commands:
         main(argv)
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 1, argv
+        assert doc["schema_version"] == 2, argv
         assert doc["command"] == argv[0]
         if argv[0] in ("analyze", "kappa", "check"):
             assert doc["input"]["A"] == [[2]]

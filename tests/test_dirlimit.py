@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from conftest import in_lattice, random_matrix
+from conftest import in_lattice, random_matrix, rational_nullity
 from kep import (
     FGAbelianGroup,
     IntMatrix,
-    LimitElement,
     StationaryLimit,
     coker_one_minus_shift,
     eventual_kernel,
@@ -14,38 +13,12 @@ from kep import (
     is_isomorphic,
     ker_one_minus_shift,
     kernel_group,
-    limit_equal,
 )
-from kep.dirlimit import _fixed_sublattice, _power
+from kep.dirlimit import _fixed_sublattice
 
 
 def limit_of(entries) -> StationaryLimit:
     return StationaryLimit(IntMatrix(entries))
-
-
-class TestLimitEqual:
-    def test_defining_relation(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            n = rng.randint(1, 4)
-            lim = StationaryLimit(random_matrix(rng, n, n, -4, 4))
-            x = tuple(rng.randint(-5, 5) for _ in range(n))
-            i = rng.randint(0, 3)
-            pushed = LimitElement(i + 1, lim.matrix.apply(x))
-            assert limit_equal(lim, LimitElement(i, x), pushed)
-
-    def test_doubling_map_distinguishes_stages(self):
-        lim = limit_of([[2]])
-        assert not limit_equal(lim, LimitElement(0, (1,)), LimitElement(1, (1,)))
-
-    def test_nilpotent_collapse(self):
-        lim = limit_of([[0]])
-        assert limit_equal(lim, LimitElement(0, (5,)), LimitElement(0, (0,)))
-
-    def test_dimension_mismatch(self):
-        lim = limit_of([[2]])
-        with pytest.raises(ValueError):
-            limit_equal(lim, LimitElement(0, (1, 2)), LimitElement(0, (1,)))
 
 
 class TestEventualKernel:
@@ -63,14 +36,31 @@ class TestEventualKernel:
         for _ in range(150):
             n = rng.randint(1, 5)
             t = random_matrix(rng, n, n, -3, 3)
-            lim = StationaryLimit(t)
-            ek = eventual_kernel(lim)
-            # ker(T^n) = ker(T^(n+1)): same sublattice both ways around.
-            from kep import kernel_basis
+            ek = eventual_kernel(StationaryLimit(t))
+            t_n = IntMatrix.identity(n)
+            for _ in range(n):
+                t_n = t_n @ t
+            # T^n kills the lattice, which has the rank of ker(T^n); being
+            # saturated (test_saturated), it is all of ker(T^n).
+            assert all(not any(t_n.apply(v)) for v in ek)
+            assert len(ek) == rational_nullity(t_n)
 
-            deeper = kernel_basis(_power(t, n + 1))
-            assert all(in_lattice(deeper, v) for v in ek)
-            assert all(in_lattice(ek, v) for v in deeper)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_nilpotent_jordan_block(self, k):
+        # T e_1 = 0 and T e_j = e_(j-1): ker T^j grows by one coordinate
+        # per step, so the chain runs k steps before reaching Z^k.
+        jordan = [[int(j == i + 1) for j in range(k)] for i in range(k)]
+        units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        assert eventual_kernel(limit_of(jordan)) == units
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_jordan_block_beside_injective_part(self, k):
+        # block-diag(J_k(0), (2)): the chain climbs k steps and then stops
+        # at rank k, short of the whole lattice.
+        t = [[int(j == i + 1) for j in range(k)] + [0] for i in range(k)]
+        t.append([0] * k + [2])
+        units = [tuple(int(i == j) for i in range(k + 1)) for j in range(k)]
+        assert eventual_kernel(limit_of(t)) == units
 
     def test_saturated(self):
         rng = random.Random(23)

@@ -230,8 +230,6 @@ class TestClassify:
         assert report.effective_sufficient
         assert report.minimal_pi_sufficient
         assert report.condition_O
-        assert report.unit_space_compact
-        assert not report.principal_sufficient
 
     def test_irreducible_2x2(self):
         report = classify(IntMatrix([[2, 1], [1, 2]]), IntMatrix([[1, 1], [1, 1]]))
