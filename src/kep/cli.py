@@ -419,6 +419,8 @@ def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise InputValidationError("bad trials", "--trials must be nonnegative")
     doc = parse_input(_read_source(args.file))
     summary = _run_checks(doc, trials=args.trials, seed=args.seed)
     _emit(summary)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputValidationError
-from .intmat import IntMatrix, is_irreducible, is_permutation
+from .intmat import IntMatrix, is_permutation
 from .selfsim import (
-    Graph,
     Path,
     PseudoFreeness,
     _validate_pair,
@@ -53,7 +52,14 @@ def parse_slice(text: str, context: tuple[IntMatrix, IntMatrix]) -> Slice:
     parts = text[2:-1].split("|")
     if len(parts) != 3:
         raise InputValidationError("bad slice syntax", f"cannot parse slice {text!r}")
-    return Slice(parse_path(parts[0]), int(parts[1]), parse_path(parts[2]), context)
+    alpha, beta = parse_path(parts[0]), parse_path(parts[2])
+    try:
+        m = int(parts[1])
+    except ValueError:
+        raise InputValidationError("bad slice syntax", f"slice {text!r}: m must be an integer") from None
+    if alpha.range != beta.range:
+        raise InputValidationError("bad slice syntax", f"slice {text!r}: alpha and beta must end at the same vertex")
+    return Slice(alpha, m, beta, context)
 
 
 def refine_slice(s: Slice) -> list[Slice]:
@@ -151,78 +157,48 @@ class PropertyReport:
             raise ValueError("pseudo-freeness forces Hausdorffness")
 
 
-def _every_cycle_has_exit(graph: Graph) -> bool:
-    """A cycle with no exit must consist of vertices of total out-degree 1
-    whose unique edges chain around the cycle; detect exactly that."""
-    a = graph.a
-    n = graph.n
-    successor = {}
-    for v in graph.vertices():
-        row = a.row(v - 1)
-        if sum(row) == 1:
-            successor[v] = row.index(1) + 1
-    for start in successor:
-        seen = set()
-        v = start
-        while v in successor:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = successor[v]
-    return True
+def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[Fraction | None]]:
+    """walk[i][j] is the least product of |B[e]|/A[e] over walks i -> j of
+    1..L edges, where L = 2**r >= n, or None when there is no such walk.
 
-
-def _contraction_reachable_everywhere(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether every vertex reaches a closed walk with edge-ratio product
-    |B|/A strictly below one (a witness that some infinite path from each
-    vertex has B-to-A weight tending to zero)."""
+    Each of the r = (n - 1).bit_length() rounds walk <- min(walk, walk (x) walk)
+    in the (min, *) semiring doubles the longest length covered, so the
+    closure costs O(n^3 log n) exact products.
+    """
     n = a.rows
-    weight: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            if a[i, j] > 0:
-                weight[(i, j)] = Fraction(abs(b[i, j]), a[i, j])
-    best = dict(weight)
-    contracting = set()
-    for _ in range(n):
-        for i in range(n):
-            if (i, i) in best and best[(i, i)] < 1:
-                contracting.add(i)
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (i, t), w1 in best.items():
-            for j in range(n):
-                w2 = weight.get((t, j))
-                if w2 is None:
+    walk = [
+        [Fraction(abs(b[i, j]), a[i, j]) if a[i, j] > 0 else None for j in range(n)]
+        for i in range(n)
+    ]
+    for _ in range((n - 1).bit_length()):
+        squared = []
+        for row in walk:
+            best = list(row)
+            for k, w1 in enumerate(row):
+                if w1 is None:
                     continue
-                candidate = w1 * w2
-                if (i, j) not in nxt or candidate < nxt[(i, j)]:
-                    nxt[(i, j)] = candidate
-        best = nxt
-    if not contracting:
-        return False
-    # Reverse reachability from the contracting set.
-    reached = set(contracting)
-    frontier = list(contracting)
-    while frontier:
-        j = frontier.pop()
-        for i in range(n):
-            if a[i, j] > 0 and i not in reached:
-                reached.add(i)
-                frontier.append(i)
-    return len(reached) == n
+                for j, w2 in enumerate(walk[k]):
+                    if w2 is not None:
+                        candidate = w1 * w2
+                        if best[j] is None or candidate < best[j]:
+                            best[j] = candidate
+            squared.append(best)
+        walk = squared
+    return walk
 
 
 def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     """Evaluate the structural conditions the pair (A, B) is known to control.
 
     Pseudo-freeness is decided exactly (B nonzero on the support of A);
-    Hausdorffness is asserted only as its consequence.
-    Effectiveness is certified by "every cycle has an exit" plus a
-    contracting cycle reachable from every vertex.  Minimality and pure
-    infiniteness are certified by A irreducible and not a permutation.
+    Hausdorffness is asserted only as its consequence.  The graph conditions
+    are read off one walk closure: effectiveness is certified by "every
+    cycle has an exit" plus a cycle whose |B|/A product is below one,
+    reachable from every vertex; minimality and pure infiniteness by A
+    irreducible and not a permutation.
     """
     _validate_pair(a, b)
-    graph = build_graph(a)
+    n = a.rows
     notes = []
 
     pf: PseudoFreeness = is_pseudo_free(a, b)
@@ -230,18 +206,26 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
         notes.append(f"pseudo-freeness fails: m={pf.witness[0]} fixes {pf.witness[1]} with zero carry")
     hausdorff = True if pf.verdict else None
 
-    exits = _every_cycle_has_exit(graph)
-    contracting = _contraction_reachable_everywhere(a, b)
-
-    condition_o = all(
-        a[i, i] >= 2 and a[i, i] > abs(b[i, i]) for i in range(a.rows)
+    # A closed walk with product < 1 contains a simple cycle with product
+    # < 1 that its vertices reach, so walks longer than n change nothing.
+    walk = _walk_closure(a, b)
+    reach = [[w is not None for w in row] for row in walk]
+    contracting = [j for j in range(n) if reach[j][j] and walk[j][j] < 1]
+    single_edge = [sum(a.row(j)) == 1 for j in range(n)]
+    # A cycle has no exit iff everything its vertices reach emits one edge.
+    exitless_cycle = any(
+        reach[i][i] and all(single_edge[j] for j in range(n) if reach[i][j]) for i in range(n)
     )
+    contraction_everywhere = all(any(reach[i][j] for j in contracting) for i in range(n))
+    irreducible = all(reach[i][j] for i in range(n) for j in range(n) if i != j)
+
+    condition_o = all(a[i, i] >= 2 and a[i, i] > abs(b[i, i]) for i in range(n))
 
     return PropertyReport(
         pseudo_free=pf.verdict,
         hausdorff=hausdorff,
-        effective_sufficient=exits and contracting,
-        minimal_pi_sufficient=is_irreducible(a) and not is_permutation(a),
+        effective_sufficient=not exitless_cycle and contraction_everywhere,
+        minimal_pi_sufficient=irreducible and not is_permutation(a),
         condition_O=condition_o,
         notes=tuple(notes),
     )

@@ -1,5 +1,5 @@
 """Exact dense integer matrices: Smith/Hermite normal forms, determinants,
-integer kernels and support-digraph predicates.
+integer kernels and the permutation-matrix test.
 
 All arithmetic is over Python ints, so nothing here can overflow.  Matrices
 are immutable; every operation returns fresh values.
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-from .errors import InputValidationError
 
 
 class IntMatrix:
@@ -359,36 +357,6 @@ def hnf(m: IntMatrix) -> IntMatrix:
                     row[j] -= q * row[p]
         p += 1
     return IntMatrix(a)
-
-
-def is_irreducible(m: IntMatrix) -> bool:
-    """Whether the digraph with an arc i -> j when M[i, j] > 0 is strongly
-    connected (paths of length zero count, so a 1x1 matrix always is).
-
-    Entries must be nonnegative.
-    """
-    if not m.is_square:
-        raise ValueError("irreducibility requires a square matrix")
-    n = m.rows
-    for row in m:
-        for x in row:
-            if x < 0:
-                raise InputValidationError("negative entry", "irreducibility test needs a nonnegative matrix")
-    succ = [[j for j in range(n) if m[i, j] > 0] for i in range(n)]
-    pred = [[i for i in range(n) if m[i, j] > 0] for j in range(n)]
-
-    def reaches_all(adjacency: list[list[int]]) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
-    return reaches_all(succ) and reaches_all(pred)
 
 
 def is_permutation(m: IntMatrix) -> bool:

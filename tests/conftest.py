@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own Smith-form machinery:
 determinants come from cofactor expansion, ranks from rational Gaussian
-elimination, group orders from explicit element enumeration.
+elimination, group orders from explicit element enumeration.  The classifier
+oracle enumerates simple cycles by brute force and uses no kep graph code.
 """
 
 from __future__ import annotations
@@ -150,3 +151,57 @@ def in_lattice(basis: list[tuple[int, ...]], vector: tuple[int, ...]) -> bool:
 
 def matvec(m: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return m.apply(v)
+
+
+# ---------------------------------------------------------------------------
+# Classifier oracle: brute-force simple cycles, none of kep's graph code
+
+
+def simple_cycles(a: IntMatrix) -> list[tuple[int, ...]]:
+    """Every simple cycle of the digraph with an arc i -> j when A[i, j] > 0,
+    once each, as its vertex sequence from its least vertex (n <= 5)."""
+    rows = [list(row) for row in a]
+    cycles = []
+
+    def extend(walk: list[int]) -> None:
+        for j, x in enumerate(rows[walk[-1]]):
+            if x > 0 and j == walk[0]:
+                cycles.append(tuple(walk))
+            elif x > 0 and j > walk[0] and j not in walk:
+                extend(walk + [j])
+
+    for start in range(len(rows)):
+        extend([start])
+    return cycles
+
+
+def classifier_oracle(a: IntMatrix, b: IntMatrix) -> tuple[bool, bool]:
+    """(effective_sufficient, minimal_pi_sufficient) from their definitions:
+    every cycle has an exit and every vertex reaches a cycle whose |B|/A
+    product is below 1; A irreducible and not a permutation matrix."""
+    rows = [list(row) for row in a]
+    n = len(rows)
+    cycles = simple_cycles(a)
+    every_cycle_exits = all(any(sum(rows[v]) > 1 for v in cycle) for cycle in cycles)
+    contracting = set()
+    for cycle in cycles:
+        ratio = Fraction(1)
+        for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+            ratio *= Fraction(abs(b[v, w]), a[v, w])
+        if ratio < 1:
+            contracting.update(cycle)
+    reach = []
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            v = stack.pop()
+            for w in range(n):
+                if rows[v][w] > 0 and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    effective = every_cycle_exits and all(reach[i] & contracting for i in range(n))
+    irreducible = all(len(seen) == n for seen in reach)
+    unit_vector = [0] * (n - 1) + [1]
+    permutation = all(sorted(line) == unit_vector for line in rows + [list(c) for c in zip(*rows)])
+    return effective, irreducible and not permutation

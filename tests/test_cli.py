@@ -278,6 +278,12 @@ class TestCheck:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_negative_trials_rejected(self, capsys, pair_file):
+        assert main(["check", pair_file, "--trials", "-3"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["assumption"] == "bad trials"
+
     def test_sft_inconclusive(self, capsys, sft_file):
         # B = 0 fails the matching-support criterion, so the theorem
         # hypothesis is unverified: exit 1 even though no check fails.

@@ -1,8 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 
-from conftest import random_pseudo_free_pair
+import pytest
+
+from conftest import classifier_oracle, random_pseudo_free_pair
 from kep import (
     Edge,
+    InputValidationError,
     IntMatrix,
     Path,
     Slice,
@@ -16,6 +21,7 @@ from kep import (
     slice_image_cylinder,
     slices_equal,
 )
+from kep.groupoid import _walk_closure
 from kep.selfsim import path_ending_at, random_walk
 
 A1 = IntMatrix([[2]])
@@ -26,6 +32,23 @@ E0 = Edge(1, 1, 0)
 E1 = Edge(1, 1, 1)
 P0 = Path.of([E0])
 P1 = Path.of([E1])
+
+
+def random_sparse_pair(rng, max_n=5):
+    """A with no zero rows on a sparse, often reducible support with many
+    single-edge rows; B in -3..3 everywhere, so B vanishes on some edges."""
+    n = rng.randint(1, max_n)
+    density = rng.choice((0.25, 0.5, 0.8))
+    cut = rng.randint(1, n) if rng.random() < 0.4 else n
+    while True:
+        # rows at or past `cut` have no arc back below it
+        a = [
+            [rng.choice((1, 1, 2, 3)) if rng.random() < density and not i >= cut > j else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        if all(any(row) for row in a):
+            break
+    return IntMatrix(a), IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
 
 
 def random_slice(rng, graph, ctx, max_len=3, max_m=3):
@@ -221,6 +244,17 @@ class TestParseSlice:
         assert parse_slice(str(s), CTX) == s
         assert parse_slice("Z(v(1)|3|e(1,1,0))", CTX) == Slice(V, 3, P0, CTX)
 
+    def test_non_integer_m(self):
+        with pytest.raises(InputValidationError) as info:
+            parse_slice("Z(v(1)|x|v(1))", CTX)
+        assert info.value.assumption == "bad slice syntax"
+
+    def test_ends_at_different_vertices(self):
+        ctx = (IntMatrix([[1, 1], [1, 1]]), IntMatrix([[1, 1], [1, 1]]))
+        with pytest.raises(InputValidationError) as info:
+            parse_slice("Z(v(1)|1|v(2))", ctx)
+        assert info.value.assumption == "bad slice syntax"
+
 
 class TestClassify:
     def test_doubling_pair(self):
@@ -265,3 +299,59 @@ class TestClassify:
     def test_condition_O(self):
         assert classify(IntMatrix([[3]]), IntMatrix([[2]])).condition_O
         assert not classify(IntMatrix([[3]]), IntMatrix([[3]])).condition_O
+
+    def test_contraction_by_whole_cycle(self):
+        # The only cycle is 1 -> 2 -> 1: its edges have ratios 3/2 and 1/3,
+        # so no single edge closes up, but the cycle's product is 1/2.
+        a, b = IntMatrix([[0, 2], [3, 0]]), IntMatrix([[0, 3], [1, 0]])
+        assert classify(a, b).effective_sufficient
+        assert classifier_oracle(a, b)[0]
+
+    def test_contraction_unreachable(self):
+        # The loop at 1 contracts (1/2); vertex 2 only reaches its own loop (1).
+        a, b = IntMatrix([[2, 1], [0, 2]]), IntMatrix([[1, 1], [0, 2]])
+        assert not classify(a, b).effective_sufficient
+        assert not classifier_oracle(a, b)[0]
+
+    def test_minimality_witness(self):
+        # two components; 2 never reaches 1; irreducible and not a permutation
+        for rows, minimal in [([[2, 0], [0, 2]], False), ([[1, 1], [0, 1]], False), ([[0, 2], [1, 0]], True)]:
+            a = IntMatrix(rows)
+            assert classify(a, a).minimal_pi_sufficient is minimal
+            assert classifier_oracle(a, a)[1] is minimal
+
+    def test_rejects_negative_a(self):
+        with pytest.raises(InputValidationError):
+            classify(IntMatrix([[-1]]), IntMatrix([[1]]))
+
+    def test_matches_cycle_oracle(self):
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(1500):
+            a, b = random_sparse_pair(rng)
+            report = classify(a, b)
+            verdicts = (report.effective_sufficient, report.minimal_pi_sufficient)
+            assert verdicts == classifier_oracle(a, b), (a, b)
+            seen.update(enumerate(verdicts))
+        assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+    def test_walk_closure_is_least_walk_product(self):
+        def least(x, y):
+            return y if x is None or (y is not None and y < x) else x
+
+        rng = random.Random(54)
+        for _ in range(200):
+            a, b = random_sparse_pair(rng, max_n=4)
+            n = a.rows
+            step = [[Fraction(abs(b[i, j]), a[i, j]) if a[i, j] else None for j in range(n)] for i in range(n)]
+            # exact[i][j]: least product over walks of exactly t edges, for
+            # t = 1..L with L the least power of two >= n; best: over 1..t
+            exact, best = step, step
+            for _ in range((1 << (n - 1).bit_length()) - 1):
+                longer = [[None] * n for _ in range(n)]
+                for i, k, j in itertools.product(range(n), repeat=3):
+                    if exact[i][k] is not None and step[k][j] is not None:
+                        longer[i][j] = least(longer[i][j], exact[i][k] * step[k][j])
+                exact = longer
+                best = [[least(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(best, exact)]
+            assert _walk_closure(a, b) == best

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import cofactor_det, random_matrix
 from kep import (
-    InputValidationError,
     IntMatrix,
     det,
     hnf,
-    is_irreducible,
     is_permutation,
     kernel_basis,
     snf,
@@ -177,15 +175,6 @@ class TestHnf:
 
 
 class TestDigraphPredicates:
-    def test_irreducible_examples(self):
-        assert is_irreducible(IntMatrix([[2, 1], [1, 2]]))
-        assert not is_irreducible(IntMatrix([[1, 0], [0, 1]]))
-        assert is_irreducible(IntMatrix([[0, 1], [1, 0]]))
-
-    def test_irreducible_rejects_negative(self):
-        with pytest.raises(InputValidationError):
-            is_irreducible(IntMatrix([[-1]]))
-
     def test_permutation_examples(self):
         assert is_permutation(IntMatrix.identity(3))
         assert is_permutation(IntMatrix([[0, 1], [1, 0]]))
