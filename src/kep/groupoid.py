@@ -16,10 +16,10 @@ from fractions import Fraction
 from .errors import InputValidationError
 from .intmat import IntMatrix, is_permutation
 from .selfsim import (
+    Edge,
     Path,
     PseudoFreeness,
     _validate_pair,
-    build_graph,
     is_pseudo_free,
     kappa_path,
     kappa_path_preimage,
@@ -67,14 +67,21 @@ def refine_slice(s: Slice) -> list[Slice]:
 
     Z(alpha, m, beta) is the disjoint union over such edges g of
     Z(alpha.kappa_m(g), phi(m, g), beta.g); one child per edge, and the
-    children's source cylinders partition the parent's.
+    children's source cylinders partition the parent's.  Each child is read
+    off the rows of A and B at range(beta): g = e(v, j, t) with
+    m*B[v, j] + t = k*A[v, j] + l gives Z(alpha.e(v, j, l), k, beta.g).
     """
     a, b = s.context
+    _validate_pair(a, b)
+    v = s.beta.range
     children = []
-    for edge in build_graph(a).out_edges(s.beta.range):
-        gamma = Path.of([edge])
-        image, carry = kappa_path(a, b, s.m, gamma)
-        children.append(Slice(s.alpha.concat(image), carry, s.beta.concat(gamma), s.context))
+    for j, (a_entry, b_entry) in enumerate(zip(a.row(v - 1), b.row(v - 1)), 1):
+        shift = s.m * b_entry
+        for t in range(a_entry):
+            carry, label = divmod(shift + t, a_entry)
+            alpha = Path._composed(s.alpha.edges + (Edge(v, j, label),))
+            beta = Path._composed(s.beta.edges + (Edge(v, j, t),))
+            children.append(Slice(alpha, carry, beta, s.context))
     return children
 
 
@@ -105,8 +112,7 @@ def compose_slices(s1: Slice, s2: Slice) -> Slice | None:
         return Slice(s1.alpha.concat(image), carry + s2.m, s2.beta, s1.context)
     if s1.beta.starts_with(s2.alpha):
         overhang = s1.beta.tail_after(s2.alpha)
-        preimage = kappa_path_preimage(a, b, s2.m, overhang)
-        _, carry = kappa_path(a, b, s2.m, preimage)
+        preimage, carry = kappa_path_preimage(a, b, s2.m, overhang)
         return Slice(s1.alpha, s1.m + carry, s2.beta.concat(preimage), s1.context)
     return None
 

@@ -37,6 +37,11 @@ class Edge:
         return f"e({self.source},{self.target},{self.label})"
 
 
+# Bound once: `Path._composed` runs for every path the slice algebra builds.
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Path:
     """A composable sequence of edges; the empty path is anchored at a vertex."""
@@ -57,6 +62,15 @@ class Path:
     @classmethod
     def empty(cls, vertex: int) -> "Path":
         return cls((), vertex)
+
+    @classmethod
+    def _composed(cls, edges: tuple[Edge, ...]) -> "Path":
+        """A nonempty path from edges that are composable by construction,
+        without the junction scan of `__post_init__`."""
+        path = _new_object(cls)
+        _set_field(path, "edges", edges)
+        _set_field(path, "vertex", None)
+        return path
 
     @classmethod
     def of(cls, edges: Iterable[Edge]) -> "Path":
@@ -83,7 +97,7 @@ class Path:
             return self
         if not self.edges:
             return other
-        return Path(self.edges + other.edges)
+        return Path._composed(self.edges + other.edges)
 
     def starts_with(self, prefix: "Path") -> bool:
         """Whether this path extends `prefix` (sources must agree)."""
@@ -96,7 +110,7 @@ class Path:
         if not self.starts_with(prefix):
             raise ValueError("not an extension of the given prefix")
         rest = self.edges[len(prefix.edges):]
-        return Path(rest) if rest else Path.empty(self.range)
+        return Path._composed(rest) if rest else Path.empty(self.range)
 
     def __str__(self) -> str:
         if not self.edges:
@@ -148,8 +162,29 @@ class Graph:
     def edges(self) -> list[Edge]:
         return [e for v in self.vertices() for e in self.out_edges(v)]
 
+    def out_degree(self, vertex: int) -> int:
+        return sum(self.a.row(vertex - 1))
+
     def edge_count(self) -> int:
         return sum(self.a.entries)
+
+    def out_edge(self, vertex: int, index: int) -> Edge:
+        """`out_edges(vertex)[index]`, found without listing the edges."""
+        if index >= 0:
+            for j, count in enumerate(self.a.row(vertex - 1), 1):
+                if index < count:
+                    return Edge(vertex, j, index)
+                index -= count
+        raise IndexError("edge index out of range")
+
+    def edge(self, index: int) -> Edge:
+        """`edges()[index]` (row-major order), found without listing the edges."""
+        for vertex in self.vertices():
+            degree = self.out_degree(vertex)
+            if 0 <= index < degree:
+                return self.out_edge(vertex, index)
+            index -= degree
+        raise IndexError("edge index out of range")
 
 
 def _validate_nonnegative_no_zero_rows(a: IntMatrix) -> None:
@@ -177,16 +212,20 @@ def build_graph(a: IntMatrix) -> Graph:
 
 def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
     """A path of the given length from `start`, each edge drawn uniformly
-    from the out-edges of the current vertex."""
+    from the out-edges of the current vertex.
+
+    Each step draws `rng.choice(range(out_degree))`, the same draw as
+    `rng.choice(graph.out_edges(v))`, without listing the edges.
+    """
     if length == 0:
         return Path.empty(start)
     edges = []
     v = start
     for _ in range(length):
-        e = rng.choice(graph.out_edges(v))
+        e = graph.out_edge(v, rng.choice(range(graph.out_degree(v))))
         edges.append(e)
         v = e.target
-    return Path(tuple(edges))
+    return Path._composed(tuple(edges))
 
 
 def path_ending_at(graph: Graph, rng: Random, vertex: int, max_len: int) -> Path:
@@ -228,31 +267,34 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
     kappa_m(p q) = kappa_m(p) kappa_{phi(m, p)}(q) and
     phi(m, p q) = phi(phi(m, p), q); the empty path returns (p, m).
     """
+    if not p.edges:
+        return p, m
+    b_rows = tuple(b)
     carry = m
     out = []
     for e in p.edges:
-        image, carry = kappa_edge(a, b, carry, e)
-        out.append(image)
-    if not out:
-        return p, m
-    return Path(tuple(out)), carry
+        a_entry = _check_edge(a, e)
+        carry, label = divmod(carry * b_rows[e.source - 1][e.target - 1] + e.label, a_entry)
+        out.append(Edge(e.source, e.target, label))
+    return Path._composed(tuple(out)), carry
 
 
-def kappa_path_preimage(a: IntMatrix, b: IntMatrix, m: int, target: Path) -> Path:
-    """The unique path p with kappa_m(p) = target (the edgewise action is a
-    bijection on parallel edges, so the fold inverts step by step)."""
+def kappa_path_preimage(a: IntMatrix, b: IntMatrix, m: int, target: Path) -> tuple[Path, int]:
+    """The unique path p with kappa_m(p) = target, and phi(m, p) (the
+    edgewise action is a bijection on parallel edges, so the fold inverts
+    step by step); the empty path returns (target, m)."""
     if not target.edges:
-        return target
+        return target, m
+    b_rows = tuple(b)
     carry = m
     out = []
     for e in target.edges:
         a_entry = _check_edge(a, e)
-        b_entry = b[e.source - 1, e.target - 1]
-        label = (e.label - carry * b_entry) % a_entry
-        pre = Edge(e.source, e.target, label)
-        _, carry = kappa_edge(a, b, carry, pre)
-        out.append(pre)
-    return Path(tuple(out))
+        shift = carry * b_rows[e.source - 1][e.target - 1]
+        label = (e.label - shift) % a_entry
+        carry = (shift + label) // a_entry
+        out.append(Edge(e.source, e.target, label))
+    return Path._composed(tuple(out)), carry
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from kep import Graph, IntMatrix, Path
+from kep import Edge, Graph, IntMatrix, Path, Slice, kappa_edge
 from kep.selfsim import random_walk
 
 
@@ -51,6 +51,41 @@ def random_pseudo_free_pair(
 
 def random_path(graph: Graph, rng: random.Random, length: int) -> Path:
     return random_walk(graph, rng, rng.choice(list(graph.vertices())), length)
+
+
+# ---------------------------------------------------------------------------
+# Reference path and slice constructions: list every edge, validate every path
+
+
+def reference_random_walk(graph: Graph, rng: random.Random, start: int, length: int) -> Path:
+    """The random walk drawn from the listed out-edges of each vertex,
+    `rng.choice(graph.out_edges(v))`; `random_walk` must match it draw for draw."""
+    if length == 0:
+        return Path.empty(start)
+    edges = []
+    v = start
+    for _ in range(length):
+        e = rng.choice(graph.out_edges(v))
+        edges.append(e)
+        v = e.target
+    return Path(tuple(edges))
+
+
+def reference_refine(s: Slice) -> list[Slice]:
+    """The children Z(alpha.kappa_m(g), phi(m, g), beta.g) of a slice, one
+    per edge g = e(v, j, t) leaving v = range(beta) in row-major order, built
+    only with `kappa_edge` and the validating `Path` constructor."""
+    a, b = s.context
+    v = s.beta.range
+    children = []
+    for j in range(1, a.cols + 1):
+        for t in range(a[v - 1, j - 1]):
+            g = Edge(v, j, t)
+            image, carry = kappa_edge(a, b, s.m, g)
+            alpha = Path(s.alpha.edges + (image,))
+            beta = Path(s.beta.edges + (g,))
+            children.append(Slice(alpha, carry, beta, s.context))
+    return children
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -283,6 +284,31 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["assumption"] == "bad trials"
+
+    # sha256 of the full stdout, recorded before the path action stopped
+    # listing edges: a change in draw order, counters or trial counts fails.
+    @pytest.mark.parametrize(
+        "doc, argv, digest",
+        [
+            (
+                '{"mode":"katsura","n":2,"A":[[60,45],[7,95]],"B":[[-3,5],[2,-7]]}',
+                ["--trials", "20", "--seed", "5"],
+                "4b7f637098d9e8fe6ec5f30f847eb6bebd6316532ec1eac8b9805368430af44d",
+            ),
+            (
+                PAIR_DOC,
+                ["--trials", "25", "--seed", "3"],
+                "cf4a83af80fbadcde23a84873682dba9c82380058763485f4168ea540128867a",
+            ),
+        ],
+        ids=["row_sum_100", "pair_seed_3"],
+    )
+    def test_golden_output(self, capsys, tmp_path, doc, argv, digest):
+        path = tmp_path / "in.json"
+        path.write_text(doc)
+        assert main(["check", str(path), *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_sft_inconclusive(self, capsys, sft_file):
         # B = 0 fails the matching-support criterion, so the theorem

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import classifier_oracle, random_pseudo_free_pair
+from conftest import (
+    classifier_oracle,
+    random_pseudo_free_pair,
+    reference_random_walk,
+    reference_refine,
+)
 from kep import (
     Edge,
     InputValidationError,
@@ -74,6 +79,22 @@ class TestRefine:
             s = random_slice(rng, g, (a, b))
             assert len(refine_slice(s)) == len(g.out_edges(s.beta.range))
 
+    def test_matches_definition(self):
+        # Negative B and m, empty alpha or beta, and (sparse pairs) B = 0
+        # on some edges; children compared in order.
+        rng = random.Random(43)
+        empty_alpha = empty_beta = 0
+        for k in range(300):
+            if k % 2:
+                a, b = random_pseudo_free_pair(rng, max_n=3, b_range=(-9, 9))
+            else:
+                a, b = random_sparse_pair(rng, max_n=4)
+            s = random_slice(rng, build_graph(a), (a, b), max_len=2, max_m=20)
+            empty_alpha += not s.alpha.edges
+            empty_beta += not s.beta.edges
+            assert refine_slice(s) == reference_refine(s)
+        assert empty_alpha and empty_beta
+
     def test_children_extend_beta(self):
         rng = random.Random(42)
         for _ in range(50):
@@ -83,6 +104,21 @@ class TestRefine:
             for child in refine_slice(s):
                 assert child.beta.starts_with(s.beta)
                 assert len(child.beta) == len(s.beta) + 1
+
+
+class TestRandomWalk:
+    def test_matches_listed_edge_draws(self):
+        # Same paths and same generator state, step for step, as drawing
+        # from the listed out-edges; row sums up to a few hundred.
+        for seed in range(8):
+            rng = random.Random(seed)
+            a, _ = random_pseudo_free_pair(rng, max_n=4, a_range=(1, 60))
+            g = build_graph(a)
+            fast, slow = random.Random(100 + seed), random.Random(100 + seed)
+            for _ in range(40):
+                start, length = rng.randint(1, a.rows), rng.randint(0, 6)
+                assert random_walk(g, fast, start, length) == reference_random_walk(g, slow, start, length)
+                assert fast.getstate() == slow.getstate()
 
 
 class TestCompose:

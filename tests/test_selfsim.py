@@ -19,7 +19,7 @@ from kep import (
     parse_path,
     phi_vertex_sum,
 )
-from kep.selfsim import path_ending_at
+from kep.selfsim import path_ending_at, random_walk
 
 A1 = IntMatrix([[2]])
 B1 = IntMatrix([[1]])
@@ -100,6 +100,7 @@ class TestKappaPath:
     def test_empty_path_returns_m(self):
         p = Path.empty(1)
         assert kappa_path(A1, B1, 7, p) == (p, 7)
+        assert kappa_path_preimage(A1, B1, 7, p) == (p, 7)
 
     def test_preimage_inverts(self):
         rng = random.Random(32)
@@ -108,8 +109,8 @@ class TestKappaPath:
             g = build_graph(a)
             p = random_path(g, rng, rng.randint(1, 6))
             m = rng.randint(-10, 10)
-            image, _ = kappa_path(a, b, m, p)
-            assert kappa_path_preimage(a, b, m, image) == p
+            image, carry = kappa_path(a, b, m, p)
+            assert kappa_path_preimage(a, b, m, image) == (p, carry)
 
     def test_grouping_independence(self):
         # Folding the whole path equals folding a prefix and feeding its
@@ -127,6 +128,66 @@ class TestKappaPath:
                 right_img, right_carry = kappa_path(a, b, left_carry, right)
                 assert left_img.concat(right_img) == image
                 assert right_carry == carry
+
+
+class TestPathInvariants:
+    """Paths built without the junction scan equal their validated rebuilds."""
+
+    def test_internal_paths_validate(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            a, b = random_pseudo_free_pair(rng, max_n=3)
+            g = build_graph(a)
+            p = random_path(g, rng, rng.randint(0, 4))
+            q = random_walk(g, rng, p.range, rng.randint(0, 4))
+            for walk in (p, q):
+                assert walk == (Path(walk.edges) if walk.edges else Path.empty(walk.range))
+            pq = p.concat(q)
+            assert pq == (Path(p.edges + q.edges) if pq.edges else Path.empty(p.range))
+            rest = pq.tail_after(p)
+            assert rest == q
+            assert rest == (Path(rest.edges) if rest.edges else Path.empty(pq.range))
+            m = rng.randint(-20, 20)
+            image, carry = kappa_path(a, b, m, pq)
+            preimage, pre_carry = kappa_path_preimage(a, b, m, image)
+            assert (preimage, pre_carry) == (pq, carry)
+            if pq.edges:
+                assert image == Path(image.edges) and preimage == Path(preimage.edges)
+
+    def test_non_composable_junction_raises(self):
+        e12, e11 = Edge(1, 2, 0), Edge(1, 1, 0)
+        with pytest.raises(ValueError):
+            Path((e12, e11))
+        with pytest.raises(ValueError):
+            Path.of([e12, e11])
+        with pytest.raises(InputValidationError) as info:
+            parse_path("e(1,2,0).e(1,1,0)")
+        assert info.value.assumption == "path not composable"
+        with pytest.raises(ValueError):
+            Path.of([e12]).concat(Path.of([e11]))
+        with pytest.raises(ValueError):
+            Path.empty(2).concat(Path.of([e11]))
+
+    @pytest.mark.parametrize("edge", [Edge(1, 1, 2), Edge(1, 3, 0), Edge(0, 1, 0), Edge(1, 2, 0)])
+    def test_unknown_edge_raises(self, edge):
+        a, b = IntMatrix([[2, 0], [1, 1]]), IntMatrix([[1, 0], [1, 1]])
+        for fold in (kappa_path, kappa_path_preimage):
+            with pytest.raises(InputValidationError) as info:
+                fold(a, b, 1, Path.of([edge]))
+            assert info.value.assumption == "unknown edge"
+
+    def test_edge_by_index(self):
+        g = build_graph(IntMatrix([[2, 0, 3], [0, 1, 0], [4, 1, 0]]))
+        assert [g.edge(i) for i in range(g.edge_count())] == g.edges()
+        for v in g.vertices():
+            assert g.out_degree(v) == len(g.out_edges(v))
+            assert [g.out_edge(v, i) for i in range(g.out_degree(v))] == g.out_edges(v)
+            for index in (-1, g.out_degree(v)):
+                with pytest.raises(IndexError):
+                    g.out_edge(v, index)
+        for index in (-1, g.edge_count()):
+            with pytest.raises(IndexError):
+                g.edge(index)
 
 
 class TestCocycleLaws:
