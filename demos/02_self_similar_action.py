@@ -9,9 +9,9 @@ exactly like adding with carries in a mixed-radix number system.
 from kep import (
     Edge,
     EventuallyPeriodicPath,
+    Graph,
     IntMatrix,
     Path,
-    build_graph,
     fixes_path,
     is_pseudo_free,
     kappa_edge,
@@ -21,7 +21,7 @@ from kep import (
 
 a = IntMatrix([[2]])
 b = IntMatrix([[1]])
-graph = build_graph(a)
+graph = Graph(a)
 print("graph of A=(2):", [str(e) for e in graph.edges()], "(two loops at one vertex)")
 
 # One step of the action on an edge: label 0, m = 1 -> label 1, carry 0.

@@ -35,8 +35,8 @@ print("verdict:             ", report.verdict)
 p1 = Operand("katsura", IntMatrix([[3]]), IntMatrix([[2]]))
 p2 = Operand("katsura", IntMatrix([[3]]), IntMatrix([[4]]))
 r = compare(p1, p2)
-print("\n(3,2) vs (3,4): H left =", [str(g) for g in r.left.homology.degrees()],
-      " H right =", [str(g) for g in r.right.homology.degrees()])
+print("\n(3,2) vs (3,4): H left =", [str(g) for g in r.left.evidence.formula.degrees()],
+      " H right =", [str(g) for g in r.right.evidence.formula.degrees()])
 print("verdict:", r.verdict, "(they differ in degree 1)")
 
 same = compare(p1, p1)

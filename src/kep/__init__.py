@@ -13,7 +13,6 @@ from .abgroup import (
     FGAbelianGroup,
     direct_sum,
     from_cokernel,
-    is_isomorphic,
     kernel_group,
 )
 from .dirlimit import (
@@ -65,7 +64,6 @@ from .selfsim import (
     Graph,
     Path,
     PseudoFreeness,
-    build_graph,
     fixes_path,
     is_pseudo_free,
     kappa_edge,
@@ -83,7 +81,6 @@ __all__ = [
     "FGAbelianGroup",
     "direct_sum",
     "from_cokernel",
-    "is_isomorphic",
     "kernel_group",
     "StationaryLimit",
     "coker_one_minus_shift",
@@ -126,7 +123,6 @@ __all__ = [
     "Graph",
     "Path",
     "PseudoFreeness",
-    "build_graph",
     "fixes_path",
     "is_pseudo_free",
     "kappa_edge",

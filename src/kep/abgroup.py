@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import decimal
 from .intmat import IntMatrix, snf
 
 
@@ -100,7 +101,7 @@ class FGAbelianGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(f"Z/{decimal(d)}" for d in self.torsion)
         return " ⊕ ".join(parts) if parts else "0"
 
 
@@ -138,8 +139,3 @@ def direct_sum(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
         g.free_rank + h.free_rank,
         _invariant_chain(list(g.torsion) + list(h.torsion)),
     )
-
-
-def is_isomorphic(g: FGAbelianGroup, h: FGAbelianGroup) -> bool:
-    """Decide isomorphism: equal free ranks and identical torsion chains."""
-    return g == h

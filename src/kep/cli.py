@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 unrealizable target, or a check that found a
 failure or a pair that is not pseudo-free, 2 malformed or unreadable input
-or usage, 3 violated input assumption (named in the error report), 4 violated
-internal invariant (a defect in kep; the error report names the invariant).
+or usage, 3 violated input assumption (named in the error report, e.g. an
+output integer beyond Python's digit limit), 4 violated internal invariant
+(a defect in kep; the error report names the invariant).
 Integers whose magnitude exceeds 53 bits are serialized as strings so
 reports survive consumers that parse JSON numbers as doubles.
 """
@@ -14,11 +15,10 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 from .abgroup import FGAbelianGroup
-from .errors import InputValidationError, InternalError
+from .errors import InputValidationError, InternalError, decimal
 from .groupoid import (
     PropertyReport,
     Slice,
@@ -35,12 +35,11 @@ from .invariants import (
     analyze,
     compare,
     hk_check,
-    homology,
     realize,
 )
 from .selfsim import (
+    Graph,
     _validate_nonnegative_no_zero_rows,
-    build_graph,
     is_pseudo_free,
     kappa_edge,
     kappa_path,
@@ -63,19 +62,6 @@ EXIT_INTERNAL = 4
 
 class ParseError(ValueError):
     """Malformed input document (bad JSON, missing or mistyped fields)."""
-
-
-@dataclass(frozen=True)
-class InputDocument:
-    """A validated input: the pair (A, B), or A alone in "sft" mode."""
-
-    mode: str
-    n: int
-    a: IntMatrix
-    b: IntMatrix | None
-
-    def to_operand(self) -> Operand:
-        return Operand(self.mode, self.a, self.b)
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -108,7 +94,7 @@ def _parse_matrix(raw: Any, n: int, name: str) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def parse_input(data: bytes | str) -> InputDocument:
+def parse_input(data: bytes | str) -> Operand:
     """Parse and validate one input document.
 
     Raises ParseError for malformed documents (exit 2) and
@@ -118,7 +104,8 @@ def parse_input(data: bytes | str) -> InputDocument:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number literal beyond the int digit limit.
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("input must be a JSON object")
@@ -140,11 +127,11 @@ def parse_input(data: bytes | str) -> InputDocument:
             raise InputValidationError("unexpected B", "sft mode takes only A")
         b = None
     _validate_nonnegative_no_zero_rows(a)
-    return InputDocument(mode=mode, n=n, a=a, b=b)
+    return Operand(mode, a, b)
 
 
 def _json_int(v: int) -> int | str:
-    return v if -_SAFE_INT < v < _SAFE_INT else str(v)
+    return v if -_SAFE_INT < v < _SAFE_INT else decimal(v)
 
 
 def _json_matrix(m: IntMatrix) -> list[list[int | str]]:
@@ -155,10 +142,10 @@ def _json_group(g: FGAbelianGroup) -> dict[str, Any]:
     return {"free_rank": g.free_rank, "torsion": [_json_int(d) for d in g.torsion]}
 
 
-def _json_input(doc: InputDocument) -> dict[str, Any]:
-    out: dict[str, Any] = {"mode": doc.mode, "n": doc.n, "A": _json_matrix(doc.a)}
-    if doc.b is not None:
-        out["B"] = _json_matrix(doc.b)
+def _json_input(op: Operand) -> dict[str, Any]:
+    out: dict[str, Any] = {"mode": op.mode, "n": op.a.rows, "A": _json_matrix(op.a)}
+    if op.b is not None:
+        out["B"] = _json_matrix(op.b)
     return out
 
 
@@ -173,36 +160,37 @@ def _json_properties(p: PropertyReport) -> dict[str, Any]:
     }
 
 
-def _json_report(doc: InputDocument, report: InvariantReport) -> dict[str, Any]:
-    h = report.homology.degrees()
-    h_limit = report.limit_homology.degrees()
+def _json_report(op: Operand, report: InvariantReport) -> dict[str, Any]:
+    ev = report.evidence
+    h = ev.formula.degrees()
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
-        "input": _json_input(doc),
+        "input": _json_input(op),
         "properties": _json_properties(report.properties),
         "H": [str(g) for g in h],
         "H_structured": [_json_group(g) for g in h],
-        "H_limit_route": [str(g) for g in h_limit],
-        "K": [str(report.k0), str(report.k1)],
-        "K_structured": [_json_group(report.k0), _json_group(report.k1)],
+        "H_limit_route": [str(g) for g in ev.limit.degrees()],
+        "K": [str(ev.k0), str(ev.k1)],
+        "K_structured": [_json_group(ev.k0), _json_group(ev.k1)],
         "det": {"I_minus_A": _json_int(report.det_ia), "I_minus_B": _json_int(report.det_ib)},
-        "hk_ok": report.hk_ok,
-        "oracle_ok": report.oracle_ok,
+        "hk_ok": ev.ok,
+        "oracle_ok": ev.routes_agree,
         "validity": report.validity,
     }
 
 
-def _json_compare(doc1: InputDocument, doc2: InputDocument, rep: ComparisonReport) -> dict[str, Any]:
+def _json_compare(op1: Operand, op2: Operand, rep: ComparisonReport) -> dict[str, Any]:
+    left, right = rep.left.evidence, rep.right.evidence
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
-        "inputs": [_json_input(doc1), _json_input(doc2)],
-        "H_left": [str(g) for g in rep.left.homology.degrees()],
-        "H_right": [str(g) for g in rep.right.homology.degrees()],
+        "inputs": [_json_input(op1), _json_input(op2)],
+        "H_left": [str(g) for g in left.formula.degrees()],
+        "H_right": [str(g) for g in right.formula.degrees()],
         "homology_isomorphic": list(rep.homology_isomorphic),
-        "K_left": [str(rep.left.k0), str(rep.left.k1)],
-        "K_right": [str(rep.right.k0), str(rep.right.k1)],
+        "K_left": [str(left.k0), str(left.k1)],
+        "K_right": [str(right.k0), str(right.k1)],
         "k0_equal": rep.k0_equal,
         "k1_equal": rep.k1_equal,
         "k_theory_equal": rep.k_theory_equal,
@@ -242,32 +230,30 @@ def _read_source(path: str) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    doc = parse_input(_read_source(args.file))
-    report = analyze(doc.to_operand())
-    _emit(_json_report(doc, report))
+    op = parse_input(_read_source(args.file))
+    _emit(_json_report(op, analyze(op)))
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    doc1 = parse_input(_read_source(args.file1))
-    doc2 = parse_input(_read_source(args.file2))
-    rep = compare(doc1.to_operand(), doc2.to_operand())
-    _emit(_json_compare(doc1, doc2, rep))
+    op1 = parse_input(_read_source(args.file1))
+    op2 = parse_input(_read_source(args.file2))
+    _emit(_json_compare(op1, op2, compare(op1, op2)))
     return EXIT_OK
 
 
 def _cmd_kappa(args: argparse.Namespace) -> int:
-    doc = parse_input(_read_source(args.file))
-    if doc.mode != "katsura":
+    op = parse_input(_read_source(args.file))
+    if op.mode != "katsura":
         raise InputValidationError("missing B", "kappa needs a full pair (katsura mode)")
     path = parse_path(args.path)
-    validate_path(doc.a, path)
-    image, carry = kappa_path(doc.a, doc.b, args.m, path)
+    validate_path(op.a, path)
+    image, carry = kappa_path(op.a, op.b, args.m, path)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
             "command": "kappa",
-            "input": _json_input(doc),
+            "input": _json_input(op),
             "m": _json_int(args.m),
             "path": str(path),
             "kappa": str(image),
@@ -318,22 +304,22 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         payload["error"] = result.reason
         _emit(payload)
         return EXIT_INCONCLUSIVE
-    doc = InputDocument(mode="katsura", n=result.a.rows, a=result.a, b=result.b)
+    op = Operand("katsura", result.a, result.b)
     payload["A"] = _json_matrix(result.a)
     payload["B"] = _json_matrix(result.b)
     payload["K0"] = str(result.k0)
     payload["K1"] = str(result.k1)
     payload["verified"] = True
-    payload["analysis"] = _json_report(doc, analyze(doc.to_operand()))
+    payload["analysis"] = _json_report(op, analyze(op))
     _emit(payload)
     return EXIT_OK
 
 
-def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
-    a = doc.a
-    b = doc.b if doc.b is not None else IntMatrix.zeros(doc.n, doc.n)
+def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
+    a = op.a
+    b = op.b_or_zero()
     rng = random.Random(seed)
-    graph = build_graph(a)
+    graph = Graph(a)
     vertices = list(graph.vertices())
     edge_count = graph.edge_count()
     counters: dict[str, dict[str, int]] = {}
@@ -393,23 +379,15 @@ def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
             record("associativity", lhs is not None and rhs is not None and slices_equal(lhs, rhs))
 
     evidence = hk_check(a, b)
-    one_time = {
-        "hk_identity": evidence.ok,
-        "route_agreement": (
-            homology(a, b).isomorphic_to(evidence.homology)
-            if doc.mode == "katsura"
-            else True
-        ),
-    }
-    for name, ok in one_time.items():
-        record(name, ok)
+    record("hk_identity", evidence.ok)
+    record("route_agreement", evidence.routes_agree)
 
     pf = is_pseudo_free(a, b)
     failures = sum(slot["failures"] for slot in counters.values())
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
-        "input": _json_input(doc),
+        "input": _json_input(op),
         "seed": seed,
         "trials": trials,
         "checks": counters,
@@ -422,8 +400,8 @@ def _run_checks(doc: InputDocument, trials: int, seed: int) -> dict[str, Any]:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise InputValidationError("bad trials", "--trials must be nonnegative")
-    doc = parse_input(_read_source(args.file))
-    summary = _run_checks(doc, trials=args.trials, seed=args.seed)
+    op = parse_input(_read_source(args.file))
+    summary = _run_checks(op, trials=args.trials, seed=args.seed)
     _emit(summary)
     if summary["all_ok"] and summary["pseudo_free"] is True:
         return EXIT_OK

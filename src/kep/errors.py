@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class InputValidationError(ValueError):
     """An input matrix or document violates a standing assumption.
@@ -19,3 +21,16 @@ class InternalError(RuntimeError):
 
     Seeing this is a defect in the library, never a property of the input.
     """
+
+
+def decimal(v: int) -> str:
+    """``str(v)`` for a reported integer; one beyond the interpreter-wide
+    digit limit (``sys.get_int_max_str_digits()``) is an input error."""
+    try:
+        return str(v)
+    except ValueError:
+        raise InputValidationError(
+            "output digit limit",
+            f"an output integer has more than {sys.get_int_max_str_digits()} decimal "
+            "digits, the limit of Python's int-to-text conversion",
+        ) from None

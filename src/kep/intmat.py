@@ -108,13 +108,6 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data]
         )
 
-    def __mul__(self, scalar: int) -> "IntMatrix":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return IntMatrix([[scalar * a for a in row] for row in self._data])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

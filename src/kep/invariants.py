@@ -5,9 +5,10 @@ For a valid pair (A, B) the groupoid invariants are
     H2 = ker(I - B),     H_i = 0 for i >= 3,
     K0 = coker(I - A) ⊕ ker(I - B),   K1 = coker(I - B) ⊕ ker(I - A).
 These formulas are what :func:`homology` and :func:`ktheory` compute through
-Smith normal forms.  :func:`hk_check` recomputes the homology side through
-the stationary-limit model of :mod:`kep.dirlimit` - a computation that never
-touches the closed formulas - and confirms K0 = H0 ⊕ H2 and K1 = H1.
+Smith normal forms.  :func:`hk_check` also runs the stationary-limit model
+of :mod:`kep.dirlimit` - a computation that never touches the closed
+formulas - and its evidence confirms K0 = H0 ⊕ H2, K1 = H1 and the routes'
+agreement for :func:`analyze` and ``kep check``.
 
 All formulas assume A nonnegative with no zero rows.  They are evaluated
 for any such pair, but when the matching-support criterion for
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import FGAbelianGroup, direct_sum, from_cokernel, is_isomorphic
+from .abgroup import FGAbelianGroup, direct_sum, from_cokernel
 from .dirlimit import StationaryLimit, coker_one_minus_shift, ker_one_minus_shift
 from .errors import InputValidationError, InternalError
 from .groupoid import PropertyReport, classify
@@ -48,9 +49,6 @@ class HomologyTuple:
     def degrees(self) -> tuple[FGAbelianGroup, ...]:
         """Degrees 0..3 explicitly; degree 3 is always trivial."""
         return (self.h0, self.h1, self.h2, FGAbelianGroup.trivial())
-
-    def isomorphic_to(self, other: "HomologyTuple") -> bool:
-        return all(is_isomorphic(g, h) for g, h in zip(self.degrees(), other.degrees()))
 
     def k_groups(self) -> tuple[FGAbelianGroup, FGAbelianGroup]:
         """(H0 ⊕ H2, H1): the groups the (HK) identity equates with (K0, K1)."""
@@ -129,31 +127,42 @@ def limit_route_homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
 
 @dataclass(frozen=True)
 class HkEvidence:
-    """Outcome of the two-route identity check K_i = sum of H_(2n+i)."""
+    """Both routes to the homology of one pair, each computed once.
 
-    k0: FGAbelianGroup
-    k1: FGAbelianGroup
-    homology: HomologyTuple  # the limit-route tuple
+    K is read off the formula route; ``ok`` is the (HK) identity K0 = H0 ⊕ H2,
+    K1 = H1 against the limit route.  Groups are canonical, so ``==`` on
+    groups and tuples decides isomorphism.
+    """
+
+    formula: HomologyTuple
+    limit: HomologyTuple
+
+    def __post_init__(self):
+        k0, k1 = self.formula.k_groups()
+        if k0.free_rank != k1.free_rank:
+            raise InternalError("K0 and K1 must share their free rank for square pairs")
 
     @property
-    def k0_expected(self) -> FGAbelianGroup:
-        return self.homology.k_groups()[0]
+    def k0(self) -> FGAbelianGroup:
+        return self.formula.k_groups()[0]
 
     @property
-    def k1_expected(self) -> FGAbelianGroup:
-        return self.homology.k_groups()[1]
+    def k1(self) -> FGAbelianGroup:
+        return self.formula.k_groups()[1]
 
     @property
     def ok(self) -> bool:
-        return is_isomorphic(self.k0, self.k0_expected) and is_isomorphic(self.k1, self.k1_expected)
+        return self.formula.k_groups() == self.limit.k_groups()
+
+    @property
+    def routes_agree(self) -> bool:
+        return self.formula == self.limit
 
 
 def hk_check(a: IntMatrix, b: IntMatrix) -> HkEvidence:
-    """Verify K0 = H0 ⊕ H2 and K1 = H1 with the two sides computed by
-    genuinely different routes: K through Smith forms of I - A and I - B,
-    H through the stationary-limit model."""
-    k0, k1 = ktheory(a, b)
-    return HkEvidence(k0, k1, limit_route_homology(a, b))
+    """Run both routes: K through Smith forms of I - A and I - B, H through
+    the stationary-limit model, which reuses none of them."""
+    return HkEvidence(homology(a, b), limit_route_homology(a, b))
 
 
 @dataclass(frozen=True)
@@ -162,51 +171,27 @@ class InvariantReport:
 
     mode: str
     properties: PropertyReport
-    homology: HomologyTuple
-    k0: FGAbelianGroup
-    k1: FGAbelianGroup
+    evidence: HkEvidence
     det_ia: int
     det_ib: int
-    hk_ok: bool
-    oracle_ok: bool
-    limit_homology: HomologyTuple
     validity: str
-
-    def __post_init__(self):
-        free0 = self.k0.free_rank
-        free1 = self.k1.free_rank
-        if free0 != free1:
-            raise InternalError("K0 and K1 must share their free rank for square pairs")
 
 
 def analyze(operand: Operand) -> InvariantReport:
-    """Full invariant report for a pair or an SFT comparison object.
-
-    The formula route runs once: K is read off its homology.  The limit
-    route runs once and is checked against both.
-    """
+    """Full invariant report for a pair or an SFT comparison object."""
     a = operand.a
     b = operand.b_or_zero()
     _validate_pair(a, b)
-    properties = classify(a, b)
-    h = homology(a, b)
     if operand.mode == "sft" or supports_match(a, b):
         validity = VALIDITY_OK
     else:
         validity = VALIDITY_FORMULA_ONLY
-    k0, k1 = h.k_groups()
-    evidence = HkEvidence(k0, k1, limit_route_homology(a, b))
     return InvariantReport(
         mode=operand.mode,
-        properties=properties,
-        homology=h,
-        k0=k0,
-        k1=k1,
+        properties=classify(a, b),
+        evidence=hk_check(a, b),
         det_ia=det(_one_minus(a)),
         det_ib=det(_one_minus(b)),
-        hk_ok=evidence.ok,
-        oracle_ok=h.isomorphic_to(evidence.homology),
-        limit_homology=evidence.homology,
         validity=validity,
     )
 
@@ -245,19 +230,17 @@ def compare(p1: Operand, p2: Operand) -> ComparisonReport:
     """
     left = analyze(p1)
     right = analyze(p2)
-    h_iso = tuple(
-        is_isomorphic(g, h)
-        for g, h in zip(left.homology.degrees(), right.homology.degrees())
-    )
+    h_left, h_right = left.evidence.formula, right.evidence.formula
+    h_iso = tuple(g == h for g, h in zip(h_left.degrees(), h_right.degrees()))
     distinguished = not all(h_iso)
     return ComparisonReport(
         left=left,
         right=right,
         homology_isomorphic=h_iso,  # type: ignore[arg-type]
-        k0_equal=is_isomorphic(left.k0, right.k0),
-        k1_equal=is_isomorphic(left.k1, right.k1),
-        ker_ia_isomorphic=left.homology.h0.free_rank == right.homology.h0.free_rank,
-        ker_ib_isomorphic=is_isomorphic(left.homology.h2, right.homology.h2),
+        k0_equal=left.evidence.k0 == right.evidence.k0,
+        k1_equal=left.evidence.k1 == right.evidence.k1,
+        ker_ia_isomorphic=h_left.h0.free_rank == h_right.h0.free_rank,
+        ker_ib_isomorphic=h_left.h2 == h_right.h2,
         distinguished=distinguished,
         verdict=VERDICT_DISTINGUISHED if distinguished else VERDICT_NOT_DISTINGUISHED,
     )
@@ -307,7 +290,7 @@ def realize(target_k0: FGAbelianGroup, target_k1: FGAbelianGroup) -> RealizeResu
     a = IntMatrix([[blocks[i][0] if i == j else 0 for j in range(n)] for i in range(n)])
     b = IntMatrix([[blocks[i][1] if i == j else 0 for j in range(n)] for i in range(n)])
     k0, k1 = ktheory(a, b)
-    if not (is_isomorphic(k0, target_k0) and is_isomorphic(k1, target_k1)):
+    if (k0, k1) != (target_k0, target_k1):
         raise InternalError("realized pair failed K-theory verification")
     return RealizeResult(ok=True, a=a, b=b, k0=k0, k1=k1)
 

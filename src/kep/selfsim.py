@@ -204,12 +204,6 @@ def _validate_pair(a: IntMatrix, b: IntMatrix) -> None:
         raise InputValidationError("shape mismatch", "A and B must have the same shape")
 
 
-def build_graph(a: IntMatrix) -> Graph:
-    """Graph of A; A must be square and nonnegative with no zero rows."""
-    _validate_nonnegative_no_zero_rows(a)
-    return Graph(a)
-
-
 def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
     """A path of the given length from `start`, each edge drawn uniformly
     from the out-edges of the current vertex.

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from kep import invariants
+from kep.abgroup import FGAbelianGroup, direct_sum
 from kep.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -15,6 +17,8 @@ from kep.cli import (
     run,
 )
 from kep.errors import InputValidationError, InternalError
+from kep.intmat import IntMatrix
+from kep.invariants import HomologyTuple, Operand
 
 PAIR_DOC = '{"mode":"katsura","n":1,"A":[[2]],"B":[[1]]}'
 SFT_DOC = '{"mode":"sft","n":2,"A":[[2,1],[1,2]]}'
@@ -43,7 +47,7 @@ def run_json(capsys, argv):
 class TestParseInput:
     def test_valid_pair(self):
         doc = parse_input(PAIR_DOC)
-        assert doc.mode == "katsura" and doc.n == 1
+        assert doc.mode == "katsura" and doc.a.rows == 1
         assert doc.a[0, 0] == 2 and doc.b[0, 0] == 1
 
     def test_valid_sft(self):
@@ -85,6 +89,14 @@ class TestParseInput:
         with pytest.raises(InputValidationError) as info:
             parse_input('{"mode":"katsura","n":2,"A":[[1,1],[1]],"B":[[1,1],[1,1]]}')
         assert info.value.assumption == "shape mismatch"
+
+    def test_rejects_zero_row(self):
+        with pytest.raises(InputValidationError):
+            parse_input('{"mode":"sft","n":2,"A":[[0,0],[1,1]]}')
+
+    def test_rejects_negative(self):
+        with pytest.raises(InputValidationError):
+            parse_input('{"mode":"sft","n":2,"A":[[1,-1],[1,1]]}')
 
 
 class TestAnalyze:
@@ -151,6 +163,30 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == EXIT_PARSE
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+
+    def test_exit_2_oversized_number_literal(self, capsys, tmp_path):
+        # json.loads refuses an int literal beyond Python's digit limit.
+        path = tmp_path / "big.json"
+        path.write_text('{"mode":"katsura","n":1,"A":[[' + "9" * 4400 + ']],"B":[[1]]}')
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+
+    def test_exit_3_oversized_output_integer(self, capsys, tmp_path):
+        # Valid input whose torsion factor and det(I - A) have about 4400
+        # digits: more than Python converts to text.
+        path = tmp_path / "big.json"
+        a = [["9" * 2200, "0"], ["0", "8" * 2200]]
+        path.write_text(json.dumps({"mode": "katsura", "n": 2, "A": a, "B": [[1, 0], [0, 1]]}))
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_VALIDATION
+        assert err["assumption"] == "output digit limit"
+        assert "4300" in err["message"]
 
     def test_exit_2_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_PARSE
@@ -319,6 +355,37 @@ class TestCheck:
         assert doc["pseudo_free"] is False
 
 
+class TestRouteDisagreement:
+    """A limit route that disagrees with the formula route must be reported
+    by `analyze` and counted by `check`, in both modes."""
+
+    @pytest.fixture(autouse=True)
+    def skewed_limit_route(self, monkeypatch):
+        real = invariants.limit_route_homology
+
+        def skewed(a, b):
+            h = real(a, b)
+            return HomologyTuple(h.h0, direct_sum(h.h1, FGAbelianGroup(0, (2,))), h.h2)
+
+        monkeypatch.setattr(invariants, "limit_route_homology", skewed)
+
+    def test_analyze_reports_it(self, capsys, pair_file):
+        code, doc = run_json(capsys, ["analyze", pair_file])
+        assert code == EXIT_OK
+        assert doc["hk_ok"] is False and doc["oracle_ok"] is False
+        assert doc["H"] == ["0", "Z", "Z", "0"]
+        assert doc["H_limit_route"] == ["0", "Z ⊕ Z/2", "Z", "0"]
+
+    @pytest.mark.parametrize("fixture", ["pair_file", "sft_file"])
+    def test_check_counts_it(self, capsys, request, fixture):
+        argv = ["check", request.getfixturevalue(fixture), "--trials", "3", "--seed", "0"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_INCONCLUSIVE
+        assert doc["checks"]["hk_identity"] == {"trials": 1, "failures": 1}
+        assert doc["checks"]["route_agreement"] == {"trials": 1, "failures": 1}
+        assert doc["failures"] == 2 and doc["all_ok"] is False
+
+
 def test_run_dispatch(capsys, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(PAIR_DOC)
@@ -347,8 +414,5 @@ def test_every_report_carries_schema_and_echo(capsys, pair_file, sft_file):
             assert doc["A"] == [[2]]
 
 
-def test_input_document_operand_round_trip():
-    doc = parse_input(PAIR_DOC)
-    operand = doc.to_operand()
-    assert operand.mode == "katsura"
-    assert operand.a == doc.a and operand.b == doc.b
+def test_parse_input_returns_operand():
+    assert parse_input(PAIR_DOC) == Operand("katsura", IntMatrix([[2]]), IntMatrix([[1]]))

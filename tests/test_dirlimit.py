@@ -10,7 +10,6 @@ from kep import (
     coker_one_minus_shift,
     eventual_kernel,
     from_cokernel,
-    is_isomorphic,
     ker_one_minus_shift,
     kernel_group,
 )
@@ -128,8 +127,8 @@ class TestShiftKernelCokernel:
             t = random_matrix(rng, n, n, -4, 6)
             lim = StationaryLimit(t)
             one = IntMatrix.identity(n)
-            assert is_isomorphic(ker_one_minus_shift(lim), kernel_group(one - t))
-            assert is_isomorphic(coker_one_minus_shift(lim), from_cokernel(one - t))
+            assert ker_one_minus_shift(lim) == kernel_group(one - t)
+            assert coker_one_minus_shift(lim) == from_cokernel(one - t)
 
     def test_transpose_immaterial(self):
         rng = random.Random(26)
@@ -137,5 +136,5 @@ class TestShiftKernelCokernel:
             n = rng.randint(1, 5)
             t = random_matrix(rng, n, n, -4, 6)
             one = IntMatrix.identity(n)
-            assert is_isomorphic(kernel_group(one - t), kernel_group(one - t.transpose()))
-            assert is_isomorphic(from_cokernel(one - t), from_cokernel(one - t.transpose()))
+            assert kernel_group(one - t) == kernel_group(one - t.transpose())
+            assert from_cokernel(one - t) == from_cokernel(one - t.transpose())

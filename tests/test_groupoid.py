@@ -12,11 +12,11 @@ from conftest import (
 )
 from kep import (
     Edge,
+    Graph,
     InputValidationError,
     IntMatrix,
     Path,
     Slice,
-    build_graph,
     classify,
     compose_slices,
     invert_slice,
@@ -75,7 +75,7 @@ class TestRefine:
         rng = random.Random(41)
         for _ in range(100):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            g = build_graph(a)
+            g = Graph(a)
             s = random_slice(rng, g, (a, b))
             assert len(refine_slice(s)) == len(g.out_edges(s.beta.range))
 
@@ -89,7 +89,7 @@ class TestRefine:
                 a, b = random_pseudo_free_pair(rng, max_n=3, b_range=(-9, 9))
             else:
                 a, b = random_sparse_pair(rng, max_n=4)
-            s = random_slice(rng, build_graph(a), (a, b), max_len=2, max_m=20)
+            s = random_slice(rng, Graph(a), (a, b), max_len=2, max_m=20)
             empty_alpha += not s.alpha.edges
             empty_beta += not s.beta.edges
             assert refine_slice(s) == reference_refine(s)
@@ -99,7 +99,7 @@ class TestRefine:
         rng = random.Random(42)
         for _ in range(50):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            g = build_graph(a)
+            g = Graph(a)
             s = random_slice(rng, g, (a, b))
             for child in refine_slice(s):
                 assert child.beta.starts_with(s.beta)
@@ -113,7 +113,7 @@ class TestRandomWalk:
         for seed in range(8):
             rng = random.Random(seed)
             a, _ = random_pseudo_free_pair(rng, max_n=4, a_range=(1, 60))
-            g = build_graph(a)
+            g = Graph(a)
             fast, slow = random.Random(100 + seed), random.Random(100 + seed)
             for _ in range(40):
                 start, length = rng.randint(1, a.rows), rng.randint(0, 6)
@@ -166,7 +166,7 @@ class TestCompose:
         rng = random.Random(43)
         for _ in range(150):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            g = build_graph(a)
+            g = Graph(a)
             ctx = (a, b)
             s1 = random_slice(rng, g, ctx, max_len=2)
             gamma = path_ending_at(g, rng, s1.beta.range, 2)
@@ -188,14 +188,14 @@ class TestInvert:
         rng = random.Random(44)
         for _ in range(100):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            s = random_slice(rng, build_graph(a), (a, b))
+            s = random_slice(rng, Graph(a), (a, b))
             assert invert_slice(invert_slice(s)) == s
 
     def test_inverse_times_self_is_unit(self):
         rng = random.Random(45)
         for _ in range(150):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            s = random_slice(rng, build_graph(a), (a, b))
+            s = random_slice(rng, Graph(a), (a, b))
             unit = compose_slices(invert_slice(s), s)
             assert unit == Slice(s.beta, 0, s.beta, s.context)
 
@@ -217,7 +217,7 @@ class TestSliceImage:
         rng = random.Random(46)
         for _ in range(100):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            g = build_graph(a)
+            g = Graph(a)
             s = random_slice(rng, g, (a, b), max_len=2)
             gamma = random_walk(g, rng, s.beta.range, rng.randint(1, 2))
             delta = random_walk(g, rng, gamma.range, rng.randint(1, 2))
@@ -233,7 +233,7 @@ class TestLaws:
         defined = 0
         for _ in range(200):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            g = build_graph(a)
+            g = Graph(a)
             ctx = (a, b)
             s1 = random_slice(rng, g, ctx, max_len=2)
             gamma = path_ending_at(g, rng, s1.beta.range, 2)
@@ -257,7 +257,7 @@ class TestLaws:
         rng = random.Random(48)
         for _ in range(200):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            g = build_graph(a)
+            g = Graph(a)
             ctx = (a, b)
             s1 = random_slice(rng, g, ctx, max_len=2)
             gamma = path_ending_at(g, rng, s1.beta.range, 2)
