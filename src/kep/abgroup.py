@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import decimal
-from .intmat import IntMatrix, snf
+from .intmat import IntMatrix, rank, smith_diagonal
 
 
 def _invariant_chain(factors: list[int]) -> tuple[int, ...]:
@@ -117,14 +117,13 @@ def from_cokernel(m: IntMatrix) -> FGAbelianGroup:
     For a square n x n matrix this is Z^n / M Z^n with free rank
     n - rank(M) and torsion the invariant factors > 1.
     """
-    diagonal = snf(m).diagonal()
+    diagonal = smith_diagonal(m)
     return _from_diagonal(diagonal, free_rank=m.rows - min(m.rows, m.cols))
 
 
 def kernel_group(m: IntMatrix) -> FGAbelianGroup:
     """The kernel {x : M x = 0} as an abstract group: free of rank nullity(M)."""
-    rank = snf(m).rank()
-    return FGAbelianGroup.free(m.cols - rank)
+    return FGAbelianGroup.free(m.cols - rank(m))
 
 
 def direct_sum(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:

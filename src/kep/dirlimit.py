@@ -53,7 +53,8 @@ def eventual_kernel(limit: StationaryLimit) -> list[Vector]:
     Each K_j is saturated (k*x in K_j with k != 0 forces x in K_j), and
     nested saturated lattices of equal rank are equal, so the chain has
     reached ker T^n once its rank stops growing; rank n is all of Z^n.
-    An injective T therefore costs one Smith form of T itself.
+    An injective T therefore costs one fraction-free rank of T itself and
+    no Smith form.
     """
     t = limit.matrix
     ek: list[Vector] = []

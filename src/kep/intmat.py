@@ -1,8 +1,16 @@
 """Exact dense integer matrices: Smith/Hermite normal forms, determinants,
-integer kernels and the permutation-matrix test.
+ranks, integer kernels and the permutation-matrix test.
 
 All arithmetic is over Python ints, so nothing here can overflow.  Matrices
 are immutable; every operation returns fresh values.
+
+One Smith elimination serves two entry points.  `smith_diagonal` runs it
+alone, which is all a cokernel needs.  `snf` also replays every row and
+column operation on the unimodular U and V; those grow far longer than the
+diagonal, so only callers that read them use it: a nonzero integer kernel
+(the columns of V) and the exact solve of the limit route (U and V both).
+Injectivity and nullity come from the fraction-free `rank`, whose entries
+are minors of the input.
 """
 
 from __future__ import annotations
@@ -180,8 +188,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def snf(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular transformation witnesses.
+def _smith(a: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None) -> None:
+    """Reduce the list matrix `a` to Smith form in place, replaying every row
+    operation on `u` and every column operation on `v` where they are given.
 
     Pivoting always selects the nonzero entry of smallest absolute value in
     the remaining submatrix and reduces its row and column by it; this keeps
@@ -189,30 +198,27 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     made to divide every entry of the remaining submatrix, so the diagonal
     comes out as a divisor chain without a separate fix-up pass.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
+    rows, cols = len(a), len(a[0])
+    row_mats = [a] if u is None else [a, u]
+    col_mats = [a] if v is None else [a, v]
 
     def swap_rows(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
+        for mat in row_mats:
+            mat[i], mat[k] = mat[k], mat[i]
 
     def swap_cols(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+        for mat in col_mats:
+            for row in mat:
+                row[j], row[k] = row[k], row[j]
 
     def add_row(dst: int, src: int, factor: int) -> None:
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        for mat in row_mats:
+            mat[dst] = [x + factor * y for x, y in zip(mat[dst], mat[src])]
 
     def add_col(dst: int, src: int, factor: int) -> None:
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+        for mat in col_mats:
+            for row in mat:
+                row[dst] += factor * row[src]
 
     t = 0
     limit = min(rows, cols)
@@ -266,44 +272,104 @@ def snf(m: IntMatrix) -> SnfDecomposition:
 
     for i in range(limit):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
+            for mat in row_mats:
+                mat[i] = [-x for x in mat[i]]
 
+
+def snf(m: IntMatrix) -> SnfDecomposition:
+    """Smith normal form with unimodular transformation witnesses.
+
+    Carrying U and V costs far more than the diagonal once entries are
+    large, so callers that need only the diagonal use `smith_diagonal`.
+    """
+    a = m.to_lists()
+    u = IntMatrix.identity(m.rows).to_lists()
+    v = IntMatrix.identity(m.cols).to_lists()
+    _smith(a, u, v)
     return SnfDecomposition(U=IntMatrix(u), D=IntMatrix(a), V=IntMatrix(v))
+
+
+def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The Smith diagonal d_1 | d_2 | ... of M (min(rows, cols) entries,
+    trailing zeros allowed), without the transforms `snf` carries.
+
+    >>> smith_diagonal(IntMatrix([[2, 4], [6, 8]]))
+    (2, 4)
+    >>> smith_diagonal(IntMatrix([[-1, -1, -1], [-1, -1, -1]]))
+    (1, 0)
+    """
+    a = m.to_lists()
+    _smith(a, None, None)
+    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+
+
+def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) row echelon elimination of M.
+
+    Returns (rank, sign, pivot): sign is that of the row permutation used,
+    and pivot is the last nonzero pivot, which for a nonsingular square M
+    equals sign * det(M).  After k pivots every entry is a (k+1)-minor of M,
+    so division by the previous pivot is exact and entries stay as short as
+    those minors.
+    """
+    a = m.to_lists()
+    rows, cols = m.rows, m.cols
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        pivot = pivot_row[c]
+        for i in range(r + 1, rows):
+            row = a[i]
+            x = row[c]
+            for j in range(c + 1, cols):
+                # Exact by the Bareiss identity: prev divides the numerator.
+                row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
+        prev = pivot
+        r += 1
+    return r, sign, prev
 
 
 def det(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact by the Bareiss identity: prev divides the numerator.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r, sign, pivot = _bareiss(m)
+    return sign * pivot if r == m.rows else 0
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank of M over the rationals, by fraction-free elimination.
+
+    >>> rank(IntMatrix([[1, 2, 3], [2, 4, 6]]))
+    1
+    >>> rank(IntMatrix([[0, 1], [1, 0], [1, 1]]))
+    2
+    """
+    return _bareiss(m)[0]
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice {x : M @ x = 0}.
 
-    The basis is read off the columns of the Smith form's V that hit zero
-    diagonal entries, so it is automatically saturated: if k*x lies in the
-    span for some k != 0, then so does x.  Empty iff M is injective.
+    Most callers (the limit route's T and T - I) pass injective matrices, so
+    full column rank is decided first by `rank`, with no Smith form.  A
+    nonzero kernel is read off the columns of the Smith form's V that hit
+    zero diagonal entries; that is the one place here that needs a
+    transform, and it makes the basis saturated: if k*x lies in the span
+    for some k != 0, then so does x.  Empty iff M is injective.
     """
+    if rank(m) == m.cols:
+        return []
     decomp = snf(m)
     diag = decomp.diagonal()
     basis = []

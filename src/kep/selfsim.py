@@ -377,12 +377,21 @@ _EDGE_RE = re.compile(r"e\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 _VERTEX_RE = re.compile(r"v\(\s*(\d+)\s*\)")
 
 
+def _labels(match: re.Match, text: str) -> list[int]:
+    """The integers of an edge or vertex match.  A label longer than the
+    interpreter's integer digit limit is bad syntax, not a crash."""
+    try:
+        return [int(group) for group in match.groups()]
+    except ValueError:
+        raise InputValidationError("bad edge syntax", f"label too long in {text!r}") from None
+
+
 def parse_edge(text: str) -> Edge:
     """Parse the "e(i,j,n)" syntax."""
     match = _EDGE_RE.fullmatch(text.strip())
     if not match:
         raise InputValidationError("bad edge syntax", f"cannot parse edge {text!r}")
-    return Edge(int(match.group(1)), int(match.group(2)), int(match.group(3)))
+    return Edge(*_labels(match, text))
 
 
 def parse_path(text: str) -> Path:
@@ -391,7 +400,7 @@ def parse_path(text: str) -> Path:
     text = text.strip()
     vertex = _VERTEX_RE.fullmatch(text)
     if vertex:
-        return Path.empty(int(vertex.group(1)))
+        return Path.empty(*_labels(vertex, text))
     edges = [parse_edge(part) for part in text.split(".")]
     try:
         return Path(tuple(edges))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -188,6 +189,25 @@ class TestAnalyze:
         assert err["assumption"] == "output digit limit"
         assert "4300" in err["message"]
 
+    def test_large_entry_golden(self, capsys, tmp_path):
+        # A seeded n=4 pair with 1024-bit entries.  The sha256 of stdout was
+        # recorded while every cokernel and kernel still carried the Smith
+        # transforms U and V.
+        rng = random.Random(1024)
+
+        def entry():
+            return rng.getrandbits(1023) | 1 << 1023
+
+        a = [[entry() for _ in range(4)] for _ in range(4)]
+        b = [[rng.choice((1, -1)) * entry() for _ in range(4)] for _ in range(4)]
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"mode": "katsura", "n": 4, "A": a, "B": b}))
+        assert main(["analyze", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e886c2ecc0d195618735e2eba7bd6ce17a48460844367bb81cab65b14f980069"
+        )
+
     def test_exit_2_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_PARSE
 
@@ -245,6 +265,17 @@ class TestKappa:
 
     def test_bad_syntax(self, capsys, pair_file):
         assert main(["kappa", pair_file, "--m", "1", "--path", "zzz"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "path", ["e(1,1," + "9" * 5000 + ")", "v(" + "1" * 5000 + ")"], ids=["edge", "vertex"]
+    )
+    def test_oversized_label(self, capsys, path, pair_file):
+        # More digits than Python converts to int: bad syntax, not a traceback.
+        assert main(["kappa", pair_file, "--m", "1", "--path", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_VALIDATION and err["assumption"] == "bad edge syntax"
 
 
 class TestRealize:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, random_matrix
+from conftest import cofactor_det, random_matrix, rational_nullity, rational_rank
 from kep import (
     IntMatrix,
     det,
@@ -14,6 +14,7 @@ from kep import (
     kernel_basis,
     snf,
 )
+from kep.intmat import rank, smith_diagonal
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -99,6 +100,41 @@ class TestSnf:
             assert d1 * d2 == abs(det(m))
 
 
+class TestSmithDiagonal:
+    @given(small_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_snf(self, m):
+        assert smith_diagonal(m) == snf(m).diagonal()
+
+    def test_singular_and_non_square(self):
+        assert smith_diagonal(IntMatrix([[0, 0, 0], [0, 0, 0]])) == (0, 0)
+        assert smith_diagonal(IntMatrix([[6], [4], [0]])) == (2,)
+        assert smith_diagonal(IntMatrix([[2, 4], [6, 8], [4, 8]])) == (2, 4)
+
+    def test_large_entries_product_is_abs_det(self):
+        # 512-bit entries: the transformed form is far slower here, and the
+        # cofactor determinant shares no code with the Smith elimination.
+        rng = random.Random(512)
+        for _ in range(5):
+            m = IntMatrix([[rng.getrandbits(512) - (1 << 511) for _ in range(4)] for _ in range(4)])
+            product = 1
+            for d in smith_diagonal(m):
+                product *= d
+            assert product == abs(cofactor_det(m))
+
+
+class TestRank:
+    @given(small_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rational_rank(self, m):
+        assert rank(m) == rational_rank(m)
+
+    def test_examples(self):
+        assert rank(IntMatrix([[0]])) == 0
+        assert rank(IntMatrix([[0, 0, 5]])) == 1
+        assert rank(IntMatrix([[1, 2], [2, 4], [3, 7]])) == 2
+
+
 class TestDet:
     def test_identity(self):
         assert det(IntMatrix.identity(2)) == 1
@@ -138,6 +174,11 @@ class TestKernel:
         for v in basis:
             assert all(x == 0 for x in m.apply(v))
         assert len(basis) == m.cols - snf(m).rank()
+
+    @given(small_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_empty_exactly_when_injective(self, m):
+        assert (kernel_basis(m) == []) == (rational_nullity(m) == 0)
 
 
 class TestHnf:
