@@ -28,7 +28,6 @@ from .groupoid import (
     classify,
     compose_slices,
     invert_slice,
-    parse_slice,
     refine_slice,
     slice_image_cylinder,
     slices_equal,
@@ -38,7 +37,6 @@ from .intmat import (
     SnfDecomposition,
     det,
     hnf,
-    is_permutation,
     kernel_basis,
     snf,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "classify",
     "compose_slices",
     "invert_slice",
-    "parse_slice",
     "refine_slice",
     "slice_image_cylinder",
     "slices_equal",
@@ -101,7 +98,6 @@ __all__ = [
     "SnfDecomposition",
     "det",
     "hnf",
-    "is_permutation",
     "kernel_basis",
     "snf",
     "ComparisonReport",

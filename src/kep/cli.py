@@ -461,10 +461,5 @@ def main(argv: list[str] | None = None) -> int:
         return _emit_error(EXIT_INTERNAL, "internal invariant", str(exc))
 
 
-def run(command: str, args: list[str]) -> int:
-    """Dispatch one subcommand programmatically; returns the exit code."""
-    return main([command, *args])
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

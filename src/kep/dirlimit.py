@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .abgroup import FGAbelianGroup, from_cokernel
 from .errors import InternalError
-from .intmat import IntMatrix, hnf, hstack, kernel_basis, snf
+from .intmat import IntMatrix, hnf, hstack, kernel_basis
 
 Vector = tuple[int, ...]
 
@@ -89,27 +89,27 @@ def _preimage(m: IntMatrix, basis: list[Vector]) -> list[Vector]:
 
 
 def _solve_exact(basis: IntMatrix, targets: list[Vector]) -> list[Vector]:
-    """Solve basis @ c = target over the integers for every target with one
-    Smith form (basis has full column rank, so each solution is unique);
-    raises InternalError if some target is unsolvable."""
-    decomp = snf(basis)
-    diag = decomp.diagonal()
+    """Solve basis @ c = target over the integers for every target.
+
+    Precondition: `basis` is a column Hermite form with no zero column, as
+    `_lattice_basis` returns.  Each column's first nonzero entry (its pivot)
+    then lies below the pivots of the columns before it, so c is unique and
+    is found one coordinate at a time down the pivot rows.  A pivot that
+    does not divide, or a final product basis @ c that misses the target on
+    the other rows, raises InternalError.
+    """
+    pivots = [next(i for i, x in enumerate(basis.column(k)) if x) for k in range(basis.cols)]
     solutions = []
     for target in targets:
-        rhs = decomp.U.apply(target)
-        y = []
-        for i in range(basis.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if rhs[i] != 0:
-                    raise InternalError("vector not in lattice span")
-                if i < basis.cols:
-                    y.append(0)
-            else:
-                if rhs[i] % d:
-                    raise InternalError("vector not in lattice span")
-                y.append(rhs[i] // d)
-        solutions.append(decomp.V.apply(tuple(y)))
+        c: list[int] = []
+        for k, p in enumerate(pivots):
+            q, r = divmod(target[p] - sum(x * y for x, y in zip(basis.row(p), c)), basis[p, k])
+            if r:
+                raise InternalError("vector not in lattice span")
+            c.append(q)
+        if basis.apply(c) != target:
+            raise InternalError("vector not in lattice span")
+        solutions.append(tuple(c))
     return solutions
 
 

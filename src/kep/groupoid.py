@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputValidationError
-from .intmat import IntMatrix, is_permutation
+from .intmat import IntMatrix
 from .selfsim import (
     Edge,
     Path,
@@ -23,7 +22,6 @@ from .selfsim import (
     is_pseudo_free,
     kappa_path,
     kappa_path_preimage,
-    parse_path,
 )
 
 
@@ -42,24 +40,6 @@ class Slice:
 
     def __str__(self) -> str:
         return f"Z({self.alpha}|{self.m}|{self.beta})"
-
-
-def parse_slice(text: str, context: tuple[IntMatrix, IntMatrix]) -> Slice:
-    """Parse the "Z(<path>|m|<path>)" syntax."""
-    text = text.strip()
-    if not (text.startswith("Z(") and text.endswith(")")):
-        raise InputValidationError("bad slice syntax", f"cannot parse slice {text!r}")
-    parts = text[2:-1].split("|")
-    if len(parts) != 3:
-        raise InputValidationError("bad slice syntax", f"cannot parse slice {text!r}")
-    alpha, beta = parse_path(parts[0]), parse_path(parts[2])
-    try:
-        m = int(parts[1])
-    except ValueError:
-        raise InputValidationError("bad slice syntax", f"slice {text!r}: m must be an integer") from None
-    if alpha.range != beta.range:
-        raise InputValidationError("bad slice syntax", f"slice {text!r}: alpha and beta must end at the same vertex")
-    return Slice(alpha, m, beta, context)
 
 
 def refine_slice(s: Slice) -> list[Slice]:
@@ -201,7 +181,8 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     are read off one walk closure: effectiveness is certified by "every
     cycle has an exit" plus a cycle whose |B|/A product is below one,
     reachable from every vertex; minimality and pure infiniteness by A
-    irreducible and not a permutation.
+    irreducible and not a permutation, where "not a permutation" is read
+    off the out-degrees.
     """
     _validate_pair(a, b)
     n = a.rows
@@ -231,7 +212,10 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
         pseudo_free=pf.verdict,
         hausdorff=hausdorff,
         effective_sufficient=not exitless_cycle and contraction_everywhere,
-        minimal_pi_sufficient=irreducible and not is_permutation(a),
+        # An irreducible A with every out-degree 1 is a single cycle through
+        # all vertices, so each column also holds exactly one 1: A is then a
+        # permutation matrix exactly when every row sums to 1.
+        minimal_pi_sufficient=irreducible and not all(single_edge),
         condition_O=condition_o,
         notes=tuple(notes),
     )

@@ -1,5 +1,5 @@
 """Exact dense integer matrices: Smith/Hermite normal forms, determinants,
-ranks, integer kernels and the permutation-matrix test.
+ranks and integer kernels.
 
 All arithmetic is over Python ints, so nothing here can overflow.  Matrices
 are immutable; every operation returns fresh values.
@@ -7,8 +7,8 @@ are immutable; every operation returns fresh values.
 One Smith elimination serves two entry points.  `smith_diagonal` runs it
 alone, which is all a cokernel needs.  `snf` also replays every row and
 column operation on the unimodular U and V; those grow far longer than the
-diagonal, so only callers that read them use it: a nonzero integer kernel
-(the columns of V) and the exact solve of the limit route (U and V both).
+diagonal, so only a caller that reads them uses it.  In the library that
+is a nonzero `kernel_basis` alone, which reads the columns of V.
 Injectivity and nullity come from the fraction-free `rank`, whose entries
 are minors of the input.
 """
@@ -168,9 +168,6 @@ class SnfDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.D.rows, self.D.cols)
         return tuple(self.D[i, i] for i in range(k))
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -420,22 +417,3 @@ def hnf(m: IntMatrix) -> IntMatrix:
                     row[j] -= q * row[p]
         p += 1
     return IntMatrix(a)
-
-
-def is_permutation(m: IntMatrix) -> bool:
-    """True iff M has exactly one 1 in every row and column and 0 elsewhere."""
-    if not m.is_square:
-        return False
-    n = m.rows
-    col_seen = [0] * n
-    for row in m:
-        ones = 0
-        for j, x in enumerate(row):
-            if x == 1:
-                ones += 1
-                col_seen[j] += 1
-            elif x != 0:
-                return False
-        if ones != 1:
-            return False
-    return all(c == 1 for c in col_seen)

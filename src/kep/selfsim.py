@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Iterable
 
@@ -343,19 +342,21 @@ def fixes_path(a: IntMatrix, b: IntMatrix, m: int, x: EventuallyPeriodicPath) ->
 
     That holds iff m * B(x|l) / A(x|l) is an integer for every prefix
     length l.  Write B(period) / A(period) = p/q in lowest terms.  Once a
-    whole period passes with the running value v, q = 1 settles every later
-    period (each of its prefixes gives p times an integer already seen).
+    whole period passes with the running value v, q = 1 (A(period) divides
+    B(period)) settles every later period (each of its prefixes gives p
+    times an integer already seen).
     If q > 1, a passing period maps v to v * p/q with p prime to q, which
     lowers the valuation of v at every prime dividing q; a nonzero v thus
     fails within log2|v| + 1 periods.
     """
-    ratio = Fraction(1)
+    period_b, period_a = 1, 1
     for e in x.period.edges:
-        ratio *= Fraction(b[e.source - 1, e.target - 1], _check_edge(a, e))
+        period_b *= b[e.source - 1, e.target - 1]
+        period_a *= _check_edge(a, e)
     value = _divide_along(a, b, m, x.prefix.edges)
     while value:
         value = _divide_along(a, b, value, x.period.edges)
-        if value is not None and ratio.denominator == 1:
+        if value is not None and period_b % period_a == 0:
             return True
     return value == 0
 

@@ -15,7 +15,6 @@ from kep.cli import (
     ParseError,
     main,
     parse_input,
-    run,
 )
 from kep.errors import InputValidationError, InternalError
 from kep.intmat import IntMatrix
@@ -415,13 +414,6 @@ class TestRouteDisagreement:
         assert doc["checks"]["hk_identity"] == {"trials": 1, "failures": 1}
         assert doc["checks"]["route_agreement"] == {"trials": 1, "failures": 1}
         assert doc["failures"] == 2 and doc["all_ok"] is False
-
-
-def test_run_dispatch(capsys, tmp_path):
-    path = tmp_path / "pair.json"
-    path.write_text(PAIR_DOC)
-    assert run("analyze", [str(path)]) == EXIT_OK
-    capsys.readouterr()
 
 
 def test_every_report_carries_schema_and_echo(capsys, pair_file, sft_file):

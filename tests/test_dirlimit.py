@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import in_lattice, random_matrix, rational_nullity
+from conftest import in_lattice, random_matrix, rational_nullity, solve_rational
 from kep import (
     FGAbelianGroup,
     IntMatrix,
+    InternalError,
     StationaryLimit,
     coker_one_minus_shift,
     eventual_kernel,
@@ -13,7 +14,7 @@ from kep import (
     ker_one_minus_shift,
     kernel_group,
 )
-from kep.dirlimit import _fixed_sublattice
+from kep.dirlimit import _fixed_sublattice, _lattice_basis, _solve_exact
 
 
 def limit_of(entries) -> StationaryLimit:
@@ -97,6 +98,33 @@ class TestFixedSublattice:
                     assert in_lattice(fixed, tv)
             for v in ek:
                 assert in_lattice(fixed, v)
+
+
+class TestSolveExact:
+    def test_recovers_coefficients(self):
+        # Hermite bases of random lattices, some of lower rank than n, so
+        # that rows off the pivots are checked by the final product too.
+        rng = random.Random(27)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            vectors = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(1, n + 1))]
+            basis = _lattice_basis(vectors, n)
+            if not basis:
+                continue
+            m = IntMatrix.from_columns(basis)
+            coeffs = [tuple(rng.randint(-9, 9) for _ in basis) for _ in range(3)]
+            targets = [m.apply(c) for c in coeffs]
+            assert _solve_exact(m, targets) == coeffs
+            for c, target in zip(coeffs, targets):
+                assert solve_rational(basis, target) == list(c)
+
+    def test_in_span_but_not_in_lattice(self):
+        with pytest.raises(InternalError):
+            _solve_exact(IntMatrix.from_columns([(2, 0)]), [(1, 0)])
+
+    def test_outside_span(self):
+        with pytest.raises(InternalError):
+            _solve_exact(IntMatrix.from_columns([(2, 0)]), [(0, 1)])
 
 
 class TestShiftKernelCokernel:

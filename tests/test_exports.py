@@ -1,9 +1,13 @@
 """Every exported name resolves, so `from kep import *` works after a
-deletion."""
+deletion, and no module keeps an import it no longer uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import kep
 
 
 @pytest.mark.parametrize("module", ["kep", "kep.invariants"])
@@ -16,3 +20,33 @@ def test_star_import():
     namespace = {}
     exec("from kep import *", namespace)
     assert "hk_check" in namespace
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; names in its `__all__`
+    count as read."""
+    tree = ast.parse(source)
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_unused_imports_detects():
+    assert unused_imports("from fractions import Fraction\nimport os.path\nx = 1\n") == ["Fraction", "os"]
+    assert unused_imports("from .a import f, g\n__all__ = ['g']\nf()\n") == []
+
+
+def test_no_unused_imports():
+    modules = sorted(Path(kep.__file__).parent.glob("*.py"))
+    assert modules
+    unused = {path.name: unused_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

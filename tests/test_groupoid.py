@@ -21,7 +21,6 @@ from kep import (
     compose_slices,
     invert_slice,
     kappa_path,
-    parse_slice,
     refine_slice,
     slice_image_cylinder,
     slices_equal,
@@ -66,6 +65,8 @@ class TestRefine:
     def test_translation_slice(self):
         children = set(refine_slice(Slice(V, 1, V, CTX)))
         assert children == {Slice(P1, 0, P0, CTX), Slice(P0, 1, P1, CTX)}
+        assert str(Slice(P1, -2, P0, CTX)) == "Z(e(1,1,1)|-2|e(1,1,0))"
+        assert str(Slice(V, 3, P0.concat(P1), CTX)) == "Z(v(1)|3|e(1,1,0).e(1,1,1))"
 
     def test_identity_slice(self):
         children = set(refine_slice(Slice(V, 0, V, CTX)))
@@ -274,24 +275,6 @@ class TestLaws:
         assert not slices_equal(child[0], child[1])
 
 
-class TestParseSlice:
-    def test_round_trip(self):
-        s = Slice(P1, -2, P0, CTX)
-        assert parse_slice(str(s), CTX) == s
-        assert parse_slice("Z(v(1)|3|e(1,1,0))", CTX) == Slice(V, 3, P0, CTX)
-
-    def test_non_integer_m(self):
-        with pytest.raises(InputValidationError) as info:
-            parse_slice("Z(v(1)|x|v(1))", CTX)
-        assert info.value.assumption == "bad slice syntax"
-
-    def test_ends_at_different_vertices(self):
-        ctx = (IntMatrix([[1, 1], [1, 1]]), IntMatrix([[1, 1], [1, 1]]))
-        with pytest.raises(InputValidationError) as info:
-            parse_slice("Z(v(1)|1|v(2))", ctx)
-        assert info.value.assumption == "bad slice syntax"
-
-
 class TestClassify:
     def test_doubling_pair(self):
         report = classify(A1, B1)
@@ -350,8 +333,19 @@ class TestClassify:
         assert not classifier_oracle(a, b)[0]
 
     def test_minimality_witness(self):
-        # two components; 2 never reaches 1; irreducible and not a permutation
-        for rows, minimal in [([[2, 0], [0, 2]], False), ([[1, 1], [0, 1]], False), ([[0, 2], [1, 0]], True)]:
+        # two components; 2 never reaches 1; irreducible and not a permutation;
+        # three permutations (irreducible, every out-degree 1); irreducible
+        # with one out-degree 2, so not a permutation
+        cases = [
+            ([[2, 0], [0, 2]], False),
+            ([[1, 1], [0, 1]], False),
+            ([[0, 2], [1, 0]], True),
+            ([[1]], False),
+            ([[0, 1], [1, 0]], False),
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False),
+            ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], True),
+        ]
+        for rows, minimal in cases:
             a = IntMatrix(rows)
             assert classify(a, a).minimal_pi_sufficient is minimal
             assert classifier_oracle(a, a)[1] is minimal
