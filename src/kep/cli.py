@@ -330,7 +330,6 @@ def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
         if not ok:
             slot["failures"] += 1
 
-    ctx = (a, b)
     for _ in range(trials):
         m1 = rng.randint(-20, 20)
         m2 = rng.randint(-20, 20)
@@ -356,27 +355,27 @@ def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
 
         beta = random_walk(graph, rng, rng.choice(vertices), rng.randint(0, 2))
         alpha = path_ending_at(graph, rng, beta.range, 2)
-        s1 = Slice(alpha, rng.randint(-3, 3), beta, ctx)
+        s1 = Slice(alpha, rng.randint(-3, 3), beta)
         record("invert_involution", invert_slice(invert_slice(s1)) == s1)
-        left_unit = compose_slices(invert_slice(s1), s1)
-        record("invert_compose_unit", left_unit == Slice(s1.beta, 0, s1.beta, ctx))
+        left_unit = compose_slices(a, b, invert_slice(s1), s1)
+        record("invert_compose_unit", left_unit == Slice(s1.beta, 0, s1.beta))
         record(
             "refine_partition",
-            len(refine_slice(s1)) == graph.out_degree(s1.beta.range),
+            len(refine_slice(a, b, s1)) == graph.out_degree(s1.beta.range),
         )
 
         gamma = path_ending_at(graph, rng, s1.beta.range, 2)
-        s2 = Slice(s1.beta, rng.randint(-3, 3), gamma, ctx)
-        direct = compose_slices(s1, s2)
-        piecewise = {compose_slices(s1, child) for child in refine_slice(s2)}
-        record("refine_compose_coherence", piecewise == set(refine_slice(direct)))
+        s2 = Slice(s1.beta, rng.randint(-3, 3), gamma)
+        direct = compose_slices(a, b, s1, s2)
+        piecewise = {compose_slices(a, b, s1, child) for child in refine_slice(a, b, s2)}
+        record("refine_compose_coherence", piecewise == set(refine_slice(a, b, direct)))
 
         delta = path_ending_at(graph, rng, s2.beta.range, 2)
-        s3 = Slice(s2.beta, rng.randint(-3, 3), delta, ctx)
-        for middle in refine_slice(s2):
-            lhs = compose_slices(compose_slices(s1, middle), s3)
-            rhs = compose_slices(s1, compose_slices(middle, s3))
-            record("associativity", lhs is not None and rhs is not None and slices_equal(lhs, rhs))
+        s3 = Slice(s2.beta, rng.randint(-3, 3), delta)
+        for middle in refine_slice(a, b, s2):
+            lhs = compose_slices(a, b, compose_slices(a, b, s1, middle), s3)
+            rhs = compose_slices(a, b, s1, compose_slices(a, b, middle, s3))
+            record("associativity", lhs is not None and rhs is not None and slices_equal(a, b, lhs, rhs))
 
     evidence = hk_check(a, b)
     record("hk_identity", evidence.ok)

@@ -3,9 +3,11 @@
 A slice Z(alpha, m, beta) is the compact open bisection of groupoid elements
 "[alpha, m, beta; x] for x in the cylinder of beta": it maps the source
 cylinder Z(beta) homeomorphically onto the range cylinder Z(alpha), sending
-beta.y to alpha.kappa_m(y).  Slices are kept in reduced form; a slice equals
-the disjoint union of its refinements, so equality is a semantic notion
-tested by refining both sides to a common depth, not field equality.
+beta.y to alpha.kappa_m(y).  A slice is the triple (alpha, m, beta); the
+operations that read A and B take the pair as their leading arguments, like
+`kappa_path`.  Slices are kept in reduced form; a slice equals the disjoint
+union of its refinements, so equality is a semantic notion tested by
+refining both sides to a common depth, not field equality.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .selfsim import (
     Edge,
     Path,
     PseudoFreeness,
+    _check_vertex,
     _validate_pair,
     is_pseudo_free,
     kappa_path,
@@ -27,12 +30,12 @@ from .selfsim import (
 
 @dataclass(frozen=True)
 class Slice:
-    """Basic bisection Z(alpha, m, beta) over the pair context (A, B)."""
+    """Basic bisection Z(alpha, m, beta); the pair (A, B) it lives over is
+    an argument of every operation that reads it."""
 
     alpha: Path
     m: int
     beta: Path
-    context: tuple[IntMatrix, IntMatrix]
 
     def __post_init__(self):
         if self.alpha.range != self.beta.range:
@@ -42,8 +45,8 @@ class Slice:
         return f"Z({self.alpha}|{self.m}|{self.beta})"
 
 
-def refine_slice(s: Slice) -> list[Slice]:
-    """Split a slice along the edges leaving range(beta).
+def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
+    """Split a slice over the pair (A, B) along the edges leaving range(beta).
 
     Z(alpha, m, beta) is the disjoint union over such edges g of
     Z(alpha.kappa_m(g), phi(m, g), beta.g); one child per edge, and the
@@ -51,9 +54,9 @@ def refine_slice(s: Slice) -> list[Slice]:
     off the rows of A and B at range(beta): g = e(v, j, t) with
     m*B[v, j] + t = k*A[v, j] + l gives Z(alpha.e(v, j, l), k, beta.g).
     """
-    a, b = s.context
     _validate_pair(a, b)
     v = s.beta.range
+    _check_vertex(a, v)
     children = []
     for j, (a_entry, b_entry) in enumerate(zip(a.row(v - 1), b.row(v - 1)), 1):
         shift = s.m * b_entry
@@ -61,64 +64,58 @@ def refine_slice(s: Slice) -> list[Slice]:
             carry, label = divmod(shift + t, a_entry)
             alpha = Path._composed(s.alpha.edges + (Edge(v, j, label),))
             beta = Path._composed(s.beta.edges + (Edge(v, j, t),))
-            children.append(Slice(alpha, carry, beta, s.context))
+            children.append(Slice(alpha, carry, beta))
     return children
 
 
-def _refine_to_depth(s: Slice, depth: int) -> list[Slice]:
+def _refine_to_depth(a: IntMatrix, b: IntMatrix, s: Slice, depth: int) -> list[Slice]:
     """All refinements of s whose beta side has length `depth`."""
     level = [s]
     while level and len(level[0].beta) < depth:
-        level = [child for piece in level for child in refine_slice(piece)]
+        level = [child for piece in level for child in refine_slice(a, b, piece)]
     return level
 
 
-def compose_slices(s1: Slice, s2: Slice) -> Slice | None:
-    """Product of two slices, or None when their middle cylinders miss.
+def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | None:
+    """Product of two slices over the pair (A, B), or None when their
+    middle cylinders miss.
 
     With matching middles, Z(a, m1, b) . Z(b, m2, c) = Z(a, m1 + m2, c).
-    When one middle path properly extends the other, the shorter-sided
-    operand is refined along the overhang until the middles match;
-    incomparable middles give the empty product.
+    When one middle path extends the other, the shorter-sided operand is
+    refined along the overhang until the middles match (an empty overhang
+    changes nothing); incomparable middles give the empty product.
     """
-    if s1.context != s2.context:
-        raise ValueError("slices live over different pairs")
-    a, b = s1.context
-    if s1.beta == s2.alpha:
-        return Slice(s1.alpha, s1.m + s2.m, s2.beta, s1.context)
-    if s2.alpha.starts_with(s1.beta):
-        overhang = s2.alpha.tail_after(s1.beta)
+    overhang = s2.alpha.tail_after(s1.beta)
+    if overhang is not None:
         image, carry = kappa_path(a, b, s1.m, overhang)
-        return Slice(s1.alpha.concat(image), carry + s2.m, s2.beta, s1.context)
-    if s1.beta.starts_with(s2.alpha):
-        overhang = s1.beta.tail_after(s2.alpha)
+        return Slice(s1.alpha.concat(image), carry + s2.m, s2.beta)
+    overhang = s1.beta.tail_after(s2.alpha)
+    if overhang is not None:
         preimage, carry = kappa_path_preimage(a, b, s2.m, overhang)
-        return Slice(s1.alpha, s1.m + carry, s2.beta.concat(preimage), s1.context)
+        return Slice(s1.alpha, s1.m + carry, s2.beta.concat(preimage))
     return None
 
 
 def invert_slice(s: Slice) -> Slice:
     """Z(alpha, m, beta)^(-1) = Z(beta, -m, alpha)."""
-    return Slice(s.beta, -s.m, s.alpha, s.context)
+    return Slice(s.beta, -s.m, s.alpha)
 
 
-def slice_image_cylinder(s: Slice, gamma: Path) -> Path:
+def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> Path:
     """Image of the source cylinder Z(beta.gamma) under the slice's partial
-    homeomorphism: the cylinder of alpha.kappa_m(gamma)."""
+    homeomorphism over the pair (A, B): the cylinder of alpha.kappa_m(gamma)."""
     if gamma.source != s.beta.range:
         raise ValueError("gamma must start where beta ends")
-    a, b = s.context
     image, _ = kappa_path(a, b, s.m, gamma)
     return s.alpha.concat(image)
 
 
-def slices_equal(s1: Slice, s2: Slice) -> bool:
-    """Semantic slice equality: refine both to a common beta depth and
-    compare the resulting sets of pieces.  Exact for pseudo-free pairs."""
-    if s1.context != s2.context:
-        return False
+def slices_equal(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> bool:
+    """Semantic equality of two slices over the pair (A, B): refine both to
+    a common beta depth and compare the resulting sets of pieces.  Exact for
+    pseudo-free pairs."""
     depth = max(len(s1.beta), len(s2.beta))
-    return set(_refine_to_depth(s1, depth)) == set(_refine_to_depth(s2, depth))
+    return set(_refine_to_depth(a, b, s1, depth)) == set(_refine_to_depth(a, b, s2, depth))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ class IntMatrix:
     True
     """
 
-    __slots__ = ("rows", "cols", "_data", "_hash")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Iterable[Sequence[int]]):
         rows = tuple(tuple(row) for row in data)
@@ -45,7 +45,6 @@ class IntMatrix:
         self.rows = len(rows)
         self.cols = width
         self._data = rows
-        self._hash = None
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -122,10 +121,7 @@ class IntMatrix:
         return self._data == other._data
 
     def __hash__(self) -> int:
-        # Slices hash their (A, B) context on every set insertion.
-        if self._hash is None:
-            self._hash = hash(self._data)
-        return self._hash
+        return hash(self._data)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(row) for row in self._data]})"

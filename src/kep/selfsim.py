@@ -18,14 +18,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InputValidationError
 from .intmat import IntMatrix
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """Edge e(source, target, label) of the graph of A; vertices are 1-based."""
 
     source: int
@@ -98,17 +97,13 @@ class Path:
             return other
         return Path._composed(self.edges + other.edges)
 
-    def starts_with(self, prefix: "Path") -> bool:
-        """Whether this path extends `prefix` (sources must agree)."""
-        if self.source != prefix.source:
-            return False
-        return self.edges[: len(prefix.edges)] == prefix.edges
-
-    def tail_after(self, prefix: "Path") -> "Path":
-        """The remainder of this path once `prefix` is stripped."""
-        if not self.starts_with(prefix):
-            raise ValueError("not an extension of the given prefix")
-        rest = self.edges[len(prefix.edges):]
+    def tail_after(self, prefix: "Path") -> "Path | None":
+        """The remainder of this path once `prefix` is stripped, or None
+        when this path does not extend `prefix` (sources must agree)."""
+        k = len(prefix.edges)
+        if self.source != prefix.source or self.edges[:k] != prefix.edges:
+            return None
+        rest = self.edges[k:]
         return Path._composed(rest) if rest else Path.empty(self.range)
 
     def __str__(self) -> str:
@@ -409,10 +404,15 @@ def parse_path(text: str) -> Path:
         raise InputValidationError("path not composable", str(exc)) from exc
 
 
+def _check_vertex(a: IntMatrix, v: int) -> None:
+    if not 1 <= v <= a.rows:
+        raise InputValidationError("unknown edge", f"vertex {v} outside 1..{a.rows}")
+
+
 def validate_path(a: IntMatrix, p: Path) -> None:
     """Check every edge of p exists in the graph of A."""
     if p.edges:
         for e in p.edges:
             _check_edge(a, e)
-    elif not 1 <= p.vertex <= a.rows:  # type: ignore[operator]
-        raise InputValidationError("unknown edge", f"vertex {p.vertex} outside 1..{a.rows}")
+    else:
+        _check_vertex(a, p.vertex)  # type: ignore[arg-type]

@@ -71,11 +71,10 @@ def reference_random_walk(graph: Graph, rng: random.Random, start: int, length: 
     return Path(tuple(edges))
 
 
-def reference_refine(s: Slice) -> list[Slice]:
-    """The children Z(alpha.kappa_m(g), phi(m, g), beta.g) of a slice, one
-    per edge g = e(v, j, t) leaving v = range(beta) in row-major order, built
-    only with `kappa_edge` and the validating `Path` constructor."""
-    a, b = s.context
+def reference_refine(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
+    """The children Z(alpha.kappa_m(g), phi(m, g), beta.g) of a slice over
+    (A, B), one per edge g = e(v, j, t) leaving v = range(beta) in row-major
+    order, built only with `kappa_edge` and the validating `Path` constructor."""
     v = s.beta.range
     children = []
     for j in range(1, a.cols + 1):
@@ -84,7 +83,7 @@ def reference_refine(s: Slice) -> list[Slice]:
             image, carry = kappa_edge(a, b, s.m, g)
             alpha = Path(s.alpha.edges + (image,))
             beta = Path(s.beta.edges + (g,))
-            children.append(Slice(alpha, carry, beta, s.context))
+            children.append(Slice(alpha, carry, beta))
     return children
 
 

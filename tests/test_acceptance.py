@@ -144,31 +144,30 @@ def test_criterion_4_slice_algebra():
         for _ in range(150):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             graph = Graph(a)
-            ctx = (a, b)
             beta = random_path(graph, rng, rng.randint(0, 3))
             alpha = path_ending_at(graph, rng, beta.range, 3)
-            s1 = Slice(alpha, rng.randint(-3, 3), beta, ctx)
+            s1 = Slice(alpha, rng.randint(-3, 3), beta)
 
             assert invert_slice(invert_slice(s1)) == s1
-            assert compose_slices(invert_slice(s1), s1) == Slice(beta, 0, beta, ctx)
+            assert compose_slices(a, b, invert_slice(s1), s1) == Slice(beta, 0, beta)
 
             gamma = path_ending_at(graph, rng, beta.range, 3)
-            s2 = Slice(beta, rng.randint(-3, 3), gamma, ctx)
-            direct = compose_slices(s1, s2)
-            piecewise = {compose_slices(s1, child) for child in refine_slice(s2)}
-            assert piecewise == set(refine_slice(direct))
+            s2 = Slice(beta, rng.randint(-3, 3), gamma)
+            direct = compose_slices(a, b, s1, s2)
+            piecewise = {compose_slices(a, b, s1, child) for child in refine_slice(a, b, s2)}
+            assert piecewise == set(refine_slice(a, b, direct))
 
             delta = path_ending_at(graph, rng, gamma.range, 3)
-            s3 = Slice(gamma, rng.randint(-3, 3), delta, ctx)
-            for middle in refine_slice(s2):
-                s12 = compose_slices(s1, middle)
-                s23 = compose_slices(middle, s3)
-                lhs = compose_slices(s12, s3) if s12 is not None else None
-                rhs = compose_slices(s1, s23) if s23 is not None else None
+            s3 = Slice(gamma, rng.randint(-3, 3), delta)
+            for middle in refine_slice(a, b, s2):
+                s12 = compose_slices(a, b, s1, middle)
+                s23 = compose_slices(a, b, middle, s3)
+                lhs = compose_slices(a, b, s12, s3) if s12 is not None else None
+                rhs = compose_slices(a, b, s1, s23) if s23 is not None else None
                 assert (lhs is None) == (rhs is None)
                 if lhs is not None:
                     defined_products += 1
-                    assert slices_equal(lhs, rhs)
+                    assert slices_equal(a, b, lhs, rhs)
         assert defined_products >= 150
 
 

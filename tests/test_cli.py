@@ -352,27 +352,45 @@ class TestCheck:
         assert json.loads(captured.err)["error"]["assumption"] == "bad trials"
 
     # sha256 of the full stdout, recorded before the path action stopped
-    # listing edges: a change in draw order, counters or trial counts fails.
+    # listing edges (the last two before slices stopped carrying their
+    # pair): a change in draw order, counters or trial counts fails.  The
+    # last two are inputs the benchmark never draws: B = 0, and a sparse
+    # pair with negative B that vanishes on some edges of A.
     @pytest.mark.parametrize(
-        "doc, argv, digest",
+        "doc, argv, code, digest",
         [
             (
                 '{"mode":"katsura","n":2,"A":[[60,45],[7,95]],"B":[[-3,5],[2,-7]]}',
                 ["--trials", "20", "--seed", "5"],
+                EXIT_OK,
                 "4b7f637098d9e8fe6ec5f30f847eb6bebd6316532ec1eac8b9805368430af44d",
             ),
             (
                 PAIR_DOC,
                 ["--trials", "25", "--seed", "3"],
+                EXIT_OK,
                 "cf4a83af80fbadcde23a84873682dba9c82380058763485f4168ea540128867a",
             ),
+            (
+                '{"mode":"sft","n":3,"A":[[2,1,0],[0,1,3],[1,0,2]]}',
+                ["--trials", "40", "--seed", "11"],
+                EXIT_INCONCLUSIVE,
+                "f85b5700b9c2092b86b4028b77c03f40f20f2778b7fbedc5552a38cc99410547",
+            ),
+            (
+                '{"mode":"katsura","n":5,"A":[[2,1,0,0,0],[0,1,3,0,0],[0,0,1,0,2],[1,0,0,2,0],[0,0,0,1,1]],'
+                '"B":[[-1,0,0,0,0],[0,2,-3,0,0],[0,0,-1,0,1],[3,0,0,0,0],[0,0,0,-2,1]]}',
+                ["--trials", "40", "--seed", "11"],
+                EXIT_INCONCLUSIVE,
+                "26795fcc02f97807aa7fc29f7473b88548ab53f6a5d900238f309ab11e7684ca",
+            ),
         ],
-        ids=["row_sum_100", "pair_seed_3"],
+        ids=["row_sum_100", "pair_seed_3", "sft_seed_11", "sparse_negative_b_seed_11"],
     )
-    def test_golden_output(self, capsys, tmp_path, doc, argv, digest):
+    def test_golden_output(self, capsys, tmp_path, doc, argv, code, digest):
         path = tmp_path / "in.json"
         path.write_text(doc)
-        assert main(["check", str(path), *argv]) == EXIT_OK
+        assert main(["check", str(path), *argv]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

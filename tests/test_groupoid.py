@@ -30,7 +30,6 @@ from kep.selfsim import path_ending_at, random_walk
 
 A1 = IntMatrix([[2]])
 B1 = IntMatrix([[1]])
-CTX = (A1, B1)
 V = Path.empty(1)
 E0 = Edge(1, 1, 0)
 E1 = Edge(1, 1, 1)
@@ -55,30 +54,30 @@ def random_sparse_pair(rng, max_n=5):
     return IntMatrix(a), IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
 
 
-def random_slice(rng, graph, ctx, max_len=3, max_m=3):
+def random_slice(rng, graph, max_len=3, max_m=3):
     beta = random_walk(graph, rng, rng.choice(list(graph.vertices())), rng.randint(0, max_len))
     alpha = path_ending_at(graph, rng, beta.range, max_len)
-    return Slice(alpha, rng.randint(-max_m, max_m), beta, ctx)
+    return Slice(alpha, rng.randint(-max_m, max_m), beta)
 
 
 class TestRefine:
     def test_translation_slice(self):
-        children = set(refine_slice(Slice(V, 1, V, CTX)))
-        assert children == {Slice(P1, 0, P0, CTX), Slice(P0, 1, P1, CTX)}
-        assert str(Slice(P1, -2, P0, CTX)) == "Z(e(1,1,1)|-2|e(1,1,0))"
-        assert str(Slice(V, 3, P0.concat(P1), CTX)) == "Z(v(1)|3|e(1,1,0).e(1,1,1))"
+        children = set(refine_slice(A1, B1, Slice(V, 1, V)))
+        assert children == {Slice(P1, 0, P0), Slice(P0, 1, P1)}
+        assert str(Slice(P1, -2, P0)) == "Z(e(1,1,1)|-2|e(1,1,0))"
+        assert str(Slice(V, 3, P0.concat(P1))) == "Z(v(1)|3|e(1,1,0).e(1,1,1))"
 
     def test_identity_slice(self):
-        children = set(refine_slice(Slice(V, 0, V, CTX)))
-        assert children == {Slice(P0, 0, P0, CTX), Slice(P1, 0, P1, CTX)}
+        children = set(refine_slice(A1, B1, Slice(V, 0, V)))
+        assert children == {Slice(P0, 0, P0), Slice(P1, 0, P1)}
 
     def test_child_count_is_out_degree(self):
         rng = random.Random(41)
         for _ in range(100):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             g = Graph(a)
-            s = random_slice(rng, g, (a, b))
-            assert len(refine_slice(s)) == len(g.out_edges(s.beta.range))
+            s = random_slice(rng, g)
+            assert len(refine_slice(a, b, s)) == len(g.out_edges(s.beta.range))
 
     def test_matches_definition(self):
         # Negative B and m, empty alpha or beta, and (sparse pairs) B = 0
@@ -90,20 +89,30 @@ class TestRefine:
                 a, b = random_pseudo_free_pair(rng, max_n=3, b_range=(-9, 9))
             else:
                 a, b = random_sparse_pair(rng, max_n=4)
-            s = random_slice(rng, Graph(a), (a, b), max_len=2, max_m=20)
+            s = random_slice(rng, Graph(a), max_len=2, max_m=20)
             empty_alpha += not s.alpha.edges
             empty_beta += not s.beta.edges
-            assert refine_slice(s) == reference_refine(s)
+            assert refine_slice(a, b, s) == reference_refine(a, b, s)
         assert empty_alpha and empty_beta
+
+    @pytest.mark.parametrize("vertex", [0, 2])
+    def test_beta_outside_the_vertices_rejected(self, vertex):
+        # n = 1: range(beta) = 0 would read A's last row, and n + 1 would
+        # index past it.
+        end = Path.empty(vertex)
+        with pytest.raises(InputValidationError) as info:
+            refine_slice(A1, B1, Slice(end, 0, end))
+        assert info.value.assumption == "unknown edge"
+        assert str(info.value) == f"vertex {vertex} outside 1..1"
 
     def test_children_extend_beta(self):
         rng = random.Random(42)
         for _ in range(50):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             g = Graph(a)
-            s = random_slice(rng, g, (a, b))
-            for child in refine_slice(s):
-                assert child.beta.starts_with(s.beta)
+            s = random_slice(rng, g)
+            for child in refine_slice(a, b, s):
+                assert child.beta.tail_after(s.beta) is not None
                 assert len(child.beta) == len(s.beta) + 1
 
 
@@ -124,42 +133,54 @@ class TestRandomWalk:
 
 class TestCompose:
     def test_matching_middle(self):
-        s1 = Slice(V, 1, V, CTX)
-        s2 = Slice(V, 2, V, CTX)
-        assert compose_slices(s1, s2) == Slice(V, 3, V, CTX)
+        s1 = Slice(V, 1, V)
+        s2 = Slice(V, 2, V)
+        assert compose_slices(A1, B1, s1, s2) == Slice(V, 3, V)
+
+    def test_matching_middle_random(self):
+        # Equal middles compose by adding translations: Z(alpha, m1, beta) .
+        # Z(beta, m2, gamma) = Z(alpha, m1 + m2, gamma), whatever beta's length.
+        rng = random.Random(49)
+        for _ in range(100):
+            a, b = random_pseudo_free_pair(rng, max_n=3)
+            g = Graph(a)
+            s1 = random_slice(rng, g)
+            gamma = path_ending_at(g, rng, s1.beta.range, 3)
+            s2 = Slice(s1.beta, rng.randint(-3, 3), gamma)
+            assert compose_slices(a, b, s1, s2) == Slice(s1.alpha, s1.m + s2.m, gamma)
 
     def test_refining_composition(self):
         # Z(v,1,v) . Z(e0,0,e0): refine the left factor along e0; its
         # matching piece is Z(e1,0,e0), and the carries add to 0.
-        s1 = Slice(V, 1, V, CTX)
-        s2 = Slice(P0, 0, P0, CTX)
-        product = compose_slices(s1, s2)
-        assert product == Slice(P1, 0, P0, CTX)
+        s1 = Slice(V, 1, V)
+        s2 = Slice(P0, 0, P0)
+        product = compose_slices(A1, B1, s1, s2)
+        assert product == Slice(P1, 0, P0)
         # Semantic cross-check: the composite sends e0.y to e1.y, so its
         # action on a tail must match applying s2 then s1.
         tail = P1
-        via_product = slice_image_cylinder(product, tail)
-        via_steps = slice_image_cylinder(s1, slice_image_cylinder(s2, tail).tail_after(s1.beta))
+        via_product = slice_image_cylinder(A1, B1, product, tail)
+        mid = slice_image_cylinder(A1, B1, s2, tail).tail_after(s1.beta)
+        via_steps = slice_image_cylinder(A1, B1, s1, mid)
         assert via_product == via_steps
 
     def test_right_refining_composition(self):
         # The left factor's beta is deeper: the right factor refines along
         # the kappa-preimage of the overhang.
-        s1 = Slice(P1, 1, P0, CTX)
-        s2 = Slice(V, 1, V, CTX)
-        product = compose_slices(s1, s2)
+        s1 = Slice(P1, 1, P0)
+        s2 = Slice(V, 1, V)
+        product = compose_slices(A1, B1, s1, s2)
         assert product is not None
         assert product.alpha == s1.alpha
-        assert product.beta.starts_with(s2.beta)
+        assert product.beta.tail_after(s2.beta) is not None
         assert len(product.beta) == 1
 
     def test_disjoint_middles(self):
         a = IntMatrix([[2, 1], [1, 2]])
         b = IntMatrix([[1, 1], [1, 1]])
-        ctx = (a, b)
-        s1 = Slice(Path.empty(1), 0, Path.of([Edge(1, 1, 0)]), ctx)
-        s2 = Slice(Path.of([Edge(1, 1, 1)]), 0, Path.empty(1), ctx)
-        assert compose_slices(s1, s2) is None
+        s1 = Slice(Path.empty(1), 0, Path.of([Edge(1, 1, 0)]))
+        s2 = Slice(Path.of([Edge(1, 1, 1)]), 0, Path.empty(1))
+        assert compose_slices(a, b, s1, s2) is None
 
     def test_compose_semantics_random(self):
         # For exact-middle products, the composite's partial map is the
@@ -168,63 +189,62 @@ class TestCompose:
         for _ in range(150):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             g = Graph(a)
-            ctx = (a, b)
-            s1 = random_slice(rng, g, ctx, max_len=2)
+            s1 = random_slice(rng, g, max_len=2)
             gamma = path_ending_at(g, rng, s1.beta.range, 2)
-            s2 = Slice(s1.beta, rng.randint(-3, 3), gamma, ctx)
-            product = compose_slices(s1, s2)
+            s2 = Slice(s1.beta, rng.randint(-3, 3), gamma)
+            product = compose_slices(a, b, s1, s2)
             tail = random_walk(g, rng, s2.beta.range, rng.randint(0, 3))
-            via_product = slice_image_cylinder(product, tail)
+            via_product = slice_image_cylinder(a, b, product, tail)
             mid, _ = kappa_path(a, b, s2.m, tail)
-            via_steps = slice_image_cylinder(s1, mid)
+            via_steps = slice_image_cylinder(a, b, s1, mid)
             assert via_product == via_steps
 
 
 class TestInvert:
     def test_rule(self):
-        s = Slice(P1, 1, P0, CTX)
-        assert invert_slice(s) == Slice(P0, -1, P1, CTX)
+        s = Slice(P1, 1, P0)
+        assert invert_slice(s) == Slice(P0, -1, P1)
 
     def test_involution(self):
         rng = random.Random(44)
         for _ in range(100):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            s = random_slice(rng, Graph(a), (a, b))
+            s = random_slice(rng, Graph(a))
             assert invert_slice(invert_slice(s)) == s
 
     def test_inverse_times_self_is_unit(self):
         rng = random.Random(45)
         for _ in range(150):
             a, b = random_pseudo_free_pair(rng, max_n=3)
-            s = random_slice(rng, Graph(a), (a, b))
-            unit = compose_slices(invert_slice(s), s)
-            assert unit == Slice(s.beta, 0, s.beta, s.context)
+            s = random_slice(rng, Graph(a))
+            unit = compose_slices(a, b, invert_slice(s), s)
+            assert unit == Slice(s.beta, 0, s.beta)
 
 
 class TestSliceImage:
     def test_zero_translation(self):
-        s = Slice(P0, 0, P1, CTX)
-        assert slice_image_cylinder(s, P1) == Path.of([E0, E1])
+        s = Slice(P0, 0, P1)
+        assert slice_image_cylinder(A1, B1, s, P1) == Path.of([E0, E1])
 
     def test_translation_moves_label(self):
-        s = Slice(V, 1, V, CTX)
-        assert slice_image_cylinder(s, P1) == P0
+        s = Slice(V, 1, V)
+        assert slice_image_cylinder(A1, B1, s, P1) == P0
 
     def test_empty_tail(self):
-        s = Slice(P0, 5, P1, CTX)
-        assert slice_image_cylinder(s, Path.empty(1)) == P0
+        s = Slice(P0, 5, P1)
+        assert slice_image_cylinder(A1, B1, s, Path.empty(1)) == P0
 
     def test_respects_refinement(self):
         rng = random.Random(46)
         for _ in range(100):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             g = Graph(a)
-            s = random_slice(rng, g, (a, b), max_len=2)
+            s = random_slice(rng, g, max_len=2)
             gamma = random_walk(g, rng, s.beta.range, rng.randint(1, 2))
             delta = random_walk(g, rng, gamma.range, rng.randint(1, 2))
             _, carry = kappa_path(a, b, s.m, gamma)
-            direct = slice_image_cylinder(s, gamma.concat(delta))
-            stepwise = slice_image_cylinder(s, gamma).concat(kappa_path(a, b, carry, delta)[0])
+            direct = slice_image_cylinder(a, b, s, gamma.concat(delta))
+            stepwise = slice_image_cylinder(a, b, s, gamma).concat(kappa_path(a, b, carry, delta)[0])
             assert direct == stepwise
 
 
@@ -235,21 +255,20 @@ class TestLaws:
         for _ in range(200):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             g = Graph(a)
-            ctx = (a, b)
-            s1 = random_slice(rng, g, ctx, max_len=2)
+            s1 = random_slice(rng, g, max_len=2)
             gamma = path_ending_at(g, rng, s1.beta.range, 2)
-            s2 = Slice(s1.beta, rng.randint(-3, 3), gamma, ctx)
+            s2 = Slice(s1.beta, rng.randint(-3, 3), gamma)
             delta = path_ending_at(g, rng, s2.beta.range, 2)
-            s3 = Slice(s2.beta, rng.randint(-3, 3), delta, ctx)
-            for middle in refine_slice(s2):
-                s12 = compose_slices(s1, middle)
-                s23 = compose_slices(middle, s3)
-                lhs = compose_slices(s12, s3) if s12 else None
-                rhs = compose_slices(s1, s23) if s23 else None
+            s3 = Slice(s2.beta, rng.randint(-3, 3), delta)
+            for middle in refine_slice(a, b, s2):
+                s12 = compose_slices(a, b, s1, middle)
+                s23 = compose_slices(a, b, middle, s3)
+                lhs = compose_slices(a, b, s12, s3) if s12 else None
+                rhs = compose_slices(a, b, s1, s23) if s23 else None
                 assert (lhs is None) == (rhs is None)
                 if lhs is not None:
                     defined += 1
-                    assert slices_equal(lhs, rhs)
+                    assert slices_equal(a, b, lhs, rhs)
         assert defined > 200
 
     def test_refinement_coherence(self):
@@ -259,20 +278,19 @@ class TestLaws:
         for _ in range(200):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             g = Graph(a)
-            ctx = (a, b)
-            s1 = random_slice(rng, g, ctx, max_len=2)
+            s1 = random_slice(rng, g, max_len=2)
             gamma = path_ending_at(g, rng, s1.beta.range, 2)
-            s2 = Slice(s1.beta, rng.randint(-3, 3), gamma, ctx)
-            direct = compose_slices(s1, s2)
-            piecewise = {compose_slices(s1, child) for child in refine_slice(s2)}
-            assert piecewise == set(refine_slice(direct))
+            s2 = Slice(s1.beta, rng.randint(-3, 3), gamma)
+            direct = compose_slices(a, b, s1, s2)
+            piecewise = {compose_slices(a, b, s1, child) for child in refine_slice(a, b, s2)}
+            assert piecewise == set(refine_slice(a, b, direct))
 
     def test_slices_equal_sees_refinements(self):
-        s = Slice(V, 1, V, CTX)
-        child = refine_slice(s)
-        assert not slices_equal(s, Slice(V, 0, V, CTX))
-        assert slices_equal(s, s)
-        assert not slices_equal(child[0], child[1])
+        s = Slice(V, 1, V)
+        child = refine_slice(A1, B1, s)
+        assert not slices_equal(A1, B1, s, Slice(V, 0, V))
+        assert slices_equal(A1, B1, s, s)
+        assert not slices_equal(A1, B1, child[0], child[1])
 
 
 class TestClassify:

@@ -182,6 +182,35 @@ class TestPathInvariants:
                 g.edge(index)
 
 
+class TestTailAfter:
+    """`tail_after` returns the remainder past a prefix, or None when the
+    path does not extend it."""
+
+    E12, E21 = Edge(1, 2, 0), Edge(2, 1, 0)
+
+    def test_remainder(self):
+        path = Path.of([E0, self.E12, self.E21])
+        assert path.tail_after(Path.of([E0])) == Path.of([self.E12, self.E21])
+        assert path.tail_after(Path.empty(1)) == path
+
+    def test_equal_paths_leave_the_empty_path_at_the_range(self):
+        path = Path.of([E0, self.E12])
+        assert path.tail_after(path) == Path.empty(2)
+        assert Path.empty(2).tail_after(Path.empty(2)) == Path.empty(2)
+
+    def test_different_source(self):
+        assert Path.of([self.E21]).tail_after(Path.empty(1)) is None
+        assert Path.empty(2).tail_after(Path.empty(1)) is None
+
+    def test_diverging_edge(self):
+        assert Path.of([E0, E1]).tail_after(Path.of([E1])) is None
+        assert Path.of([E0, E1]).tail_after(Path.of([E0, E0])) is None
+
+    def test_prefix_longer_than_path(self):
+        assert Path.of([E0]).tail_after(Path.of([E0, E1])) is None
+        assert Path.empty(1).tail_after(Path.of([E0])) is None
+
+
 class TestCocycleLaws:
     def test_edge_laws_small_sweep(self):
         rng = random.Random(34)
