@@ -27,7 +27,7 @@ print("\nk_theory_equal:      ", report.k_theory_equal)
 print("homology_isomorphic: ", report.homology_isomorphic, "(degrees 0..3)")
 print("ker(I-A) isomorphic: ", report.ker_ia_isomorphic)
 print("ker(I-B) isomorphic: ", report.ker_ib_isomorphic)
-print("det(I-A):", report.left.det_ia, "vs", report.right.det_ia)
+print("det(I-A):", report.det_left[0], "vs", report.det_right[0])
 print("verdict:             ", report.verdict)
 
 # Determinants and cokernels classify irreducible SFT groupoids among
@@ -35,8 +35,8 @@ print("verdict:             ", report.verdict)
 p1 = Operand("katsura", IntMatrix([[3]]), IntMatrix([[2]]))
 p2 = Operand("katsura", IntMatrix([[3]]), IntMatrix([[4]]))
 r = compare(p1, p2)
-print("\n(3,2) vs (3,4): H left =", [str(g) for g in r.left.evidence.formula.degrees()],
-      " H right =", [str(g) for g in r.right.evidence.formula.degrees()])
+print("\n(3,2) vs (3,4): H left =", [str(g) for g in r.h_left.degrees()],
+      " H right =", [str(g) for g in r.h_right.degrees()])
 print("verdict:", r.verdict, "(they differ in degree 1)")
 
 same = compare(p1, p1)

@@ -181,23 +181,22 @@ def _json_report(op: Operand, report: InvariantReport) -> dict[str, Any]:
 
 
 def _json_compare(op1: Operand, op2: Operand, rep: ComparisonReport) -> dict[str, Any]:
-    left, right = rep.left.evidence, rep.right.evidence
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
         "inputs": [_json_input(op1), _json_input(op2)],
-        "H_left": [str(g) for g in left.formula.degrees()],
-        "H_right": [str(g) for g in right.formula.degrees()],
+        "H_left": [str(g) for g in rep.h_left.degrees()],
+        "H_right": [str(g) for g in rep.h_right.degrees()],
         "homology_isomorphic": list(rep.homology_isomorphic),
-        "K_left": [str(left.k0), str(left.k1)],
-        "K_right": [str(right.k0), str(right.k1)],
+        "K_left": [str(g) for g in rep.h_left.k_groups()],
+        "K_right": [str(g) for g in rep.h_right.k_groups()],
         "k0_equal": rep.k0_equal,
         "k1_equal": rep.k1_equal,
         "k_theory_equal": rep.k_theory_equal,
         "ker_I_minus_A_isomorphic": rep.ker_ia_isomorphic,
         "ker_I_minus_B_isomorphic": rep.ker_ib_isomorphic,
-        "det_left": {"I_minus_A": _json_int(rep.left.det_ia), "I_minus_B": _json_int(rep.left.det_ib)},
-        "det_right": {"I_minus_A": _json_int(rep.right.det_ia), "I_minus_B": _json_int(rep.right.det_ib)},
+        "det_left": {"I_minus_A": _json_int(rep.det_left[0]), "I_minus_B": _json_int(rep.det_left[1])},
+        "det_right": {"I_minus_A": _json_int(rep.det_right[0]), "I_minus_B": _json_int(rep.det_right[1])},
         "distinguished": rep.distinguished,
         "verdict": rep.verdict,
     }

@@ -129,15 +129,15 @@ class PropertyReport:
     """
 
     pseudo_free: bool
-    hausdorff: bool | None
     effective_sufficient: bool
     minimal_pi_sufficient: bool
     condition_O: bool
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.pseudo_free is True and self.hausdorff is not True:
-            raise ValueError("pseudo-freeness forces Hausdorffness")
+    @property
+    def hausdorff(self) -> bool | None:
+        """Pseudo-freeness forces Hausdorffness; otherwise it is unknown."""
+        return True if self.pseudo_free else None
 
 
 def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[Fraction | None]]:
@@ -188,7 +188,6 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     pf: PseudoFreeness = is_pseudo_free(a, b)
     if not pf.verdict:
         notes.append(f"pseudo-freeness fails: m={pf.witness[0]} fixes {pf.witness[1]} with zero carry")
-    hausdorff = True if pf.verdict else None
 
     # A closed walk with product < 1 contains a simple cycle with product
     # < 1 that its vertices reach, so walks longer than n change nothing.
@@ -207,7 +206,6 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
 
     return PropertyReport(
         pseudo_free=pf.verdict,
-        hausdorff=hausdorff,
         effective_sufficient=not exitless_cycle and contraction_everywhere,
         # An irreducible A with every out-degree 1 is a single cycle through
         # all vertices, so each column also holds exactly one 1: A is then a

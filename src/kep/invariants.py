@@ -169,7 +169,6 @@ def hk_check(a: IntMatrix, b: IntMatrix) -> HkEvidence:
 class InvariantReport:
     """Everything the analyzer knows about one pair."""
 
-    mode: str
     properties: PropertyReport
     evidence: HkEvidence
     det_ia: int
@@ -187,7 +186,6 @@ def analyze(operand: Operand) -> InvariantReport:
     else:
         validity = VALIDITY_FORMULA_ONLY
     return InvariantReport(
-        mode=operand.mode,
         properties=classify(a, b),
         evidence=hk_check(a, b),
         det_ia=det(_one_minus(a)),
@@ -198,52 +196,57 @@ def analyze(operand: Operand) -> InvariantReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Degreewise comparison of two operands' invariants.
+    """Degreewise comparison of two operands off each side's homology and
+    (det(I - A), det(I - B)).  ker(I - A) is free of the rank of H0's free
+    part and ker(I - B) is H2.  A differing homology degree (``distinguished``)
+    rules out Kakutani equivalence; the converse is never claimed."""
 
-    ``distinguished`` is True when some homology degree differs, which
-    rules out Kakutani equivalence; the converse is never claimed.
-    """
+    h_left: HomologyTuple
+    h_right: HomologyTuple
+    det_left: tuple[int, int]
+    det_right: tuple[int, int]
 
-    left: InvariantReport
-    right: InvariantReport
-    homology_isomorphic: tuple[bool, bool, bool, bool]
-    k0_equal: bool
-    k1_equal: bool
-    ker_ia_isomorphic: bool
-    ker_ib_isomorphic: bool
-    distinguished: bool
-    verdict: str
+    @property
+    def homology_isomorphic(self) -> tuple[bool, ...]:
+        return tuple(g == h for g, h in zip(self.h_left.degrees(), self.h_right.degrees()))
+
+    @property
+    def k0_equal(self) -> bool:
+        return self.h_left.k_groups()[0] == self.h_right.k_groups()[0]
+
+    @property
+    def k1_equal(self) -> bool:
+        return self.h_left.k_groups()[1] == self.h_right.k_groups()[1]
 
     @property
     def k_theory_equal(self) -> bool:
         return self.k0_equal and self.k1_equal
 
+    @property
+    def ker_ia_isomorphic(self) -> bool:
+        return self.h_left.h0.free_rank == self.h_right.h0.free_rank
+
+    @property
+    def ker_ib_isomorphic(self) -> bool:
+        return self.h_left.h2 == self.h_right.h2
+
+    @property
+    def distinguished(self) -> bool:
+        return not all(self.homology_isomorphic)
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_DISTINGUISHED if self.distinguished else VERDICT_NOT_DISTINGUISHED
+
 
 def compare(p1: Operand, p2: Operand) -> ComparisonReport:
-    """Compare two operands degree by degree.
-
-    Besides homology and K-theory the report carries the kernel groups
-    ker(I - A) and ker(I - B), which are themselves invariants of Kakutani
-    equivalence, and both determinants det(I - A), det(I - B).  Both
-    kernels are read off the homology: ker(I - A) is free of the rank of
-    H0's free part, and ker(I - B) is H2.
-    """
-    left = analyze(p1)
-    right = analyze(p2)
-    h_left, h_right = left.evidence.formula, right.evidence.formula
-    h_iso = tuple(g == h for g, h in zip(h_left.degrees(), h_right.degrees()))
-    distinguished = not all(h_iso)
-    return ComparisonReport(
-        left=left,
-        right=right,
-        homology_isomorphic=h_iso,  # type: ignore[arg-type]
-        k0_equal=left.evidence.k0 == right.evidence.k0,
-        k1_equal=left.evidence.k1 == right.evidence.k1,
-        ker_ia_isomorphic=h_left.h0.free_rank == h_right.h0.free_rank,
-        ker_ib_isomorphic=h_left.h2 == h_right.h2,
-        distinguished=distinguished,
-        verdict=VERDICT_DISTINGUISHED if distinguished else VERDICT_NOT_DISTINGUISHED,
-    )
+    """Compare two operands degree by degree by the formula route alone: one
+    `homology` per operand, which validates the pair as `analyze` does, and
+    det(I - A), det(I - B).  Neither the classifier nor the limit route runs."""
+    pairs = [(op.a, op.b_or_zero()) for op in (p1, p2)]
+    h_left, h_right = (homology(a, b) for a, b in pairs)
+    det_left, det_right = ((det(_one_minus(a)), det(_one_minus(b))) for a, b in pairs)
+    return ComparisonReport(h_left, h_right, det_left, det_right)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,49 @@ class TestCompare:
         assert doc["distinguished"] is False
         assert doc["verdict"] == "not distinguished by these invariants"
 
+    # sha256 of the full stdout, recorded while `compare` still ran a full
+    # `analyze` on each operand.  Both are inputs the benchmark never draws:
+    # a formula-only pair (B nonzero off the support of A) against an sft
+    # operand, and a pair whose det(I - A) exceeds 2**53 (printed as a
+    # string) against itself.
+    @pytest.mark.parametrize(
+        "doc1, doc2, digest",
+        [
+            (
+                '{"mode":"katsura","n":2,"A":[[2,0],[1,2]],"B":[[1,5],[1,1]]}',
+                '{"mode":"sft","n":3,"A":[[2,1,0],[0,1,3],[1,0,2]]}',
+                "8dc92c43bb18304c1d2d1a1f184e01228d8b74ae36a2f0155c24dac67e4687f2",
+            ),
+            (
+                '{"mode":"katsura","n":2,"A":[[1000000007,3],[5,999999937]],"B":[[2,-1],[1,3]]}',
+                '{"mode":"katsura","n":2,"A":[[1000000007,3],[5,999999937]],"B":[[2,-1],[1,3]]}',
+                "9760ef8681a8f295af97420aa02a3bf86c6c624b6a3416bfb3b95b1108335b09",
+            ),
+        ],
+        ids=["formula_only_vs_sft", "det_beyond_2_53_self"],
+    )
+    def test_golden_output(self, capsys, tmp_path, doc1, doc2, digest):
+        paths = []
+        for i, doc in enumerate((doc1, doc2)):
+            path = tmp_path / f"in{i}.json"
+            path.write_text(doc)
+            paths.append(str(path))
+        assert main(["compare", *paths]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_formula_route_only(self, capsys, monkeypatch, pair_file, sft_file):
+        # A comparison reads homology and determinants alone: neither the
+        # classifier, the limit route nor the supports check may run.
+        def forbidden(*args):
+            raise AssertionError("compare ran more than the formula route")
+
+        for name in ("analyze", "classify", "limit_route_homology", "supports_match"):
+            monkeypatch.setattr(invariants, name, forbidden)
+        assert invariants.compare(parse_input(PAIR_DOC), parse_input(SFT_DOC)).distinguished
+        code, doc = run_json(capsys, ["compare", pair_file, sft_file])
+        assert code == EXIT_OK and doc["distinguished"] is True
+
 
 class TestKappa:
     def test_path_action(self, capsys, pair_file):
