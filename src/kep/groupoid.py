@@ -13,7 +13,6 @@ refining both sides to a common depth, not field equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intmat import IntMatrix
 from .selfsim import (
@@ -140,17 +139,25 @@ class PropertyReport:
         return True if self.pseudo_free else None
 
 
-def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[Fraction | None]]:
-    """walk[i][j] is the least product of |B[e]|/A[e] over walks i -> j of
-    1..L edges, where L = 2**r >= n, or None when there is no such walk.
+def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[tuple[int, int] | None]]:
+    """walk[i][j] = (p, q) is the least product p/q of |B[e]|/A[e] over walks
+    i -> j of 1..L edges, where L = 2**r >= n, or None when there is no such
+    walk.
 
     Each of the r = (n - 1).bit_length() rounds walk <- min(walk, walk (x) walk)
     in the (min, *) semiring doubles the longest length covered, so the
     closure costs O(n^3 log n) exact products.
+
+    The pairs are never reduced: a product is (p1*p2, q1*q2), and p/q < p'/q'
+    is tested as p*q' < p'*q.  That is exact because every q is a product of
+    entries A[e] > 0, so q > 0 and multiplying by it preserves order.  A pair
+    stands for a walk of at most L = 2**ceil(log2 n) < 2n edges, so p and q
+    have at most L times the bit length of the largest entry of |B| and A:
+    the cost depends on n and bit length, not on the size of an entry.
     """
     n = a.rows
     walk = [
-        [Fraction(abs(b[i, j]), a[i, j]) if a[i, j] > 0 else None for j in range(n)]
+        [(abs(b[i, j]), a[i, j]) if a[i, j] > 0 else None for j in range(n)]
         for i in range(n)
     ]
     for _ in range((n - 1).bit_length()):
@@ -160,11 +167,13 @@ def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[Fraction | None]]:
             for k, w1 in enumerate(row):
                 if w1 is None:
                     continue
+                p1, q1 = w1
                 for j, w2 in enumerate(walk[k]):
                     if w2 is not None:
-                        candidate = w1 * w2
-                        if best[j] is None or candidate < best[j]:
-                            best[j] = candidate
+                        p, q = p1 * w2[0], q1 * w2[1]
+                        least = best[j]
+                        if least is None or p * least[1] < least[0] * q:
+                            best[j] = (p, q)
             squared.append(best)
         walk = squared
     return walk
@@ -193,7 +202,8 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     # < 1 that its vertices reach, so walks longer than n change nothing.
     walk = _walk_closure(a, b)
     reach = [[w is not None for w in row] for row in walk]
-    contracting = [j for j in range(n) if reach[j][j] and walk[j][j] < 1]
+    # walk[j][j] = (p, q) with q > 0: the product p/q is below 1 iff p < q.
+    contracting = [j for j in range(n) if reach[j][j] and walk[j][j][0] < walk[j][j][1]]
     single_edge = [sum(a.row(j)) == 1 for j in range(n)]
     # A cycle has no exit iff everything its vertices reach emits one edge.
     exitless_cycle = any(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 from kep import Edge, Graph, IntMatrix, Path, Slice, kappa_edge
@@ -104,6 +104,20 @@ def cofactor_det(m: IntMatrix) -> int:
         minor = IntMatrix([[row[k] for k in range(n) if k != j] for row in rows[1:]])
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
+    """D_k = gcd of all k x k minors of M (cofactor determinants), for
+    k = 1..min(rows, cols); D_k = 0 when every k x k minor vanishes."""
+    rows = [list(r) for r in m]
+    divisors = []
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = 0
+        for chosen_rows in combinations(range(m.rows), k):
+            for chosen_cols in combinations(range(m.cols), k):
+                g = gcd(g, cofactor_det(IntMatrix([[rows[i][j] for j in chosen_cols] for i in chosen_rows])))
+        divisors.append(g)
+    return tuple(divisors)
 
 
 def rational_rank(m: IntMatrix) -> int:

@@ -1,5 +1,6 @@
 """Every exported name resolves, so `from kep import *` works after a
-deletion, and no module keeps an import it no longer uses."""
+deletion; no module keeps an import it no longer uses, and none imports
+`fractions` or `decimal` or calls `float`."""
 
 import ast
 import importlib
@@ -50,3 +51,38 @@ def test_no_unused_imports():
     assert modules
     unused = {path.name: unused_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+FLOAT_MODULES = ("fractions", "decimal")
+
+
+def float_uses(source: str) -> list[str]:
+    """Imports of `fractions` or `decimal` and calls of `float`; relative
+    imports (`from .errors import decimal`) name project modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(
+                f"import {alias.name}" for alias in node.names if alias.name.partition(".")[0] in FLOAT_MODULES
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] in FLOAT_MODULES:
+            found.append(f"from {node.module} import")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append("float(")
+    return found
+
+
+def test_float_uses_detects():
+    assert float_uses("from fractions import Fraction\n") == ["from fractions import"]
+    assert float_uses("import decimal as d\nimport fractions\n") == ["import decimal", "import fractions"]
+    assert float_uses("from decimal import Decimal\n") == ["from decimal import"]
+    assert float_uses("x = float('1')\n") == ["float("]
+    assert float_uses("from .errors import decimal\nx = decimal(3)\ny = 1 / 2\n") == []
+
+
+def test_no_floats_in_kep():
+    # North star: every answer is exact, with no floating point.
+    modules = sorted(Path(kep.__file__).parent.glob("*.py"))
+    assert modules
+    uses = {path.name: float_uses(path.read_text()) for path in modules}
+    assert {name: found for name, found in uses.items() if found} == {}

@@ -383,6 +383,48 @@ class TestClassify:
             seen.update(enumerate(verdicts))
         assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
+    @pytest.mark.parametrize(
+        "rows_a, rows_b, effective",
+        [
+            # loop and 3-cycle products exactly 1 (the cycle's unreduced pair
+            # is (216, 216)), then the cycle at 3/4
+            ([[2, 4, 0], [0, 0, 6], [9, 0, 0]], [[2, 6, 0], [0, 0, 9], [4, 0, 0]], False),
+            ([[2, 4, 0], [0, 0, 6], [9, 0, 0]], [[2, 6, 0], [0, 0, 9], [3, 0, 0]], True),
+            # loops and the 2-cycle of a full support, every product exactly 1
+            ([[1, 2], [3, 1]], [[1, 2], [3, 1]], False),
+            # below 1 by less than 2**-200, on a loop and on a 2-cycle whose
+            # loops have product exactly 1; as floats both ratios round to 1
+            ([[2**200 + 1]], [[2**200]], True),
+            ([[1, 2**200 + 1], [1, 1]], [[1, 2**200], [1, 1]], True),
+            ([[2**200]], [[2**200 + 1]], False),
+            # B = 0 on the support of A: every product is 0 (p = 0)
+            ([[2]], [[0]], True),
+            ([[1, 1], [1, 1]], [[0, 0], [0, 0]], True),
+            ([[1, 1], [0, 1]], [[0, 0], [0, 0]], False),
+        ],
+    )
+    def test_contraction_boundaries(self, rows_a, rows_b, effective):
+        a, b = IntMatrix(rows_a), IntMatrix(rows_b)
+        report = classify(a, b)
+        assert report.effective_sufficient is effective
+        assert (report.effective_sufficient, report.minimal_pi_sufficient) == classifier_oracle(a, b)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("last_b, effective", [(1, True), (4, False)])
+    def test_hamiltonian_contraction_either_side_of_a_round(self, n, last_b, effective):
+        # n = 4 takes two squaring rounds (walks of up to 4 edges), n = 5
+        # three (up to 8).  Loops have product 1; the only other cycle runs
+        # through all n vertices, and each of its edges has ratio 3/2 except
+        # the last, 1/9 or 4/9, so it contracts exactly when last_b = 1.
+        rows_a = [[1 if j == i else 2 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+        rows_a[-1][0] = 9
+        rows_b = [[1 if j == i else 3 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+        rows_b[-1][0] = last_b
+        a, b = IntMatrix(rows_a), IntMatrix(rows_b)
+        report = classify(a, b)
+        assert report.effective_sufficient is effective
+        assert (report.effective_sufficient, report.minimal_pi_sufficient) == classifier_oracle(a, b)
+
     def test_walk_closure_is_least_walk_product(self):
         def least(x, y):
             return y if x is None or (y is not None and y < x) else x
@@ -402,4 +444,6 @@ class TestClassify:
                         longer[i][j] = least(longer[i][j], exact[i][k] * step[k][j])
                 exact = longer
                 best = [[least(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(best, exact)]
-            assert _walk_closure(a, b) == best
+            # the library keeps unreduced pairs (p, q), q > 0; compare values
+            closure = [[None if w is None else Fraction(*w) for w in row] for row in _walk_closure(a, b)]
+            assert closure == best

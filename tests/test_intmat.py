@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, random_matrix, rational_nullity, rational_rank
+from conftest import cofactor_det, determinantal_divisors, random_matrix, rational_nullity, rational_rank
 from kep import (
     IntMatrix,
     det,
@@ -120,6 +120,28 @@ class TestSmithDiagonal:
             for d in smith_diagonal(m):
                 product *= d
             assert product == abs(cofactor_det(m))
+
+    def test_determinantal_divisors(self):
+        # d_1 ... d_k = D_k, the gcd of the k x k minors, for every k; this
+        # fixes each d_k, zeros included.  Square and n x (n + 1), with
+        # small entries, a share scaled by a common factor, and a
+        # rank-deficient share (a row copied and scaled).
+        rng = random.Random(61)
+        ranks = set()
+        for trial in range(240):
+            n = rng.randint(1, 4)
+            rows = random_matrix(rng, n, n + trial % 2, -6, 6).to_lists()
+            scale = rng.choice((1, 1, 2, 6))
+            if n > 1 and trial % 3 == 0:
+                rows[-1] = [rng.randint(-2, 2) * x for x in rows[0]]
+            m = IntMatrix([[scale * x for x in row] for row in rows])
+            diagonal = smith_diagonal(m)
+            product = 1
+            for d, divisor in zip(diagonal, determinantal_divisors(m), strict=True):
+                product *= d
+                assert product == divisor, m
+            ranks.add((n, rank(m) < n))
+        assert {(4, True), (4, False)} <= ranks
 
 
 class TestRank:
