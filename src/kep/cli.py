@@ -366,12 +366,13 @@ def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
         gamma = path_ending_at(graph, rng, s1.beta.range, 2)
         s2 = Slice(s1.beta, rng.randint(-3, 3), gamma)
         direct = compose_slices(a, b, s1, s2)
-        piecewise = {compose_slices(a, b, s1, child) for child in refine_slice(a, b, s2)}
+        s2_children = refine_slice(a, b, s2)
+        piecewise = {compose_slices(a, b, s1, child) for child in s2_children}
         record("refine_compose_coherence", piecewise == set(refine_slice(a, b, direct)))
 
         delta = path_ending_at(graph, rng, s2.beta.range, 2)
         s3 = Slice(s2.beta, rng.randint(-3, 3), delta)
-        for middle in refine_slice(a, b, s2):
+        for middle in s2_children:
             lhs = compose_slices(a, b, compose_slices(a, b, s1, middle), s3)
             rhs = compose_slices(a, b, s1, compose_slices(a, b, middle, s3))
             record("associativity", lhs is not None and rhs is not None and slices_equal(a, b, lhs, rhs))

@@ -4,11 +4,16 @@ ranks and integer kernels.
 All arithmetic is over Python ints, so nothing here can overflow.  Matrices
 are immutable; every operation returns fresh values.
 
-One Smith elimination serves two entry points.  `smith_diagonal` runs it
-alone, which is all a cokernel needs.  `snf` also replays every row and
-column operation on the unimodular U and V; those grow far longer than the
-diagonal, so only a caller that reads them uses it.  In the library that
-is a nonzero `kernel_basis` alone, which reads the columns of V.
+Two algorithms give Smith diagonals.  `_smith` eliminates by
+smallest-entry pivots and serves two entry points: `smith_diagonal` runs it
+alone, which is all a cokernel of any shape needs, and `snf` also replays
+every row and column operation on the unimodular U and V.  Those grow far
+longer than the diagonal, so only a caller that reads them uses `snf`; in
+the library that is a nonzero `kernel_basis` alone, which reads the columns
+of V.  `smith_diagonal_mod_det` takes a square M with its |det M| > 0 and
+gets the diagonal from a Hermite form reduced modulo a shrinking modulus,
+so no entry exceeds |det M|; it reaches `_smith` only for a cokernel
+that is not cyclic, and then on that bounded triangular form.
 Injectivity and nullity come from the fraction-free `rank`, whose entries
 are minors of the input.
 """
@@ -16,6 +21,7 @@ are minors of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -294,6 +300,74 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     a = m.to_lists()
     _smith(a, None, None)
     return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+
+
+def smith_diagonal_mod_det(m: IntMatrix, d: int) -> tuple[int, ...]:
+    """The Smith diagonal of a square M, given d = |det M| > 0, by Hermite
+    elimination modulo d (Domich-Kannan-Trotter, Math. Oper. Res. 12 (1987);
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.4.8).
+
+    It works on the row lattice L = Z^n M, whose quotient Z^n / L has the
+    Smith form of M, as the column lattice M Z^n does.  Why the reductions
+    are sound:
+
+    - A sublattice of index R in Z^k contains R Z^k, since R annihilates a
+      quotient group of order R.  So L and M Z^n, of index d, contain
+      d Z^n (as adj(M) M = M adj(M) = det(M) I shows directly), and a
+      generator of L may be reduced entrywise modulo d.
+    - Column t is cleared by one `_xgcd` 2x2 unimodular row combination per
+      entry.  With R the index of the remaining sublattice (coordinates
+      t..n-1), R e_t lies in it, so the pivot is g = gcd(column t, R).
+      The remaining sublattice then has index R/g, and by the first point
+      it contains (R/g) Z^{n-t-1}: the remaining rows and the pivot row's
+      tail are reduced modulo the new modulus R/g.
+    - The triangular form H has diagonal g_0, ..., g_{n-1} with product d.
+      If these are pairwise coprime, then localising at each prime p only
+      one diagonal entry is not a unit, so eliminating with the unit pivots
+      leaves one entry and each p-part of the cokernel is cyclic; the
+      cokernel is then cyclic of order d.  This covers the case where at
+      most one entry exceeds 1.
+    - Otherwise `_smith` runs on H, whose entries are at most d.
+
+    >>> smith_diagonal_mod_det(IntMatrix([[2, 4], [6, 8]]), 8)
+    (2, 4)
+    >>> smith_diagonal_mod_det(IntMatrix([[3, 1], [1, 3]]), 8)
+    (1, 8)
+    """
+    if not m.is_square or d <= 0:
+        raise ValueError("need a square matrix and its |det| > 0")
+    n = m.rows
+    r = d
+    rest = [[x % r for x in row] for row in m]
+    h = []
+    for t in range(n):
+        pivot = rest[0]
+        for i in range(1, len(rest)):
+            row = rest[i]
+            a, b = pivot[0], row[0]
+            if b == 0:
+                continue
+            if a and b % a == 0:
+                # The usual case once the pivot is 1: one row operation,
+                # the pivot row unchanged.
+                q = b // a
+                rest[i] = [(v - q * u) % r for u, v in zip(pivot, row)]
+                continue
+            g, x, y = _xgcd(a, b)
+            p, q = -(b // g), a // g
+            pivot, rest[i] = (
+                [(x * u + y * v) % r for u, v in zip(pivot, row)],
+                [(p * u + q * v) % r for u, v in zip(pivot, row)],
+            )
+        g, x, _ = _xgcd(pivot[0], r)
+        r //= g
+        h.append([0] * t + [g] + [x * u % r for u in pivot[1:]])
+        rest = [[v % r for v in row[1:]] for row in rest[1:]]
+    diagonal = [h[t][t] for t in range(n)]
+    if lcm(*diagonal) == d:
+        return (1,) * (n - 1) + (d,)
+    _smith(h, None, None)
+    return tuple(h[t][t] for t in range(n))
 
 
 def _bareiss(m: IntMatrix) -> tuple[int, int, int]:

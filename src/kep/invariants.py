@@ -5,10 +5,12 @@ For a valid pair (A, B) the groupoid invariants are
     H2 = ker(I - B),     H_i = 0 for i >= 3,
     K0 = coker(I - A) ⊕ ker(I - B),   K1 = coker(I - B) ⊕ ker(I - A).
 These formulas are what :func:`homology` and :func:`ktheory` compute through
-Smith normal forms.  :func:`hk_check` also runs the stationary-limit model
-of :mod:`kep.dirlimit` - a computation that never touches the closed
-formulas - and its evidence confirms K0 = H0 ⊕ H2, K1 = H1 and the routes'
-agreement for :func:`analyze` and ``kep check``.
+Smith diagonals: for nonsingular I - A and I - B by Hermite elimination
+modulo |det|, which is computed once and also reported.  :func:`hk_check`
+also runs the stationary-limit model of :mod:`kep.dirlimit` - a computation
+that never touches the closed formulas, and whose cokernels come from the
+other Smith algorithm - and its evidence confirms K0 = H0 ⊕ H2, K1 = H1 and
+the routes' agreement for :func:`analyze` and ``kep check``.
 
 All formulas assume A nonnegative with no zero rows.  They are evaluated
 for any such pair, but when the matching-support criterion for
@@ -19,13 +21,13 @@ guaranteed under that hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abgroup import FGAbelianGroup, direct_sum, from_cokernel
 from .dirlimit import StationaryLimit, coker_one_minus_shift, ker_one_minus_shift
 from .errors import InputValidationError, InternalError
 from .groupoid import PropertyReport, classify
-from .intmat import IntMatrix, det
+from .intmat import IntMatrix, det, smith_diagonal_mod_det
 from .selfsim import _validate_pair, supports_match
 
 VALIDITY_OK = "ok"
@@ -36,11 +38,16 @@ VERDICT_NOT_DISTINGUISHED = "not distinguished by these invariants"
 
 @dataclass(frozen=True)
 class HomologyTuple:
-    """Homology in degrees 0..2; every higher degree vanishes."""
+    """Homology in degrees 0..2; every higher degree vanishes.
+
+    The formula route also keeps (det(I - A), det(I - B)), the moduli of its
+    cokernels; the limit route has none.  They are not groups, so equality
+    ignores them."""
 
     h0: FGAbelianGroup
     h1: FGAbelianGroup
     h2: FGAbelianGroup
+    dets: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.h2.is_free:
@@ -80,19 +87,29 @@ def _one_minus(m: IntMatrix) -> IntMatrix:
     return IntMatrix.identity(m.rows) - m
 
 
+def _cokernel(m: IntMatrix, d: int) -> FGAbelianGroup:
+    """coker(M) for a square M with det(M) = d: modulo |d| when d != 0."""
+    if d == 0:
+        return from_cokernel(m)
+    return FGAbelianGroup(0, tuple(x for x in smith_diagonal_mod_det(m, abs(d)) if x > 1))
+
+
 def homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
     """Homology of the groupoid of (A, B) by the closed matrix formulas.
 
-    One Smith form per matrix: for square M the kernel lattice is free of
-    rank nullity(M), which is the free rank of coker(M).
+    One determinant and one Smith diagonal per matrix: for square M the
+    kernel lattice is free of rank nullity(M), which is the free rank of
+    coker(M).
     """
     _validate_pair(a, b)
-    coker_ia = from_cokernel(_one_minus(a))
-    coker_ib = from_cokernel(_one_minus(b))
+    ia, ib = _one_minus(a), _one_minus(b)
+    dets = det(ia), det(ib)
+    coker_ia, coker_ib = _cokernel(ia, dets[0]), _cokernel(ib, dets[1])
     return HomologyTuple(
         h0=coker_ia,
         h1=direct_sum(FGAbelianGroup.free(coker_ia.free_rank), coker_ib),
         h2=FGAbelianGroup.free(coker_ib.free_rank),
+        dets=dets,
     )
 
 
@@ -160,20 +177,27 @@ class HkEvidence:
 
 
 def hk_check(a: IntMatrix, b: IntMatrix) -> HkEvidence:
-    """Run both routes: K through Smith forms of I - A and I - B, H through
-    the stationary-limit model, which reuses none of them."""
+    """Run both routes: K through Smith diagonals of I - A and I - B, H
+    through the stationary-limit model, which reuses none of them."""
     return HkEvidence(homology(a, b), limit_route_homology(a, b))
 
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Everything the analyzer knows about one pair."""
+    """Everything the analyzer knows about one pair; det(I - A) and
+    det(I - B) are those the formula route computed."""
 
     properties: PropertyReport
     evidence: HkEvidence
-    det_ia: int
-    det_ib: int
     validity: str
+
+    @property
+    def det_ia(self) -> int:
+        return self.evidence.formula.dets[0]
+
+    @property
+    def det_ib(self) -> int:
+        return self.evidence.formula.dets[1]
 
 
 def analyze(operand: Operand) -> InvariantReport:
@@ -188,23 +212,28 @@ def analyze(operand: Operand) -> InvariantReport:
     return InvariantReport(
         properties=classify(a, b),
         evidence=hk_check(a, b),
-        det_ia=det(_one_minus(a)),
-        det_ib=det(_one_minus(b)),
         validity=validity,
     )
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Degreewise comparison of two operands off each side's homology and
-    (det(I - A), det(I - B)).  ker(I - A) is free of the rank of H0's free
-    part and ker(I - B) is H2.  A differing homology degree (``distinguished``)
-    rules out Kakutani equivalence; the converse is never claimed."""
+    """Degreewise comparison of two operands off each side's formula-route
+    homology, which carries (det(I - A), det(I - B)).  ker(I - A) is free of
+    the rank of H0's free part and ker(I - B) is H2.  A differing homology
+    degree (``distinguished``) rules out Kakutani equivalence; the converse
+    is never claimed."""
 
     h_left: HomologyTuple
     h_right: HomologyTuple
-    det_left: tuple[int, int]
-    det_right: tuple[int, int]
+
+    @property
+    def det_left(self) -> tuple[int, int]:
+        return self.h_left.dets
+
+    @property
+    def det_right(self) -> tuple[int, int]:
+        return self.h_right.dets
 
     @property
     def homology_isomorphic(self) -> tuple[bool, ...]:
@@ -241,12 +270,10 @@ class ComparisonReport:
 
 def compare(p1: Operand, p2: Operand) -> ComparisonReport:
     """Compare two operands degree by degree by the formula route alone: one
-    `homology` per operand, which validates the pair as `analyze` does, and
-    det(I - A), det(I - B).  Neither the classifier nor the limit route runs."""
-    pairs = [(op.a, op.b_or_zero()) for op in (p1, p2)]
-    h_left, h_right = (homology(a, b) for a, b in pairs)
-    det_left, det_right = ((det(_one_minus(a)), det(_one_minus(b))) for a, b in pairs)
-    return ComparisonReport(h_left, h_right, det_left, det_right)
+    `homology` per operand, which validates the pair as `analyze` does and
+    computes det(I - A), det(I - B).  Neither the classifier nor the limit
+    route runs."""
+    return ComparisonReport(*(homology(op.a, op.b_or_zero()) for op in (p1, p2)))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kep.intmat
 from conftest import cofactor_det, determinantal_divisors, random_matrix, rational_nullity, rational_rank
 from kep import (
     IntMatrix,
@@ -13,7 +14,7 @@ from kep import (
     kernel_basis,
     snf,
 )
-from kep.intmat import rank, smith_diagonal
+from kep.intmat import rank, smith_diagonal, smith_diagonal_mod_det
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -26,6 +27,22 @@ def small_matrices(max_dim=5):
             ).map(IntMatrix)
         )
     )
+
+
+def square_matrices(max_dim):
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(IntMatrix)
+
+
+def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """A product of random elementary row additions: determinant 1."""
+    rows = IntMatrix.identity(n).to_lists()
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
 
 
 def assert_snf_sound(m):
@@ -121,12 +138,46 @@ class TestSmithDiagonal:
                 product *= d
             assert product == abs(cofactor_det(m))
 
-    def test_determinantal_divisors(self):
+    def test_determinantal_divisors(self, monkeypatch):
         # d_1 ... d_k = D_k, the gcd of the k x k minors, for every k; this
-        # fixes each d_k, zeros included.  Square and n x (n + 1), with
-        # small entries, a share scaled by a common factor, and a
-        # rank-deficient share (a row copied and scaled).
+        # fixes each d_k, zeros included.  `smith_diagonal` answers on every
+        # case, and `smith_diagonal_mod_det` on every nonsingular square one
+        # with |det| = D_n.  Cases: square and n x (n + 1) with small
+        # entries, a share scaled by a common factor, and a rank-deficient
+        # share (a row copied and scaled); 64- to 160-bit entries, plain and
+        # scaled by 6; block-diagonal matrices and Z/p ⊕ Z/pq, both under a
+        # unimodular conjugation; and |det| = 1.  Scaled, block and
+        # repeated-prime cokernels are not cyclic: the modular diagonal must
+        # reach its `_smith` fallback on some and its cyclic shortcut on
+        # others.
         rng = random.Random(61)
+        smith_runs = [0]
+        real_smith = kep.intmat._smith
+
+        def counted(*args):
+            smith_runs[0] += 1
+            return real_smith(*args)
+
+        monkeypatch.setattr(kep.intmat, "_smith", counted)
+        branches = set()
+
+        def check(m):
+            divisors = determinantal_divisors(m)
+            diagonals = [smith_diagonal(m)]
+            if m.is_square and divisors[-1]:
+                before = smith_runs[0]
+                diagonals.append(smith_diagonal_mod_det(m, divisors[-1]))
+                branches.add("fallback" if smith_runs[0] > before else "cyclic")
+            for diagonal in diagonals:
+                product = 1
+                for d, divisor in zip(diagonal, divisors, strict=True):
+                    product *= d
+                    assert product == divisor, m
+
+        def conjugated(rows):
+            n = len(rows)
+            return random_unimodular(rng, n) @ IntMatrix(rows) @ random_unimodular(rng, n)
+
         ranks = set()
         for trial in range(240):
             n = rng.randint(1, 4)
@@ -135,13 +186,38 @@ class TestSmithDiagonal:
             if n > 1 and trial % 3 == 0:
                 rows[-1] = [rng.randint(-2, 2) * x for x in rows[0]]
             m = IntMatrix([[scale * x for x in row] for row in rows])
-            diagonal = smith_diagonal(m)
-            product = 1
-            for d, divisor in zip(diagonal, determinantal_divisors(m), strict=True):
-                product *= d
-                assert product == divisor, m
+            check(m)
             ranks.add((n, rank(m) < n))
         assert {(4, True), (4, False)} <= ranks
+
+        for trial in range(24):
+            n, bits, scale = 1 + trial % 4, (64, 96, 160)[trial % 3], (1, 6)[trial // 12]
+            check(IntMatrix([[scale * (rng.getrandbits(bits) - (1 << (bits - 1))) for _ in range(n)]
+                             for _ in range(n)]))
+        for _ in range(12):
+            left, right = (random_matrix(rng, k, k, -6, 6).to_lists() for k in (rng.randint(1, 2), 2))
+            check(conjugated([row + [0] * len(right) for row in left] + [[0] * len(left) + row for row in right]))
+        for p, q in ((2, 3), (3, 5), (5, 5), (7, 2), ((1 << 61) - 1, 3)):
+            for d in ((p, p * q), (1, p, p * q), (1, 1, p, p * q)):
+                check(conjugated([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]))
+        for n in range(1, 5):
+            for _ in range(3):
+                check(random_unimodular(rng, n))
+        assert branches == {"cyclic", "fallback"}
+
+    @given(square_matrices(6), st.sampled_from((1, 2, 6)))
+    @settings(max_examples=150, deadline=None)
+    def test_mod_det_matches_smith_diagonal(self, m, scale):
+        m = IntMatrix([[scale * x for x in row] for row in m])
+        d = abs(det(m))
+        assume(d)
+        assert smith_diagonal_mod_det(m, d) == smith_diagonal(m)
+
+    def test_mod_det_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            smith_diagonal_mod_det(IntMatrix([[1, 2]]), 1)
+        with pytest.raises(ValueError):
+            smith_diagonal_mod_det(IntMatrix([[0]]), 0)
 
 
 class TestRank:

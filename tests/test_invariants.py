@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import kep.intmat
+import kep.invariants
 from conftest import random_pseudo_free_pair, rational_nullity
 from kep import (
     FGAbelianGroup,
@@ -89,11 +91,36 @@ class TestHkCheck:
 
 
 class TestRouteIndependence:
+    # A, B, I - A and I - B all nonsingular: neither route may then call the
+    # other's cokernel algorithm.
+    A = IntMatrix([[2, 1, 1], [1, 3, 1], [1, 1, 4]])
+    B = IntMatrix([[1, 2, -1], [2, -1, 1], [1, 1, 3]])
+    EXPECTED = groups((0, (2,)), (0, (10,)), (0, ()))
+
     def test_limit_route_matches_formulas(self):
         rng = random.Random(52)
         for _ in range(60):
             a, b = random_pseudo_free_pair(rng)
             assert homology(a, b) == limit_route_homology(a, b)
+
+    @staticmethod
+    def forbid(monkeypatch, module, name):
+        def forbidden(*args):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(module, name, forbidden)
+
+    def test_formula_route_runs_without_smith(self, monkeypatch):
+        self.forbid(monkeypatch, kep.intmat, "_smith")
+        h = homology(self.A, self.B)
+        assert (h.h0, h.h1, h.h2) == self.EXPECTED
+        assert h.dets == (-2, 10)
+
+    def test_limit_route_runs_without_the_diagonal_mod_det(self, monkeypatch):
+        for module in (kep.intmat, kep.invariants):
+            self.forbid(monkeypatch, module, "smith_diagonal_mod_det")
+        h = limit_route_homology(self.A, self.B)
+        assert (h.h0, h.h1, h.h2) == self.EXPECTED
 
 
 class TestSftHomology:

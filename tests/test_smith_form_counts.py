@@ -1,5 +1,6 @@
-"""Each invariant is computed once: the number of Smith forms per command is
-pinned, so a second run of either homology route shows up here."""
+"""Each invariant is computed once: the number of Smith forms and
+determinants per command is pinned, so a second run of either homology route
+shows up here."""
 
 import json
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 import kep.abgroup
 import kep.dirlimit
 import kep.intmat
+import kep.invariants
 from kep import IntMatrix, analyze, compare
 from kep.cli import main
 from kep.invariants import Operand
@@ -17,50 +19,60 @@ A = [[2, 1, 3], [1, 4, 1], [2, 2, 5]]
 B = [[1, -1, 2], [3, 1, -2], [1, 1, 1]]
 PAIR = Operand("katsura", IntMatrix(A), IntMatrix(B))
 SFT = Operand("sft", IntMatrix(A))
+COUNTED = ("snf", "smith_diagonal", "smith_diagonal_mod_det", "det")
 
 
 @pytest.fixture
 def smith_calls(monkeypatch):
-    """Counts of `snf` and `smith_diagonal` calls, wherever they are made."""
+    """Counts of the `COUNTED` calls, wherever they are made, in that order."""
     calls = Counter()
 
     def counted(name, real):
-        def wrapper(m):
+        def wrapper(*args):
             calls[name] += 1
-            return real(m)
+            return real(*args)
 
         return wrapper
 
-    for name in ("snf", "smith_diagonal"):
+    for name in COUNTED:
         wrapper = counted(name, getattr(kep.intmat, name))
-        for module in (kep.intmat, kep.abgroup, kep.dirlimit):
+        for module in (kep.intmat, kep.abgroup, kep.dirlimit, kep.invariants):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    return calls
+    return lambda: tuple(calls[name] for name in COUNTED)
 
 
-# (snf, smith_diagonal) per command.  Cokernels take the diagonal alone, and
-# an injective T or T - I in the limit route takes no Smith form at all.  The
-# sft operand's B = 0 has a nonzero eventual kernel: its kernel and the fixed
-# sublattice over it are the two transformed forms.  The exact solve takes
-# none; it back-substitutes in the Hermite basis of the fixed sublattice.
+# (snf, smith_diagonal, smith_diagonal_mod_det, det) per command.  The
+# formula route takes det(I - A) and det(I - B) once each, and the diagonal
+# modulo each nonzero one; `analyze` reports those same determinants.  The
+# limit route's cokernels take `smith_diagonal`, and an injective T or T - I
+# takes no Smith form at all.  The sft operand's B = 0 has a nonzero
+# eventual kernel: its kernel and the fixed sublattice over it are the two
+# transformed forms, and its limit cokernel is one more diagonal.  The exact
+# solve takes none; it back-substitutes in the Hermite basis of the fixed
+# sublattice.
+KATSURA = (0, 2, 2, 2)
+SFT_COUNTS = (2, 3, 2, 2)
+
+
 @pytest.mark.parametrize(
-    ("operand", "expected"), [(PAIR, (0, 4)), (SFT, (2, 5))], ids=["katsura", "sft"]
+    ("operand", "expected"), [(PAIR, KATSURA), (SFT, SFT_COUNTS)], ids=["katsura", "sft"]
 )
 def test_analyze(smith_calls, operand, expected):
     analyze(operand)
-    assert (smith_calls["snf"], smith_calls["smith_diagonal"]) == expected
+    assert smith_calls() == expected
 
 
 def test_compare(smith_calls):
-    # The formula route alone: one Smith diagonal per matrix, no transforms.
+    # The formula route alone: one determinant and one diagonal modulo it
+    # per matrix, no transforms.
     compare(PAIR, SFT)
-    assert (smith_calls["snf"], smith_calls["smith_diagonal"]) == (0, 4)
+    assert smith_calls() == (0, 0, 4, 4)
 
 
 @pytest.mark.parametrize(
     ("doc", "expected"),
-    [({"mode": "katsura", "n": 3, "A": A, "B": B}, (0, 4)), ({"mode": "sft", "n": 3, "A": A}, (2, 5))],
+    [({"mode": "katsura", "n": 3, "A": A, "B": B}, KATSURA), ({"mode": "sft", "n": 3, "A": A}, SFT_COUNTS)],
     ids=["katsura", "sft"],
 )
 def test_check(smith_calls, capsys, tmp_path, doc, expected):
@@ -68,4 +80,4 @@ def test_check(smith_calls, capsys, tmp_path, doc, expected):
     path.write_text(json.dumps(doc))
     main(["check", str(path), "--trials", "5", "--seed", "0"])
     capsys.readouterr()
-    assert (smith_calls["snf"], smith_calls["smith_diagonal"]) == expected
+    assert smith_calls() == expected
