@@ -303,13 +303,13 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         payload["error"] = result.reason
         _emit(payload)
         return EXIT_INCONCLUSIVE
-    op = Operand("katsura", result.a, result.b)
+    ev = result.report.evidence
     payload["A"] = _json_matrix(result.a)
     payload["B"] = _json_matrix(result.b)
-    payload["K0"] = str(result.k0)
-    payload["K1"] = str(result.k1)
+    payload["K0"] = str(ev.k0)
+    payload["K1"] = str(ev.k1)
     payload["verified"] = True
-    payload["analysis"] = _json_report(op, analyze(op))
+    payload["analysis"] = _json_report(Operand("katsura", result.a, result.b), result.report)
     _emit(payload)
     return EXIT_OK
 
@@ -321,6 +321,8 @@ def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
     graph = Graph(a)
     vertices = list(graph.vertices())
     edge_count = graph.edge_count()
+    if trials and edge_count > sys.maxsize:  # choice(range(k)) takes len(); out-degrees <= k
+        raise InputValidationError("edge count", f"cannot draw from more than {sys.maxsize} edges")
     counters: dict[str, dict[str, int]] = {}
 
     def record(name: str, ok: bool) -> None:
@@ -367,13 +369,13 @@ def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
         s2 = Slice(s1.beta, rng.randint(-3, 3), gamma)
         direct = compose_slices(a, b, s1, s2)
         s2_children = refine_slice(a, b, s2)
-        piecewise = {compose_slices(a, b, s1, child) for child in s2_children}
-        record("refine_compose_coherence", piecewise == set(refine_slice(a, b, direct)))
+        piecewise = [compose_slices(a, b, s1, child) for child in s2_children]
+        record("refine_compose_coherence", set(piecewise) == set(refine_slice(a, b, direct)))
 
         delta = path_ending_at(graph, rng, s2.beta.range, 2)
         s3 = Slice(s2.beta, rng.randint(-3, 3), delta)
-        for middle in s2_children:
-            lhs = compose_slices(a, b, compose_slices(a, b, s1, middle), s3)
+        for middle, s1_middle in zip(s2_children, piecewise):
+            lhs = compose_slices(a, b, s1_middle, s3)
             rhs = compose_slices(a, b, s1, compose_slices(a, b, middle, s3))
             record("associativity", lhs is not None and rhs is not None and slices_equal(a, b, lhs, rhs))
 

@@ -5,9 +5,9 @@ A slice Z(alpha, m, beta) is the compact open bisection of groupoid elements
 cylinder Z(beta) homeomorphically onto the range cylinder Z(alpha), sending
 beta.y to alpha.kappa_m(y).  A slice is the triple (alpha, m, beta); the
 operations that read A and B take the pair as their leading arguments, like
-`kappa_path`.  Slices are kept in reduced form; a slice equals the disjoint
-union of its refinements, so equality is a semantic notion tested by
-refining both sides to a common depth, not field equality.
+`kappa_path`.  A slice is stored as built, never reduced.  It equals the
+disjoint union of its refinements, so two slices are compared with
+`slices_equal`, which refines both to a common depth, not by field equality.
 """
 
 from __future__ import annotations

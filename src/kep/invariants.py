@@ -278,13 +278,12 @@ def compare(p1: Operand, p2: Operand) -> ComparisonReport:
 
 @dataclass(frozen=True)
 class RealizeResult:
-    """Outcome of a realization request."""
+    """Outcome of a realization request; `report` is the analysis that verified it."""
 
     ok: bool
     a: IntMatrix | None = None
     b: IntMatrix | None = None
-    k0: FGAbelianGroup | None = None
-    k1: FGAbelianGroup | None = None
+    report: InvariantReport | None = None
     reason: str | None = None
 
 
@@ -294,7 +293,10 @@ def realize(target_k0: FGAbelianGroup, target_k1: FGAbelianGroup) -> RealizeResu
     The construction is a diagonal of 1x1 blocks: ((d+1), (2)) contributes
     Z/d to K0, ((2), (d+1)) contributes Z/d to K1, ((2), (1)) contributes
     Z to both, and the empty target falls back to ((2), (2)).  The result
-    always satisfies the matching-support criterion.
+    always satisfies the matching-support criterion.  One `analyze`, which
+    the result carries, verifies it: a formula-route K off the target or a
+    limit route that disagrees raises InternalError.  Classifier
+    certificates are not required; block-diagonal pairs cannot meet them.
 
     For square integer matrices the free rank of coker(I - M) equals the
     nullity of I - M, so free_rank(K0) = nullity(I-A) + nullity(I-B)
@@ -319,10 +321,12 @@ def realize(target_k0: FGAbelianGroup, target_k1: FGAbelianGroup) -> RealizeResu
     n = len(blocks)
     a = IntMatrix([[blocks[i][0] if i == j else 0 for j in range(n)] for i in range(n)])
     b = IntMatrix([[blocks[i][1] if i == j else 0 for j in range(n)] for i in range(n)])
-    k0, k1 = ktheory(a, b)
-    if (k0, k1) != (target_k0, target_k1):
+    report = analyze(Operand("katsura", a, b))
+    if (report.evidence.k0, report.evidence.k1) != (target_k0, target_k1):
         raise InternalError("realized pair failed K-theory verification")
-    return RealizeResult(ok=True, a=a, b=b, k0=k0, k1=k1)
+    if not report.evidence.routes_agree:
+        raise InternalError("realized pair's limit route disagrees with its formula route")
+    return RealizeResult(ok=True, a=a, b=b, report=report)
 
 
 __all__ = [

@@ -268,21 +268,14 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
 
 
 def kappa_path_preimage(a: IntMatrix, b: IntMatrix, m: int, target: Path) -> tuple[Path, int]:
-    """The unique path p with kappa_m(p) = target, and phi(m, p) (the
-    edgewise action is a bijection on parallel edges, so the fold inverts
-    step by step); the empty path returns (target, m)."""
-    if not target.edges:
-        return target, m
-    b_rows = tuple(b)
-    carry = m
-    out = []
-    for e in target.edges:
-        a_entry = _check_edge(a, e)
-        shift = carry * b_rows[e.source - 1][e.target - 1]
-        label = (e.label - shift) % a_entry
-        carry = (shift + label) // a_entry
-        out.append(Edge(e.source, e.target, label))
-    return Path._composed(tuple(out)), carry
+    """The unique path p with kappa_m(p) = target, and phi(m, p).
+
+    kappa is an action of Z, so p = kappa_{-m}(target), and the cocycle law
+    phi(m1 + m2, x) = phi(m1, kappa_{m2}(x)) + phi(m2, x) at (m, -m, target)
+    gives 0 = phi(0, target) = phi(m, p) + phi(-m, target).  The empty path
+    returns (target, m)."""
+    preimage, carry = kappa_path(a, b, -m, target)
+    return preimage, -carry
 
 
 @dataclass(frozen=True)

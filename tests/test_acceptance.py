@@ -231,11 +231,10 @@ def test_criterion_6_realize_round_trip():
             k1 = FGAbelianGroup(rank, random_chain())
             result = realize(k0, k1)
             assert result.ok
-            achieved = ktheory(result.a, result.b)
-            assert achieved[0] == k0
-            assert achieved[1] == k1
-            rep = analyze(Operand("katsura", result.a, result.b))
-            assert rep.properties.pseudo_free is True
+            ev = result.report.evidence
+            assert (ev.k0, ev.k1) == (k0, k1)
+            assert ev.routes_agree
+            assert result.report.properties.pseudo_free is True
 
         for _ in range(20):
             r0, r1 = rng.randint(0, 4), rng.randint(0, 4)

@@ -342,6 +342,15 @@ class TestRealize:
     def test_bad_factor(self, capsys):
         assert main(["realize", "--rank", "0", "--t0", "1"]) == EXIT_VALIDATION
 
+    def test_golden_output(self, capsys):
+        # sha256 of the full stdout, recorded while `realize` still verified
+        # the pair by one formula route and printed a second `analyze`.
+        assert main(["realize", "--rank", "1", "--t0", "2,4", "--t1", "3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ea40aa350ae5690f70cdfaaa3a9299edfdf59babc39104f9a562f603a6b65ed4"
+        )
+
     def test_reports_block_construction_properties(self, capsys):
         code, doc = run_json(capsys, ["realize", "--rank", "2"])
         assert code == EXIT_OK
@@ -387,6 +396,21 @@ class TestCheck:
         main(["check", pair_file, "--trials", "10", "--seed", "9"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_edge_count_beyond_maxsize(self, capsys, tmp_path):
+        # 10**20 parallel edges: more than an index range can hold, so a
+        # check with trials refuses before its first draw, and one without
+        # trials still reports.
+        path = tmp_path / "many.json"
+        a = [["100000000000000000000", 0], [0, 1]]
+        path.write_text(json.dumps({"mode": "katsura", "n": 2, "A": a, "B": [[1, 0], [0, 1]]}))
+        assert main(["check", str(path), "--trials", "1"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_VALIDATION and err["assumption"] == "edge count"
+        code, doc = run_json(capsys, ["check", str(path), "--trials", "0"])
+        assert code == EXIT_OK and doc["all_ok"] is True
 
     def test_negative_trials_rejected(self, capsys, pair_file):
         assert main(["check", pair_file, "--trials", "-3"]) == EXIT_VALIDATION
@@ -475,6 +499,13 @@ class TestRouteDisagreement:
         assert doc["checks"]["hk_identity"] == {"trials": 1, "failures": 1}
         assert doc["checks"]["route_agreement"] == {"trials": 1, "failures": 1}
         assert doc["failures"] == 2 and doc["all_ok"] is False
+
+    def test_realize_refuses_it(self, capsys):
+        assert main(["realize", "--rank", "1"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_INTERNAL and err["assumption"] == "internal invariant"
 
 
 def test_every_report_carries_schema_and_echo(capsys, pair_file, sft_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import random_pseudo_free_pair, rational_nullity
 from kep import (
     FGAbelianGroup,
     InputValidationError,
+    InternalError,
     IntMatrix,
     analyze,
     compare,
@@ -18,6 +20,7 @@ from kep import (
     realize,
     sft_homology,
 )
+from kep.abgroup import direct_sum
 from kep.invariants import (
     VALIDITY_FORMULA_ONLY,
     VALIDITY_OK,
@@ -221,7 +224,7 @@ class TestRealize:
         assert result.ok
         assert result.a == IntMatrix([[2]])
         assert result.b == IntMatrix([[1]])
-        assert (result.k0, result.k1) == (Z, Z)
+        assert (result.report.evidence.k0, result.report.evidence.k1) == (Z, Z)
 
     def test_torsion_k0(self):
         result = realize(*groups((0, [3]), (0, [])))
@@ -232,14 +235,31 @@ class TestRealize:
         result = realize(*groups((0, []), (0, [5])))
         assert result.a == IntMatrix([[2]])
         assert result.b == IntMatrix([[6]])
-        assert (result.k0, result.k1) == (ZERO, FGAbelianGroup(0, (5,)))
+        assert (result.report.evidence.k0, result.report.evidence.k1) == (ZERO, FGAbelianGroup(0, (5,)))
 
     def test_empty_target(self):
         result = realize(ZERO, ZERO)
         assert result.ok
         assert result.a == IntMatrix([[2]])
         assert result.b == IntMatrix([[2]])
-        assert (result.k0, result.k1) == (ZERO, ZERO)
+        assert (result.report.evidence.k0, result.report.evidence.k1) == (ZERO, ZERO)
+
+    @pytest.mark.parametrize(
+        ("route", "message"),
+        [("homology", "K-theory verification"), ("limit_route_homology", "disagrees")],
+    )
+    def test_a_route_that_misses_raises(self, monkeypatch, route, message):
+        # A formula route that misses the target, or a limit route that
+        # disagrees with it, is a defect in kep: the pair is not returned.
+        real = getattr(kep.invariants, route)
+
+        def skewed(a, b):
+            h = real(a, b)
+            return dataclasses.replace(h, h0=direct_sum(h.h0, FGAbelianGroup(0, (2,))))
+
+        monkeypatch.setattr(kep.invariants, route, skewed)
+        with pytest.raises(InternalError, match=message):
+            realize(*groups((1, [3]), (1, [])))
 
     def test_rank_mismatch_rejected(self):
         result = realize(FGAbelianGroup(2, ()), FGAbelianGroup(1, ()))
@@ -257,9 +277,8 @@ class TestRealize:
             k1 = FGAbelianGroup.from_cyclic_orders(t1, free_rank=r)
             result = realize(k0, k1)
             assert result.ok
-            achieved = ktheory(result.a, result.b)
-            assert achieved[0] == k0
-            assert achieved[1] == k1
+            ev = result.report.evidence
+            assert (ev.k0, ev.k1) == (k0, k1)
+            assert ev.routes_agree
             # the construction always satisfies the matching-support criterion
-            rep = analyze(Operand("katsura", result.a, result.b))
-            assert rep.validity == VALIDITY_OK
+            assert result.report.validity == VALIDITY_OK

@@ -1,6 +1,6 @@
 """Each invariant is computed once: the number of Smith forms and
 determinants per command is pinned, so a second run of either homology route
-shows up here."""
+shows up here, and so is the number of slice products `check` composes."""
 
 import json
 from collections import Counter
@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import kep.abgroup
+import kep.cli
 import kep.dirlimit
 import kep.intmat
 import kep.invariants
@@ -81,3 +82,31 @@ def test_check(smith_calls, capsys, tmp_path, doc, expected):
     main(["check", str(path), "--trials", "5", "--seed", "0"])
     capsys.readouterr()
     assert smith_calls() == expected
+
+
+def test_realize(smith_calls, capsys):
+    # The realized pair (diag(4, 2), diag(2, 6)) is verified by the one
+    # `analyze` that is printed: the same counts as analyzing it.
+    main(["realize", "--rank", "0", "--t0", "3", "--t1", "5"])
+    capsys.readouterr()
+    assert smith_calls() == (0, 2, 2, 2)
+
+
+def test_check_composes_each_product_once(monkeypatch, capsys, tmp_path):
+    # Per trial: s1^-1.s1, s1.s2, one s1.child per child of s2 (which
+    # `refine_compose_coherence` and `associativity` share), and three more
+    # products per child for `associativity`.  The 5 trials draw 39 children.
+    calls = 0
+    real = kep.cli.compose_slices
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(kep.cli, "compose_slices", counted)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"mode": "katsura", "n": 3, "A": A, "B": B}))
+    main(["check", str(path), "--trials", "5", "--seed", "0"])
+    capsys.readouterr()
+    assert calls == 5 * 2 + 39 * 4
