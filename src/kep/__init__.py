@@ -13,7 +13,6 @@ from .abgroup import (
     FGAbelianGroup,
     direct_sum,
     from_cokernel,
-    kernel_group,
 )
 from .dirlimit import (
     StationaryLimit,
@@ -23,7 +22,6 @@ from .dirlimit import (
 )
 from .errors import InputValidationError, InternalError
 from .groupoid import (
-    PropertyReport,
     Slice,
     classify,
     compose_slices,
@@ -34,7 +32,6 @@ from .groupoid import (
 )
 from .intmat import (
     IntMatrix,
-    SnfDecomposition,
     det,
     hnf,
     kernel_basis,
@@ -46,7 +43,6 @@ from .invariants import (
     HomologyTuple,
     InvariantReport,
     Operand,
-    RealizeResult,
     analyze,
     compare,
     hk_check,
@@ -61,16 +57,11 @@ from .selfsim import (
     EventuallyPeriodicPath,
     Graph,
     Path,
-    PseudoFreeness,
     fixes_path,
     is_pseudo_free,
     kappa_edge,
     kappa_path,
-    kappa_path_preimage,
-    parse_edge,
-    parse_path,
     phi_vertex_sum,
-    supports_match,
 )
 
 __version__ = "0.1.0"
@@ -79,14 +70,12 @@ __all__ = [
     "FGAbelianGroup",
     "direct_sum",
     "from_cokernel",
-    "kernel_group",
     "StationaryLimit",
     "coker_one_minus_shift",
     "eventual_kernel",
     "ker_one_minus_shift",
     "InputValidationError",
     "InternalError",
-    "PropertyReport",
     "Slice",
     "classify",
     "compose_slices",
@@ -95,7 +84,6 @@ __all__ = [
     "slice_image_cylinder",
     "slices_equal",
     "IntMatrix",
-    "SnfDecomposition",
     "det",
     "hnf",
     "kernel_basis",
@@ -105,7 +93,6 @@ __all__ = [
     "HomologyTuple",
     "InvariantReport",
     "Operand",
-    "RealizeResult",
     "analyze",
     "compare",
     "hk_check",
@@ -118,15 +105,10 @@ __all__ = [
     "EventuallyPeriodicPath",
     "Graph",
     "Path",
-    "PseudoFreeness",
     "fixes_path",
     "is_pseudo_free",
     "kappa_edge",
     "kappa_path",
-    "kappa_path_preimage",
-    "parse_edge",
-    "parse_path",
     "phi_vertex_sum",
-    "supports_match",
     "__version__",
 ]

@@ -81,19 +81,8 @@ class FGAbelianGroup:
         return cls(rank, _invariant_chain([abs(d) for d in orders]))
 
     @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    @property
     def is_free(self) -> bool:
         return not self.torsion
-
-    def torsion_order(self) -> int:
-        """Order of the torsion subgroup."""
-        order = 1
-        for d in self.torsion:
-            order *= d
-        return order
 
     def __str__(self) -> str:
         parts = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from typing import Any
 
@@ -39,7 +40,6 @@ from .invariants import (
 )
 from .selfsim import (
     Graph,
-    _validate_nonnegative_no_zero_rows,
     is_pseudo_free,
     kappa_edge,
     kappa_path,
@@ -64,6 +64,18 @@ class ParseError(ValueError):
     """Malformed input document (bad JSON, missing or mistyped fields)."""
 
 
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
+
+
+def _decimal_int(text: str) -> int:
+    """An integer written as an optional minus sign and the digits 0-9.
+    `int` alone would also take surrounding spaces, a plus sign,
+    underscores and non-ASCII digits."""
+    if not _DECIMAL_RE.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool):
         raise ParseError(f"{where} must be an integer")
@@ -71,7 +83,7 @@ def _as_int(value: Any, where: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
+            return _decimal_int(value)
         except ValueError:
             raise ParseError(f"{where} is not an integer: {value!r}") from None
     raise ParseError(f"{where} must be an integer")
@@ -126,7 +138,6 @@ def parse_input(data: bytes | str) -> Operand:
         if "B" in doc:
             raise InputValidationError("unexpected B", "sft mode takes only A")
         b = None
-    _validate_nonnegative_no_zero_rows(a)
     return Operand(mode, a, b)
 
 
@@ -271,7 +282,7 @@ def _parse_torsion(raw: str | None, flag: str) -> list[int]:
         if not part:
             continue
         try:
-            d = int(part, 10)
+            d = _decimal_int(part)
         except ValueError:
             raise ParseError(f"{flag} expects a comma-separated list of integers") from None
         if d < 2:
@@ -427,20 +438,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_kappa = sub.add_parser("kappa", help="apply the path action and report the carry")
     p_kappa.add_argument("file")
-    p_kappa.add_argument("--m", type=int, required=True)
+    p_kappa.add_argument("--m", type=_decimal_int, required=True)
     p_kappa.add_argument("--path", required=True, help='e.g. "e(1,1,0).e(1,1,1)" or "v(1)"')
     p_kappa.set_defaults(func=_cmd_kappa)
 
     p_realize = sub.add_parser("realize", help="build a pair with prescribed K-theory")
-    p_realize.add_argument("--rank", type=int, required=True)
+    p_realize.add_argument("--rank", type=_decimal_int, required=True)
     p_realize.add_argument("--t0", default="", help="comma-separated torsion factors for K0")
     p_realize.add_argument("--t1", default="", help="comma-separated torsion factors for K1")
     p_realize.set_defaults(func=_cmd_realize)
 
     p_check = sub.add_parser("check", help="seeded property sweep on one input")
     p_check.add_argument("file")
-    p_check.add_argument("--trials", type=int, default=50)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--trials", type=_decimal_int, default=50)
+    p_check.add_argument("--seed", type=_decimal_int, default=0)
     p_check.set_defaults(func=_cmd_check)
 
     return parser

@@ -98,12 +98,6 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(row[j] * vector[j] for j in range(self.cols)) for row in self._data)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._require_same_shape(other)
         return IntMatrix(

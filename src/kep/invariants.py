@@ -65,7 +65,8 @@ class HomologyTuple:
 @dataclass(frozen=True)
 class Operand:
     """A comparison operand: a full pair, or a shift-of-finite-type groupoid
-    given by A alone (the B = 0 comparison object)."""
+    given by A alone (the B = 0 comparison object).  Construction checks the
+    pair's standing assumptions, so every operand holds a valid pair."""
 
     mode: str  # "katsura" | "sft"
     a: IntMatrix
@@ -78,6 +79,7 @@ class Operand:
             raise InputValidationError("missing B", "katsura mode needs both matrices")
         if self.mode == "sft" and self.b is not None:
             raise InputValidationError("unexpected B", "sft mode takes only A")
+        _validate_pair(self.a, self.b_or_zero())
 
     def b_or_zero(self) -> IntMatrix:
         return self.b if self.b is not None else IntMatrix.zeros(self.a.rows, self.a.cols)
@@ -204,7 +206,6 @@ def analyze(operand: Operand) -> InvariantReport:
     """Full invariant report for a pair or an SFT comparison object."""
     a = operand.a
     b = operand.b_or_zero()
-    _validate_pair(a, b)
     if operand.mode == "sft" or supports_match(a, b):
         validity = VALIDITY_OK
     else:
@@ -270,9 +271,8 @@ class ComparisonReport:
 
 def compare(p1: Operand, p2: Operand) -> ComparisonReport:
     """Compare two operands degree by degree by the formula route alone: one
-    `homology` per operand, which validates the pair as `analyze` does and
-    computes det(I - A), det(I - B).  Neither the classifier nor the limit
-    route runs."""
+    `homology` per operand, which computes det(I - A), det(I - B).  Neither
+    the classifier nor the limit route runs."""
     return ComparisonReport(*(homology(op.a, op.b_or_zero()) for op in (p1, p2)))
 
 

@@ -181,8 +181,9 @@ class Graph:
         raise IndexError("edge index out of range")
 
 
-def _validate_nonnegative_no_zero_rows(a: IntMatrix) -> None:
-    """The standing assumptions on A: square, nonnegative, no zero rows."""
+def _validate_pair(a: IntMatrix, b: IntMatrix) -> None:
+    """The standing assumptions on the pair: A square, nonnegative and
+    without zero rows, and B of A's shape."""
     if not a.is_square:
         raise InputValidationError("shape mismatch", "matrix must be square")
     for i, row in enumerate(a):
@@ -190,10 +191,6 @@ def _validate_nonnegative_no_zero_rows(a: IntMatrix) -> None:
             raise InputValidationError("negative entry", f"A row {i + 1} has a negative entry")
         if all(x == 0 for x in row):
             raise InputValidationError("zero row", f"A row {i + 1} is identically zero")
-
-
-def _validate_pair(a: IntMatrix, b: IntMatrix) -> None:
-    _validate_nonnegative_no_zero_rows(a)
     if (b.rows, b.cols) != (a.rows, a.cols):
         raise InputValidationError("shape mismatch", "A and B must have the same shape")
 
@@ -362,8 +359,9 @@ def phi_vertex_sum(a: IntMatrix, b: IntMatrix, m: int, v: int, w: int) -> int:
     return total
 
 
-_EDGE_RE = re.compile(r"e\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
-_VERTEX_RE = re.compile(r"v\(\s*(\d+)\s*\)")
+# Labels are ASCII decimal: `\d` would also match any Unicode digit.
+_EDGE_RE = re.compile(r"e\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
+_VERTEX_RE = re.compile(r"v\(\s*([0-9]+)\s*\)")
 
 
 def _labels(match: re.Match, text: str) -> list[int]:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from kep import (
     det,
     direct_sum,
     from_cokernel,
-    kernel_group,
 )
+from kep.abgroup import kernel_group
 
 torsion_sources = st.lists(st.integers(min_value=0, max_value=24), max_size=5)
 
@@ -64,7 +65,7 @@ class TestFromCokernel:
             d = det(m)
             if d != 0:
                 seen_nonzero += 1
-                assert from_cokernel(m).torsion_order() == abs(d)
+                assert math.prod(from_cokernel(m).torsion) == abs(d)
         assert seen_nonzero > 100
 
     def test_transpose_invariance(self):
@@ -85,7 +86,7 @@ class TestKernelGroup:
         assert kernel_group(IntMatrix([[0]])) == FGAbelianGroup(1, ())
 
     def test_identity(self):
-        assert kernel_group(IntMatrix.identity(4)).is_trivial
+        assert kernel_group(IntMatrix.identity(4)) == FGAbelianGroup.trivial()
 
     def test_all_minus_ones(self):
         assert kernel_group(IntMatrix([[-1, -1], [-1, -1]])) == FGAbelianGroup(1, ())
@@ -132,7 +133,7 @@ class TestDirectSum:
     def test_order_multiplicative(self, xs, ys):
         g, h = group_from_orders(xs), group_from_orders(ys)
         total = direct_sum(g, h)
-        assert total.torsion_order() == g.torsion_order() * h.torsion_order()
+        assert math.prod(total.torsion) == math.prod(g.torsion) * math.prod(h.torsion)
         assert total.free_rank == g.free_rank + h.free_rank
 
 

@@ -70,6 +70,20 @@ class TestParseInput:
         with pytest.raises(InputValidationError):
             parse_input('{"mode":"sft","n":1,"A":[[2]],"B":[[1]]}')
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"mode":"katsura","n":"\u0662","A":[[2,1],[1,2]],"B":[[1,1],[1,1]]}',
+            '{"mode":"katsura","n":1,"A":[["1_0"]],"B":[[1]]}',
+            '{"mode":"katsura","n":1,"A":[[" +1 "]],"B":[[1]]}',
+        ],
+        ids=["arabic-indic-n", "underscore-entry", "plus-and-spaces-entry"],
+    )
+    def test_integers_are_ascii_decimal(self, doc):
+        # `int` alone reads these as 2, 10 and 1.
+        with pytest.raises(ParseError):
+            parse_input(doc)
+
     def test_zero_row_named(self):
         with pytest.raises(InputValidationError) as info:
             parse_input('{"mode":"katsura","n":1,"A":[[0]],"B":[[0]]}')
@@ -137,12 +151,29 @@ class TestAnalyze:
         # coker(1 - big) torsion factor also exceeds 53 bits
         assert report["H_structured"][0]["torsion"] == [str(big - 1)]
 
+    # The error reports of failed standing assumptions, byte for byte as
+    # recorded while `parse_input` still ran its own check on A.
     def test_exit_3_zero_row(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"mode":"katsura","n":1,"A":[[0]],"B":[[0]]}')
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["assumption"] == "zero row"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            '{\n  "error": {\n    "exit_code": 3,\n    "assumption": "zero row",\n'
+            '    "message": "A row 1 is identically zero"\n  }\n}\n'
+        )
+
+    def test_exit_3_negative_entry(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"mode":"katsura","n":2,"A":[[1,0],[-1,1]],"B":[[1,0],[1,1]]}')
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            '{\n  "error": {\n    "exit_code": 3,\n    "assumption": "negative entry",\n'
+            '    "message": "A row 2 has a negative entry"\n  }\n}\n'
+        )
 
     def test_exit_2_malformed(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -308,6 +339,19 @@ class TestKappa:
     def test_bad_syntax(self, capsys, pair_file):
         assert main(["kappa", pair_file, "--m", "1", "--path", "zzz"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("path", ["e(\u0661,\u0661,\u0660)", "v(\u0661)"], ids=["edge", "vertex"])
+    def test_labels_are_ascii_digits(self, capsys, path, pair_file):
+        # `\d` would also match these Arabic-Indic digits.
+        assert main(["kappa", pair_file, "--m", "1", "--path", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["assumption"] == "bad edge syntax"
+
+    @pytest.mark.parametrize("m", ["\u0662", "+1", " 1", "1_0"])
+    def test_m_is_ascii_decimal(self, capsys, m, pair_file):
+        assert main(["kappa", pair_file, "--m", m, "--path", "v(1)"]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "path", ["e(1,1," + "9" * 5000 + ")", "v(" + "1" * 5000 + ")"], ids=["edge", "vertex"]
     )
@@ -341,6 +385,18 @@ class TestRealize:
 
     def test_bad_factor(self, capsys):
         assert main(["realize", "--rank", "0", "--t0", "1"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("t0", ["+3,1_1", "\u0663", "3,+11"])
+    def test_torsion_is_ascii_decimal(self, capsys, t0):
+        # `int` alone reads "+3,1_1" as Z/3 ⊕ Z/11 = Z/33.
+        assert main(["realize", "--rank", "0", "--t0", t0]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["assumption"] == "parse"
+
+    def test_torsion_spaces_around_commas(self, capsys):
+        code, doc = run_json(capsys, ["realize", "--rank", "0", "--t0", " 2 , 3 ,"])
+        assert code == EXIT_OK and doc["target"]["K0"] == "Z/6"
 
     def test_golden_output(self, capsys):
         # sha256 of the full stdout, recorded while `realize` still verified

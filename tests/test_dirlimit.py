@@ -12,8 +12,8 @@ from kep import (
     eventual_kernel,
     from_cokernel,
     ker_one_minus_shift,
-    kernel_group,
 )
+from kep.abgroup import kernel_group
 from kep.dirlimit import _fixed_sublattice, _lattice_basis, _solve_exact
 
 
@@ -130,8 +130,8 @@ class TestSolveExact:
 class TestShiftKernelCokernel:
     def test_doubling(self):
         lim = limit_of([[2]])
-        assert ker_one_minus_shift(lim).is_trivial
-        assert coker_one_minus_shift(lim).is_trivial
+        assert ker_one_minus_shift(lim) == FGAbelianGroup.trivial()
+        assert coker_one_minus_shift(lim) == FGAbelianGroup.trivial()
 
     def test_unit(self):
         lim = limit_of([[1]])
@@ -143,7 +143,7 @@ class TestShiftKernelCokernel:
         assert ker_one_minus_shift(lim) == FGAbelianGroup(2, ())
 
     def test_coker_all_minus_ones(self):
-        t = IntMatrix([[-1, -1], [-1, -1]]) + IntMatrix.identity(2)
+        t = IntMatrix([[0, -1], [-1, 0]])  # [[-1, -1], [-1, -1]] + I
         assert coker_one_minus_shift(StationaryLimit(t)) == FGAbelianGroup(1, ())
 
     def test_oracle_agreement(self):

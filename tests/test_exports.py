@@ -1,9 +1,11 @@
 """Every exported name resolves, so `from kep import *` works after a
-deletion; no module keeps an import it no longer uses, and none imports
-`fractions` or `decimal` or calls `float`."""
+deletion, and is read by a demo or the README; no module keeps an import it
+no longer uses, and none imports `fractions` or `decimal` or calls
+`float`."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,25 @@ def test_star_import():
     namespace = {}
     exec("from kep import *", namespace)
     assert "hk_check" in namespace
+
+
+REPO = Path(__file__).resolve().parent.parent
+# Callers catch the errors, and the version is package metadata.
+EXPORTED_UNREAD = {"InputValidationError", "InternalError", "__version__"}
+
+
+def test_exports_are_read():
+    # The public surface is what the demos and README show; a name only
+    # tests read belongs in its module, not in `kep.__all__`.
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in [REPO / "README.md", *sorted((REPO / "demos").glob("*.py"))]
+    )
+    unread = [
+        name for name in kep.__all__
+        if name not in EXPORTED_UNREAD and not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+    assert unread == []
 
 
 def unused_imports(source: str) -> list[str]:

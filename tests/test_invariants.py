@@ -55,7 +55,7 @@ class TestHomology:
         assert (h.h0, h.h1, h.h2) == (FGAbelianGroup(0, (2,)), ZERO, ZERO)
 
     def test_degree_three_always_trivial(self):
-        assert homology(A1, B1).degrees()[3].is_trivial
+        assert homology(A1, B1).degrees()[3] == ZERO
 
     def test_rejects_zero_row(self):
         with pytest.raises(InputValidationError):
@@ -139,6 +139,32 @@ class TestSftHomology:
         n = 3
         h = sft_homology(IntMatrix.identity(n))
         assert (h.h0, h.h1, h.h2) == (FGAbelianGroup(n, ()), FGAbelianGroup(n, ()), ZERO)
+
+
+class TestOperand:
+    """Every operand holds a valid pair: construction runs the one check."""
+
+    @pytest.mark.parametrize(
+        "mode, a, b, assumption",
+        [
+            ("katsura", [[1, 0], [-1, 1]], [[1, 0], [1, 1]], "negative entry"),
+            ("katsura", [[0, 0], [1, 1]], [[0, 0], [1, 1]], "zero row"),
+            ("sft", [[1, -1], [1, 1]], None, "negative entry"),
+            ("sft", [[1, 1], [0, 0]], None, "zero row"),
+            ("katsura", [[1, 1]], [[1, 1]], "shape mismatch"),
+            ("katsura", [[2, 1], [1, 2]], [[1]], "shape mismatch"),
+        ],
+        ids=["negative", "zero-row", "sft-negative", "sft-zero-row", "non-square", "b-shape"],
+    )
+    def test_invalid_pair_raises(self, mode, a, b, assumption):
+        with pytest.raises(InputValidationError) as info:
+            Operand(mode, IntMatrix(a), None if b is None else IntMatrix(b))
+        assert info.value.assumption == assumption
+
+    def test_a_rows_checked_before_b_shape(self):
+        with pytest.raises(InputValidationError) as info:
+            Operand("katsura", IntMatrix([[0]]), IntMatrix([[1, 1]]))
+        assert info.value.assumption == "zero row"
 
 
 class TestAnalyze:

@@ -14,12 +14,9 @@ from kep import (
     is_pseudo_free,
     kappa_edge,
     kappa_path,
-    kappa_path_preimage,
-    parse_edge,
-    parse_path,
     phi_vertex_sum,
 )
-from kep.selfsim import path_ending_at, random_walk
+from kep.selfsim import kappa_path_preimage, parse_edge, parse_path, path_ending_at, random_walk
 
 A1 = IntMatrix([[2]])
 B1 = IntMatrix([[1]])
