@@ -5,6 +5,9 @@ failure or a pair that is not pseudo-free, 2 malformed or unreadable input
 or usage, 3 violated input assumption (named in the error report, e.g. an
 output integer beyond Python's digit limit), 4 violated internal invariant
 (a defect in kep; the error report names the invariant).
+Every failure prints a JSON error report on stderr; that includes usage
+errors (an unknown command, a missing argument, a bad flag value), which
+name the assumption "usage".
 Integers whose magnitude exceeds 53 bits are serialized as strings so
 reports survive consumers that parse JSON numbers as doubles.
 """
@@ -12,11 +15,12 @@ reports survive consumers that parse JSON numbers as doubles.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from .abgroup import FGAbelianGroup
 from .errors import InputValidationError, InternalError, decimal
@@ -74,6 +78,16 @@ def _decimal_int(text: str) -> int:
     if not _DECIMAL_RE.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def _int_flag(text: str) -> int:
+    """`_decimal_int` for a flag value.  argparse reports an
+    ArgumentTypeError by its message, and any other error by the
+    converter's name."""
+    try:
+        return _decimal_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -420,8 +434,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_INCONCLUSIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ParseError instead of printing plain-text
+    usage and exiting; `add_subparsers` builds the subparsers from this
+    class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built on the first `main` call and reused: `parse_args`
+    returns a fresh namespace and leaves the parser unchanged.  It is not
+    built at import, which stays cheap."""
+    parser = _Parser(
         prog="kep",
         description="Exact homology and K-theory invariants of integer matrix pairs.",
     )
@@ -438,31 +465,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_kappa = sub.add_parser("kappa", help="apply the path action and report the carry")
     p_kappa.add_argument("file")
-    p_kappa.add_argument("--m", type=_decimal_int, required=True)
+    p_kappa.add_argument("--m", type=_int_flag, required=True)
     p_kappa.add_argument("--path", required=True, help='e.g. "e(1,1,0).e(1,1,1)" or "v(1)"')
     p_kappa.set_defaults(func=_cmd_kappa)
 
     p_realize = sub.add_parser("realize", help="build a pair with prescribed K-theory")
-    p_realize.add_argument("--rank", type=_decimal_int, required=True)
+    p_realize.add_argument("--rank", type=_int_flag, required=True)
     p_realize.add_argument("--t0", default="", help="comma-separated torsion factors for K0")
     p_realize.add_argument("--t1", default="", help="comma-separated torsion factors for K1")
     p_realize.set_defaults(func=_cmd_realize)
 
     p_check = sub.add_parser("check", help="seeded property sweep on one input")
     p_check.add_argument("file")
-    p_check.add_argument("--trials", type=_decimal_int, default=50)
-    p_check.add_argument("--seed", type=_decimal_int, default=0)
+    p_check.add_argument("--trials", type=_int_flag, default=50)
+    p_check.add_argument("--seed", type=_int_flag, default=0)
     p_check.set_defaults(func=_cmd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code else EXIT_OK
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help; a usage error raises ParseError instead
+        return EXIT_OK
+    except ParseError as exc:
+        return _emit_error(EXIT_PARSE, "usage", str(exc))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,10 +1,15 @@
+import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kep import invariants
+from kep import cli, invariants
 from kep.abgroup import FGAbelianGroup, direct_sum
 from kep.cli import (
     EXIT_INCONCLUSIVE,
@@ -42,6 +47,16 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def usage_error(capsys, argv):
+    """Runs a request that must fail as a usage error; returns the message."""
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "usage"
+    return err["message"]
 
 
 class TestParseInput:
@@ -239,7 +254,14 @@ class TestAnalyze:
         )
 
     def test_exit_2_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == EXIT_PARSE
+        message = usage_error(capsys, ["frobnicate"])
+        assert message.startswith("argument command: invalid choice: 'frobnicate'")
+
+    def test_exit_2_no_command(self, capsys):
+        assert usage_error(capsys, []) == "the following arguments are required: command"
+
+    def test_exit_2_missing_file_argument(self, capsys):
+        assert usage_error(capsys, ["analyze"]) == "the following arguments are required: file"
 
     def test_exit_4_internal_invariant(self, capsys, monkeypatch, pair_file):
         def broken(operand):
@@ -349,8 +371,8 @@ class TestKappa:
 
     @pytest.mark.parametrize("m", ["\u0662", "+1", " 1", "1_0"])
     def test_m_is_ascii_decimal(self, capsys, m, pair_file):
-        assert main(["kappa", pair_file, "--m", m, "--path", "v(1)"]) == EXIT_PARSE
-        assert capsys.readouterr().out == ""
+        message = usage_error(capsys, ["kappa", pair_file, "--m", m, "--path", "v(1)"])
+        assert message == f"argument --m: not a decimal integer: {m!r}"
 
     @pytest.mark.parametrize(
         "path", ["e(1,1," + "9" * 5000 + ")", "v(" + "1" * 5000 + ")"], ids=["edge", "vertex"]
@@ -587,3 +609,69 @@ def test_every_report_carries_schema_and_echo(capsys, pair_file, sft_file):
 
 def test_parse_input_returns_operand():
     assert parse_input(PAIR_DOC) == Operand("katsura", IntMatrix([[2]]), IntMatrix([[1]]))
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may see another's."""
+
+    def test_defaults_do_not_stick(self, capsys, pair_file):
+        main(["check", pair_file, "--trials", "2", "--seed", "5"])
+        capsys.readouterr()
+        main(["check", pair_file])
+        reused = capsys.readouterr().out
+        cli._build_parser.cache_clear()
+        main(["check", pair_file])
+        assert reused == capsys.readouterr().out
+
+    def test_usage_error_leaves_no_trace(self, capsys, pair_file):
+        usage_error(capsys, ["analyze", pair_file, "--m", "1"])
+        main(["analyze", pair_file])
+        after_error = capsys.readouterr().out
+        cli._build_parser.cache_clear()
+        main(["analyze", pair_file])
+        assert after_error == capsys.readouterr().out
+
+    def test_help_twice(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        first = capsys.readouterr()
+        assert main(["--help"]) == EXIT_OK
+        second = capsys.readouterr()
+        assert first.out.startswith("usage: kep") and first.err == ""
+        assert first == second
+
+    def test_built_once(self, capsys, monkeypatch, pair_file):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        main(["analyze", pair_file])
+        assert len(built) == 6  # kep and its five commands
+        for argv in (["analyze", pair_file], ["check", pair_file, "--trials", "1"], ["frobnicate"], ["--help"]):
+            main(argv)
+        assert len(built) == 6
+
+
+def test_import_builds_no_parser():
+    # Importing kep.cli is what the benchmark's set-up time measures.
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import kep.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
