@@ -18,22 +18,22 @@ from .intmat import IntMatrix, rank, smith_diagonal
 def _invariant_chain(factors: list[int]) -> tuple[int, ...]:
     """Canonical divisor chain of the torsion group ⊕ Z/f.
 
-    Uses the exchange Z/a ⊕ Z/b = Z/gcd(a,b) ⊕ Z/lcm(a,b) until every pair
-    is comparable under divisibility; sorting then gives the invariant
-    factors.  Only gcd arithmetic, so hundred-digit factors are fine.
+    One triangular sweep of the exchange Z/a ⊕ Z/b = Z/gcd(a,b) ⊕
+    Z/lcm(a,b): for i < j in turn, (a_i, a_j) <- (gcd, lcm).  After row i,
+    a_i divides every later entry (each step of the row leaves a_i dividing
+    the lcm it writes, and only shrinks a_i to a divisor).  Later rows
+    replace two multiples of a_i with their gcd and lcm, again multiples of
+    a_i, so that stays true.  The result is therefore a divisor chain,
+    ascending, with its 1s in front; invariant factors are unique, so it is
+    the chain.  Only gcd arithmetic, so hundred-digit factors are fine.
     """
     factors = [f for f in factors if f > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if a % b and b % a:
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-    return tuple(sorted(f for f in factors if f > 1))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            factors[i], factors[j] = g, a * b // g
+    return tuple(f for f in factors if f > 1)
 
 
 @dataclass(frozen=True)

@@ -98,8 +98,10 @@ def _as_int(value: Any, where: str) -> int:
     if isinstance(value, str):
         try:
             return _decimal_int(value)
-        except ValueError:
-            raise ParseError(f"{where} is not an integer: {value!r}") from None
+        except ValueError as exc:
+            # Not decimal digits, or more digits than the interpreter's limit
+            # (whose message gives the limit, not the digits).
+            raise ParseError(f"{where}: {exc}") from None
     raise ParseError(f"{where} must be an integer")
 
 
@@ -116,7 +118,7 @@ def _parse_matrix(raw: Any, n: int, name: str) -> IntMatrix:
             raise InputValidationError(
                 "shape mismatch", f"{name} row {i + 1} must have {n} entries, got {len(row)}"
             )
-        rows.append([_as_int(x, f"{name}[{i + 1}]") for x in row])
+        rows.append([_as_int(x, f"{name}[{i + 1}][{j + 1}]") for j, x in enumerate(row)])
     return IntMatrix(rows)
 
 
@@ -130,8 +132,9 @@ def parse_input(data: bytes | str) -> Operand:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except ValueError as exc:
-        # JSONDecodeError, or a number literal beyond the int digit limit.
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a number literal beyond the int digit limit, or
+        # nesting deeper than the decoder's recursion limit.
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("input must be a JSON object")

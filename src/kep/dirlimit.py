@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .abgroup import FGAbelianGroup, from_cokernel
 from .errors import InternalError
-from .intmat import IntMatrix, hnf, hstack, kernel_basis
+from .intmat import IntMatrix, hnf, kernel_basis
 
 Vector = tuple[int, ...]
 
@@ -84,7 +84,7 @@ def _preimage(m: IntMatrix, basis: list[Vector]) -> list[Vector]:
     n = m.cols
     if not basis:
         return _lattice_basis(kernel_basis(m), n)
-    combined = hstack(m, -IntMatrix.from_columns(basis))
+    combined = IntMatrix(list(row) + [-v[i] for v in basis] for i, row in enumerate(m))
     return _lattice_basis([v[:n] for v in kernel_basis(combined)], n)
 
 

@@ -5,12 +5,14 @@ All arithmetic is over Python ints, so nothing here can overflow.  Matrices
 are immutable; every operation returns fresh values.
 
 Two algorithms give Smith diagonals.  `_smith` eliminates by
-smallest-entry pivots and serves two entry points: `smith_diagonal` runs it
-alone, which is all a cokernel of any shape needs, and `snf` also replays
-every row and column operation on the unimodular U and V.  Those grow far
-longer than the diagonal, so only a caller that reads them uses `snf`; in
-the library that is a nonzero `kernel_basis` alone, which reads the columns
-of V.  `smith_diagonal_mod_det` takes a square M with its |det M| > 0 and
+smallest-entry pivots on the leading block of one list matrix, acting on
+whole rows and columns.  `smith_diagonal` runs it on M alone, which is all
+a cokernel of any shape needs; `snf` runs it on M bordered by identities,
+[[M, I], [I, 0]], so the same operations build U in the right border and
+V in the lower one.  U and V grow far longer than the diagonal, so only a
+caller that reads them uses `snf`; in the library that is a nonzero
+`kernel_basis` alone, which reads the columns of V.
+`smith_diagonal_mod_det` takes a square M with its |det M| > 0 and
 gets the diagonal from a Hermite form reduced modulo a shrinking modulus,
 so no entry exceeds |det M|; it reaches `_smith` only for a cokernel
 that is not cyclic, and then on that bounded triangular form.
@@ -99,13 +101,11 @@ class IntMatrix:
         return tuple(sum(row[j] * vector[j] for j in range(self.cols)) for row in self._data)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return IntMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self._data])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -135,17 +135,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._data]
-
-    def _require_same_shape(self, other: "IntMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-
-
-def hstack(left: IntMatrix, right: IntMatrix) -> IntMatrix:
-    """Concatenate two matrices with equal row counts side by side."""
-    if left.rows != right.rows:
-        raise ValueError("row counts differ")
-    return IntMatrix([lrow + rrow for lrow, rrow in zip(left, right)])
 
 
 @dataclass(frozen=True)
@@ -181,42 +170,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _smith(a: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None) -> None:
-    """Reduce the list matrix `a` to Smith form in place, replaying every row
-    operation on `u` and every column operation on `v` where they are given.
+def _smith(a: list[list[int]], rows: int, cols: int) -> None:
+    """Reduce the leading rows x cols block of the list matrix `a` to Smith
+    form in place.
+
+    Row operations act on whole rows of `a` and column operations on whole
+    columns, so entries beside and below the block record them: `snf` borders
+    M as [[M, I], [I, 0]], and the right border ends as U and the lower one
+    as V, while the zero corner is never touched (Cohen, *A Course in
+    Computational Algebraic Number Theory*, §2.4).
 
     Pivoting always selects the nonzero entry of smallest absolute value in
-    the remaining submatrix and reduces its row and column by it; this keeps
+    the remaining block and reduces its row and column by it; this keeps
     intermediate entries from blowing up.  Before a pivot is finalized it is
-    made to divide every entry of the remaining submatrix, so the diagonal
+    made to divide every entry of the remaining block, so the diagonal
     comes out as a divisor chain without a separate fix-up pass.
     """
-    rows, cols = len(a), len(a[0])
-    row_mats = [a] if u is None else [a, u]
-    col_mats = [a] if v is None else [a, v]
-
-    def swap_rows(i: int, k: int) -> None:
-        for mat in row_mats:
-            mat[i], mat[k] = mat[k], mat[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for mat in col_mats:
-            for row in mat:
-                row[j], row[k] = row[k], row[j]
-
-    def add_row(dst: int, src: int, factor: int) -> None:
-        for mat in row_mats:
-            mat[dst] = [x + factor * y for x, y in zip(mat[dst], mat[src])]
-
-    def add_col(dst: int, src: int, factor: int) -> None:
-        for mat in col_mats:
-            for row in mat:
-                row[dst] += factor * row[src]
-
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # Smallest nonzero |entry| in the submatrix [t:, t:] becomes the pivot.
+        # Smallest nonzero |entry| in the block [t:rows, t:cols] becomes the pivot.
         pivot = None
         best = None
         for i in range(t, rows):
@@ -227,59 +200,67 @@ def _smith(a: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | N
                     pivot = (i, j)
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        pi, pj = pivot
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
 
+        top = a[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, rows):
             if a[i][t]:
-                add_row(i, t, -(a[i][t] // a[t][t]))
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
-            if a[t][j]:
-                add_col(j, t, -(a[t][j] // a[t][t]))
-                if a[t][j]:
+            if top[j]:
+                q = top[j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+                if top[j]:
                     dirty = True
         if dirty:
             # A remainder survived; it is strictly smaller than the pivot,
             # so re-picking the pivot makes progress.
             continue
 
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next(
+            (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 : cols])), None
+        )
         if bad is not None:
             # Pull the offending row up; the next reduction pass leaves a
             # remainder below |pivot|, shrinking the pivot.
-            add_row(t, bad, 1)
+            a[t] = [x + y for x, y in zip(top, a[bad])]
             continue
         t += 1
 
     for i in range(limit):
         if a[i][i] < 0:
-            for mat in row_mats:
-                mat[i] = [-x for x in mat[i]]
+            a[i] = [-x for x in a[i]]
 
 
 def snf(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with unimodular transformation witnesses.
 
-    Carrying U and V costs far more than the diagonal once entries are
-    large, so callers that need only the diagonal use `smith_diagonal`.
+    `_smith` runs on the bordered matrix [[M, I_rows], [I_cols, 0]]: its
+    row operations build U in the right border and its column operations
+    build V in the lower one.  Carrying U and V costs far more than the
+    diagonal once entries are large, so callers that need only the
+    diagonal use `smith_diagonal`.
     """
-    a = m.to_lists()
-    u = IntMatrix.identity(m.rows).to_lists()
-    v = IntMatrix.identity(m.cols).to_lists()
-    _smith(a, u, v)
-    return SnfDecomposition(U=IntMatrix(u), D=IntMatrix(a), V=IntMatrix(v))
+    r, c = m.rows, m.cols
+    a = [list(row) + [int(i == k) for k in range(r)] for i, row in enumerate(m)]
+    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+    _smith(a, r, c)
+    return SnfDecomposition(
+        U=IntMatrix(row[c:] for row in a[:r]),
+        D=IntMatrix(row[:c] for row in a[:r]),
+        V=IntMatrix(row[:c] for row in a[r:]),
+    )
 
 
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
@@ -292,7 +273,7 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     (1, 0)
     """
     a = m.to_lists()
-    _smith(a, None, None)
+    _smith(a, m.rows, m.cols)
     return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
 
 
@@ -360,7 +341,7 @@ def smith_diagonal_mod_det(m: IntMatrix, d: int) -> tuple[int, ...]:
     diagonal = [h[t][t] for t in range(n)]
     if lcm(*diagonal) == d:
         return (1,) * (n - 1) + (d,)
-    _smith(h, None, None)
+    _smith(h, n, n)
     return tuple(h[t][t] for t in range(n))
 
 
@@ -451,15 +432,6 @@ def hnf(m: IntMatrix) -> IntMatrix:
     """
     a = m.to_lists()
     rows, cols = m.rows, m.cols
-
-    def combine_cols(p: int, j: int, s: int, y: int, xo: int, yo: int) -> None:
-        # (col_p, col_j) <- (s*col_p + y*col_j, xo*col_p + yo*col_j); the
-        # 2x2 coefficient matrix must be unimodular.
-        for row in a:
-            cp, cj = row[p], row[j]
-            row[p] = s * cp + y * cj
-            row[j] = xo * cp + yo * cj
-
     p = 0
     for i in range(rows):
         if p == cols:
@@ -468,7 +440,13 @@ def hnf(m: IntMatrix) -> IntMatrix:
             if a[i][j] == 0:
                 continue
             g, x, y = _xgcd(a[i][p], a[i][j])
-            combine_cols(p, j, x, y, -(a[i][j] // g), a[i][p] // g)
+            s, t = -(a[i][j] // g), a[i][p] // g
+            # (col_p, col_j) <- (x*col_p + y*col_j, s*col_p + t*col_j): the
+            # 2x2 coefficient matrix has determinant (x*a_ip + y*a_ij)/g = 1.
+            for row in a:
+                cp, cj = row[p], row[j]
+                row[p] = x * cp + y * cj
+                row[j] = s * cp + t * cj
         if a[i][p] == 0:
             continue
         if a[i][p] < 0:

@@ -137,6 +137,31 @@ class TestDirectSum:
         assert total.free_rank == g.free_rank + h.free_rank
 
 
+class TestFromCyclicOrders:
+    # Lists on which exchanging only incomparable pairs needs more than one
+    # sweep over the pairs.
+    @pytest.mark.parametrize(
+        ("orders", "torsion"),
+        [([12, 18, 8], (2, 12, 72)), ([10, 5, 25], (5, 5, 50)), ([16, 3, 3, 22], (6, 528))],
+    )
+    def test_multi_sweep_examples(self, orders, torsion):
+        assert FGAbelianGroup.from_cyclic_orders(orders).torsion == torsion
+        assert element_order_multiset(torsion) == element_order_multiset(tuple(orders))
+
+    def test_seeded_random_against_element_orders(self):
+        rng = random.Random(16)
+        checked = 0
+        while checked < 200:
+            orders = [rng.randint(0, 30) for _ in range(rng.randint(1, 5))]
+            finite = tuple(d for d in orders if d)
+            if math.prod(finite) > 3000:
+                continue
+            g = FGAbelianGroup.from_cyclic_orders(orders)
+            assert g.free_rank == orders.count(0)
+            assert element_order_multiset(g.torsion) == element_order_multiset(finite)
+            checked += 1
+
+
 class TestIsIsomorphic:
     def test_free(self):
         assert FGAbelianGroup(1, ()) == FGAbelianGroup(1, ())

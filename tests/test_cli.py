@@ -99,6 +99,20 @@ class TestParseInput:
         with pytest.raises(ParseError):
             parse_input(doc)
 
+    @pytest.mark.parametrize(
+        ("a", "message"),
+        [
+            ('[[1,"x"],[1,1]]', "A[1][2]: not a decimal integer: 'x'"),
+            ("[[1,1],[true,1]]", "A[2][1] must be an integer"),
+            ('[[1,1],[1,"1.5"]]', "A[2][2]: not a decimal integer: '1.5'"),
+        ],
+        ids=["letter", "bool", "decimal-point"],
+    )
+    def test_bad_entry_named_by_row_and_column(self, a, message):
+        with pytest.raises(ParseError) as info:
+            parse_input('{"mode":"katsura","n":2,"A":' + a + ',"B":[[1,1],[1,1]]}')
+        assert str(info.value) == message
+
     def test_zero_row_named(self):
         with pytest.raises(InputValidationError) as info:
             parse_input('{"mode":"katsura","n":1,"A":[[0]],"B":[[0]]}')
@@ -195,6 +209,16 @@ class TestAnalyze:
         path.write_text("not json at all")
         assert main(["analyze", str(path)]) == EXIT_PARSE
 
+    def test_exit_2_deeply_nested(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on deep nesting.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+
     def test_exit_2_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/nowhere.json"]) == EXIT_PARSE
 
@@ -219,6 +243,20 @@ class TestAnalyze:
         assert captured.out == ""
         err = json.loads(captured.err)["error"]
         assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+
+    def test_exit_2_oversized_string_entry(self, capsys, tmp_path):
+        # A decimal string beyond the digit limit is named by its entry and
+        # reported by the limit, without echoing its digits.
+        path = tmp_path / "big.json"
+        path.write_text('{"mode":"katsura","n":2,"A":[[1,"' + "9" * 5000 + '"],[1,1]],"B":[[1,1],[1,1]]}')
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+        assert err["message"].startswith("A[1][2]: ")
+        assert f"({sys.get_int_max_str_digits()}" in err["message"]
+        assert "9" * 50 not in err["message"]
 
     def test_exit_3_oversized_output_integer(self, capsys, tmp_path):
         # Valid input whose torsion factor and det(I - A) have about 4400

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd
 
@@ -114,6 +115,61 @@ class TestSnf:
                 expected_d1 = gcd(expected_d1, x)
             assert d1 == expected_d1
             assert d1 * d2 == abs(det(m))
+
+
+    # Exact U, D and V, recorded when `_smith` still replayed its operations
+    # on separate U and V: the bordered elimination must take the same steps.
+    @pytest.mark.parametrize(
+        ("m", "u", "d", "v"),
+        [
+            (
+                [[2, 4, 4], [-6, 6, 12]],
+                [[1, 0], [3, 1]],
+                [[2, 0, 0], [0, 6, 0]],
+                [[1, 0, -2], [0, -1, 4], [0, 1, -3]],
+            ),
+            (
+                [[1, 2], [3, 4], [5, 6]],
+                [[1, 0, 0], [3, -1, 0], [1, -2, 1]],
+                [[1, 0], [0, 2], [0, 0]],
+                [[1, -2], [0, 1]],
+            ),
+            (
+                [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                [[1, 0, 0], [4, -1, 0], [1, -2, 1]],
+                [[1, 0, 0], [0, 3, 0], [0, 0, 0]],
+                [[1, -2, 1], [0, 1, -2], [0, 0, 1]],
+            ),
+            (
+                [[2, 0, 4], [0, 0, 0], [6, 0, 3]],
+                [[-2, 0, 1], [-21, 0, 10], [0, 1, 0]],
+                [[1, 0, 0], [0, 18, 0], [0, 0, 0]],
+                [[3, -5, 0], [0, 0, 1], [1, -2, 0]],
+            ),
+        ],
+        ids=["2x3", "3x2", "rank-deficient-3x3", "zero-row-and-column"],
+    )
+    def test_pinned_transforms(self, m, u, d, v):
+        decomp = snf(IntMatrix(m))
+        assert decomp.U.to_lists() == u
+        assert decomp.D.to_lists() == d
+        assert decomp.V.to_lists() == v
+
+    def test_pinned_transforms_64_bit(self):
+        # U and V run to 2482 bits here, so their digest is pinned.
+        rng = random.Random(2024)
+        m = IntMatrix([[rng.randint(-(2**63), 2**63) for _ in range(4)] for _ in range(4)])
+        decomp = snf(m)
+        assert decomp.diagonal() == (
+            1,
+            1,
+            1,
+            511577274420814333765865328807508153868270262114169447168744318561983567214,
+        )
+        transforms = repr((decomp.U.to_lists(), decomp.D.to_lists(), decomp.V.to_lists()))
+        assert hashlib.sha256(transforms.encode()).hexdigest() == (
+            "32585b20eb7a68959980f57cc61cf338d2fea86fe440c84d97d2d732b90af57f"
+        )
 
 
 class TestSmithDiagonal:
