@@ -69,6 +69,9 @@ class ParseError(ValueError):
 
 
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
+# A rejected value longer than this is quoted by its prefix and its length,
+# so the error report stays small whatever the input holds.
+_QUOTE_LIMIT = 40
 
 
 def _decimal_int(text: str) -> int:
@@ -76,7 +79,9 @@ def _decimal_int(text: str) -> int:
     `int` alone would also take surrounding spaces, a plus sign,
     underscores and non-ASCII digits."""
     if not _DECIMAL_RE.fullmatch(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        if len(text) <= _QUOTE_LIMIT:
+            raise ValueError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)")
     return int(text)
 
 

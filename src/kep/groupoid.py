@@ -7,7 +7,14 @@ beta.y to alpha.kappa_m(y).  A slice is the triple (alpha, m, beta); the
 operations that read A and B take the pair as their leading arguments, like
 `kappa_path`.  A slice is stored as built, never reduced.  It equals the
 disjoint union of its refinements, so two slices are compared with
-`slices_equal`, which refines both to a common depth, not by field equality.
+`slices_equal`, which refines both to a common depth, not by field equality;
+at equal beta depth that refinement is the slices themselves, and field
+equality decides.
+
+A product `compose_slices` reads the two middle paths once as edge tuples:
+it compares them, folds the overhang of the longer one through the action
+(`selfsim._act`, the fold behind `kappa_path`), and builds one path and one
+slice.
 """
 
 from __future__ import annotations
@@ -19,15 +26,15 @@ from .selfsim import (
     Edge,
     Path,
     PseudoFreeness,
+    _act,
     _check_vertex,
     _validate_pair,
     is_pseudo_free,
     kappa_path,
-    kappa_path_preimage,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice:
     """Basic bisection Z(alpha, m, beta); the pair (A, B) it lives over is
     an argument of every operation that reads it."""
@@ -56,13 +63,16 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
     _validate_pair(a, b)
     v = s.beta.range
     _check_vertex(a, v)
+    alpha_edges, m, beta_edges = s.alpha.edges, s.m, s.beta.edges
     children = []
     for j, (a_entry, b_entry) in enumerate(zip(a.row(v - 1), b.row(v - 1)), 1):
-        shift = s.m * b_entry
-        for t in range(a_entry):
+        shift = m * b_entry
+        # t -> l permutes the labels, so both new edges come from one list.
+        steps = [(Edge(v, j, t),) for t in range(a_entry)]
+        for t, step in enumerate(steps):
             carry, label = divmod(shift + t, a_entry)
-            alpha = Path._composed(s.alpha.edges + (Edge(v, j, label),))
-            beta = Path._composed(s.beta.edges + (Edge(v, j, t),))
+            alpha = Path._composed(alpha_edges + steps[label])
+            beta = Path._composed(beta_edges + step)
             children.append(Slice(alpha, carry, beta))
     return children
 
@@ -75,24 +85,45 @@ def _refine_to_depth(a: IntMatrix, b: IntMatrix, s: Slice, depth: int) -> list[S
     return level
 
 
+def _extend(path: Path, edges: tuple[Edge, ...]) -> Path:
+    """`path.concat` with the nonempty path of `edges`, built once."""
+    if path.range != edges[0].source:
+        raise ValueError("paths are not composable")
+    return Path._composed(path.edges + edges)
+
+
 def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | None:
     """Product of two slices over the pair (A, B), or None when their
     middle cylinders miss.
 
     With matching middles, Z(a, m1, b) . Z(b, m2, c) = Z(a, m1 + m2, c).
     When one middle path extends the other, the shorter-sided operand is
-    refined along the overhang until the middles match (an empty overhang
-    changes nothing); incomparable middles give the empty product.
+    refined along the overhang until the middles match; incomparable
+    middles, or empty ones at different vertices, give the empty product.
+
+    One pass over the middles' edge tuples: sources first, then the shorter
+    one as a prefix of the longer.  A forward overhang (s2.alpha longer)
+    extends s1.alpha by kappa_{m1}(overhang), with carry phi(m1, overhang)
+    added to m2.  A backward one (s1.beta longer) extends s2.beta by the
+    preimage kappa_{-m2}(overhang), and m1 gains -phi(-m2, overhang), the
+    carry of that preimage under m2 (see `kappa_path_preimage`).
     """
-    overhang = s2.alpha.tail_after(s1.beta)
-    if overhang is not None:
-        image, carry = kappa_path(a, b, s1.m, overhang)
-        return Slice(s1.alpha.concat(image), carry + s2.m, s2.beta)
-    overhang = s1.beta.tail_after(s2.alpha)
-    if overhang is not None:
-        preimage, carry = kappa_path_preimage(a, b, s2.m, overhang)
-        return Slice(s1.alpha, s1.m + carry, s2.beta.concat(preimage))
-    return None
+    middle1, middle2 = s1.beta, s2.alpha
+    if middle1.source != middle2.source:
+        return None
+    edges1, edges2 = middle1.edges, middle2.edges
+    k1, k2 = len(edges1), len(edges2)
+    if k1 <= k2:
+        if edges2[:k1] != edges1:
+            return None
+        if k1 == k2:
+            return Slice(s1.alpha, s1.m + s2.m, s2.beta)
+        image, carry = _act(a, b, s1.m, edges2[k1:])
+        return Slice(_extend(s1.alpha, image), carry + s2.m, s2.beta)
+    if edges1[:k2] != edges2:
+        return None
+    preimage, carry = _act(a, b, -s2.m, edges1[k2:])
+    return Slice(s1.alpha, s1.m - carry, _extend(s2.beta, preimage))
 
 
 def invert_slice(s: Slice) -> Slice:
@@ -112,8 +143,14 @@ def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> P
 def slices_equal(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> bool:
     """Semantic equality of two slices over the pair (A, B): refine both to
     a common beta depth and compare the resulting sets of pieces.  Exact for
-    pseudo-free pairs."""
-    depth = max(len(s1.beta), len(s2.beta))
+    pseudo-free pairs.
+
+    At equal beta depth each slice is its own refinement to that depth, so
+    the sets are {s1} and {s2} and field equality decides."""
+    k1, k2 = len(s1.beta), len(s2.beta)
+    if k1 == k2:
+        return s1 == s2
+    depth = max(k1, k2)
     return set(_refine_to_depth(a, b, s1, depth)) == set(_refine_to_depth(a, b, s2, depth))
 
 

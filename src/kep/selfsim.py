@@ -40,7 +40,7 @@ _new_object = object.__new__
 _set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A composable sequence of edges; the empty path is anchored at a vertex."""
 
@@ -246,6 +246,19 @@ def kappa_edge(a: IntMatrix, b: IntMatrix, m: int, e: Edge) -> tuple[Edge, int]:
     return Edge(e.source, e.target, l), k
 
 
+def _act(a: IntMatrix, b: IntMatrix, m: int, edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], int]:
+    """The carry fold of `kappa_path` on an edge tuple: (kappa_m(edges),
+    phi(m, edges)), each edge checked against A.  No edges give ((), m)."""
+    b_rows = tuple(b)
+    carry = m
+    out = []
+    for e in edges:
+        a_entry = _check_edge(a, e)
+        carry, label = divmod(carry * b_rows[e.source - 1][e.target - 1] + e.label, a_entry)
+        out.append(Edge(e.source, e.target, label))
+    return tuple(out), carry
+
+
 def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
     """Extend the action along a path by folding the carry left to right.
 
@@ -254,14 +267,8 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
     """
     if not p.edges:
         return p, m
-    b_rows = tuple(b)
-    carry = m
-    out = []
-    for e in p.edges:
-        a_entry = _check_edge(a, e)
-        carry, label = divmod(carry * b_rows[e.source - 1][e.target - 1] + e.label, a_entry)
-        out.append(Edge(e.source, e.target, label))
-    return Path._composed(tuple(out)), carry
+    edges, carry = _act(a, b, m, p.edges)
+    return Path._composed(edges), carry
 
 
 def kappa_path_preimage(a: IntMatrix, b: IntMatrix, m: int, target: Path) -> tuple[Path, int]:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from kep import Edge, Graph, IntMatrix, Path, Slice, kappa_edge
-from kep.selfsim import random_walk
+from kep import Edge, Graph, IntMatrix, Path, Slice, kappa_edge, kappa_path
+from kep.selfsim import kappa_path_preimage, random_walk
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
@@ -85,6 +85,23 @@ def reference_refine(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
             beta = Path(s.beta.edges + (g,))
             children.append(Slice(alpha, carry, beta))
     return children
+
+
+def reference_compose(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | None:
+    """The product of two slices over (A, B) from its definition: strip the
+    shorter middle off the longer with `tail_after`, move the overhang
+    through `kappa_path` (s2.alpha longer) or `kappa_path_preimage` (s1.beta
+    strictly longer), join with `concat`, and build the validating `Slice`;
+    None when neither middle extends the other."""
+    overhang = s2.alpha.tail_after(s1.beta)
+    if overhang is not None:
+        image, carry = kappa_path(a, b, s1.m, overhang)
+        return Slice(s1.alpha.concat(image), carry + s2.m, s2.beta)
+    overhang = s1.beta.tail_after(s2.alpha)
+    if overhang is not None:
+        preimage, carry = kappa_path_preimage(a, b, s2.m, overhang)
+        return Slice(s1.alpha, s1.m + carry, s2.beta.concat(preimage))
+    return None
 
 
 # ---------------------------------------------------------------------------

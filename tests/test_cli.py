@@ -258,6 +258,18 @@ class TestAnalyze:
         assert f"({sys.get_int_max_str_digits()}" in err["message"]
         assert "9" * 50 not in err["message"]
 
+    def test_exit_2_long_non_decimal_entry(self, capsys, tmp_path):
+        # A rejected entry is quoted by a bounded prefix and its length.
+        path = tmp_path / "long.json"
+        path.write_text('{"mode":"katsura","n":2,"A":[["' + "x" * 100000 + '",1],[1,1]],"B":[[1,1],[1,1]]}')
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 1024
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+        assert err["message"] == f"A[1][1]: not a decimal integer: {'x' * 40!r}... (100000 characters)"
+
     def test_exit_3_oversized_output_integer(self, capsys, tmp_path):
         # Valid input whose torsion factor and det(I - A) have about 4400
         # digits: more than Python converts to text.
@@ -411,6 +423,15 @@ class TestKappa:
     def test_m_is_ascii_decimal(self, capsys, m, pair_file):
         message = usage_error(capsys, ["kappa", pair_file, "--m", m, "--path", "v(1)"])
         assert message == f"argument --m: not a decimal integer: {m!r}"
+
+    def test_long_m_quoted_by_prefix(self, capsys, pair_file):
+        assert main(["kappa", pair_file, "--m", "y" * 50000, "--path", "v(1)"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 1024
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "usage"
+        assert err["message"] == f"argument --m: not a decimal integer: {'y' * 40!r}... (50000 characters)"
 
     @pytest.mark.parametrize(
         "path", ["e(1,1," + "9" * 5000 + ")", "v(" + "1" * 5000 + ")"], ids=["edge", "vertex"]

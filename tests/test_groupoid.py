@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import (
     classifier_oracle,
     random_pseudo_free_pair,
+    reference_compose,
     reference_random_walk,
     reference_refine,
 )
@@ -182,6 +184,61 @@ class TestCompose:
         s2 = Slice(Path.of([Edge(1, 1, 1)]), 0, Path.empty(1))
         assert compose_slices(a, b, s1, s2) is None
 
+    def test_matches_definition(self):
+        # Against the definition through tail_after, kappa_path(_preimage)
+        # and concat: forward and backward overhangs, equal and incomparable
+        # middles, and empty middles at different vertices; negative B and
+        # m, and (sparse pairs) B = 0 on some edges.
+        rng = random.Random(50)
+        seen = Counter()
+        for k in range(800):
+            if k % 2:
+                a, b = random_pseudo_free_pair(rng, max_n=3, b_range=(-9, 9))
+            else:
+                a, b = random_sparse_pair(rng, max_n=4)
+            g = Graph(a)
+            s1 = random_slice(rng, g, max_len=3, max_m=20)
+            middle = s1.beta
+            shape = rng.choice(("forward", "backward", "equal", "empty", "other"))
+            if shape == "forward":
+                middle = middle.concat(random_walk(g, rng, middle.range, rng.randint(1, 3)))
+            elif shape == "backward" and middle.edges:
+                cut = rng.randrange(len(middle))
+                middle = Path(middle.edges[:cut]) if cut else Path.empty(middle.source)
+            elif shape == "empty":
+                v, w = rng.choice(list(g.vertices())), rng.choice(list(g.vertices()))
+                s1 = Slice(path_ending_at(g, rng, v, 3), s1.m, Path.empty(v))
+                middle = Path.empty(w)
+            elif shape == "other":
+                middle = random_walk(g, rng, rng.choice(list(g.vertices())), rng.randint(0, 3))
+            s2 = Slice(middle, rng.randint(-20, 20), path_ending_at(g, rng, middle.range, 3))
+            if s1.beta == s2.alpha:
+                seen["equal"] += 1
+            elif s2.alpha.tail_after(s1.beta) is not None:
+                seen["forward"] += 1
+            elif s1.beta.tail_after(s2.alpha) is not None:
+                seen["backward"] += 1
+            elif not s1.beta.edges and not s2.alpha.edges:
+                seen["empty apart"] += 1
+            else:
+                seen["incomparable"] += 1
+            assert compose_slices(a, b, s1, s2) == reference_compose(a, b, s1, s2)
+        assert min(seen[key] for key in ("equal", "forward", "backward", "empty apart", "incomparable")) >= 50
+
+    @pytest.mark.parametrize("edge", [Edge(1, 1, 5), Edge(1, 2, 0)], ids=["label", "vertex"])
+    def test_unknown_overhang_edge(self, edge):
+        # Forward and backward overhangs report the missing edge with
+        # kappa_path's error.
+        overhang = Path.of([edge])
+        with pytest.raises(InputValidationError) as expected:
+            kappa_path(A1, B1, 1, overhang)
+        forward = (Slice(V, 1, V), Slice(overhang, 0, overhang))
+        for s1, s2 in (forward, forward[::-1]):
+            with pytest.raises(InputValidationError) as info:
+                compose_slices(A1, B1, s1, s2)
+            assert info.value.assumption == "unknown edge"
+            assert str(info.value) == str(expected.value)
+
     def test_compose_semantics_random(self):
         # For exact-middle products, the composite's partial map is the
         # composition of the factors' partial maps on every cylinder.
@@ -291,6 +348,50 @@ class TestLaws:
         assert not slices_equal(A1, B1, s, Slice(V, 0, V))
         assert slices_equal(A1, B1, s, s)
         assert not slices_equal(A1, B1, child[0], child[1])
+
+    def test_slices_equal_across_depths(self):
+        # A = [[1]]: the one edge e gives Z(v, m, v) = Z(e, m*B, e) as sets.
+        a, b = IntMatrix([[1]]), IntMatrix([[3]])
+        e = Path.of([Edge(1, 1, 0)])
+        for m in (-2, 0, 5):
+            assert slices_equal(a, b, Slice(V, m, V), Slice(e, 3 * m, e))
+            assert slices_equal(a, b, Slice(e, 3 * m, e), Slice(V, m, V))
+            assert not slices_equal(a, b, Slice(V, m, V), Slice(e, 3 * m + 1, e))
+
+    def test_slices_equal_matches_refinement_definition(self):
+        # Equal depth compares fields; other depths refine.  The reference
+        # refines both slices to the deeper beta and compares the sets.
+        def reference_equal(a, b, s1, s2):
+            depth = max(len(s1.beta), len(s2.beta))
+            pieces = []
+            for s in (s1, s2):
+                level = [s]
+                while len(level[0].beta) < depth:
+                    level = [child for piece in level for child in reference_refine(a, b, piece)]
+                pieces.append(set(level))
+            return pieces[0] == pieces[1]
+
+        rng = random.Random(52)
+        seen = Counter()
+        for k in range(400):
+            a, b = random_pseudo_free_pair(rng, max_n=3) if k % 2 else random_sparse_pair(rng, max_n=3)
+            g = Graph(a)
+            s1 = random_slice(rng, g, max_len=2)
+            shape = rng.choice(("copy", "shifted", "random", "child"))
+            if shape == "copy":
+                s2 = Slice(Path(s1.alpha.edges, s1.alpha.vertex), s1.m, Path(s1.beta.edges, s1.beta.vertex))
+            elif shape == "shifted":
+                s2 = Slice(s1.alpha, s1.m + rng.choice((-1, 1)), s1.beta)
+            elif shape == "random":
+                s2 = random_slice(rng, g, max_len=2)
+            else:
+                s2 = rng.choice(refine_slice(a, b, s1))
+            expected = reference_equal(a, b, s1, s2)
+            same_depth = len(s1.beta) == len(s2.beta)
+            seen[same_depth, expected] += 1
+            assert slices_equal(a, b, s1, s2) == expected
+            assert slices_equal(a, b, s2, s1) == expected
+        assert min(seen.values()) >= 10 and len(seen) == 4
 
 
 class TestClassify:
