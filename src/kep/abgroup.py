@@ -4,6 +4,10 @@ A group is stored in canonical form: a free rank plus an invariant-factor
 chain (each factor >= 2, each dividing the next).  By the structure theorem
 two values are equal exactly when the groups are isomorphic, so equality,
 hashing and printing are all decidable and stable.
+
+`FGAbelianGroup.from_cyclic_orders` is the one canonicalizer: cokernels
+(from a Smith diagonal) and direct sums are lists of cyclic orders handed
+to it.
 """
 
 from __future__ import annotations
@@ -94,20 +98,13 @@ class FGAbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def _from_diagonal(diagonal: tuple[int, ...], free_rank: int) -> FGAbelianGroup:
-    torsion = tuple(d for d in diagonal if d > 1)
-    free_rank += sum(1 for d in diagonal if d == 0)
-    return FGAbelianGroup(free_rank, torsion)
-
-
 def from_cokernel(m: IntMatrix) -> FGAbelianGroup:
     """Z^rows / (column lattice of M), in canonical form.
 
     For a square n x n matrix this is Z^n / M Z^n with free rank
     n - rank(M) and torsion the invariant factors > 1.
     """
-    diagonal = smith_diagonal(m)
-    return _from_diagonal(diagonal, free_rank=m.rows - min(m.rows, m.cols))
+    return FGAbelianGroup.from_cyclic_orders(smith_diagonal(m), free_rank=m.rows - min(m.rows, m.cols))
 
 
 def kernel_group(m: IntMatrix) -> FGAbelianGroup:
@@ -123,7 +120,4 @@ def direct_sum(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
     >>> direct_sum(FGAbelianGroup(0, (2,)), FGAbelianGroup(0, (4,))).torsion
     (2, 4)
     """
-    return FGAbelianGroup(
-        g.free_rank + h.free_rank,
-        _invariant_chain(list(g.torsion) + list(h.torsion)),
-    )
+    return FGAbelianGroup.from_cyclic_orders(g.torsion + h.torsion, free_rank=g.free_rank + h.free_rank)

@@ -20,10 +20,10 @@ import json
 import random
 import re
 import sys
-from typing import Any, NoReturn
+from typing import Any, NoReturn, TextIO
 
 from .abgroup import FGAbelianGroup
-from .errors import InputValidationError, InternalError, decimal
+from .errors import InputValidationError, InternalError, decimal, quote
 from .groupoid import (
     PropertyReport,
     Slice,
@@ -51,7 +51,6 @@ from .selfsim import (
     path_ending_at,
     phi_vertex_sum,
     random_walk,
-    validate_path,
 )
 
 SCHEMA_VERSION = 2
@@ -69,9 +68,6 @@ class ParseError(ValueError):
 
 
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
-# A rejected value longer than this is quoted by its prefix and its length,
-# so the error report stays small whatever the input holds.
-_QUOTE_LIMIT = 40
 
 
 def _decimal_int(text: str) -> int:
@@ -79,9 +75,7 @@ def _decimal_int(text: str) -> int:
     `int` alone would also take surrounding spaces, a plus sign,
     underscores and non-ASCII digits."""
     if not _DECIMAL_RE.fullmatch(text):
-        if len(text) <= _QUOTE_LIMIT:
-            raise ValueError(f"not a decimal integer: {text!r}")
-        raise ValueError(f"not a decimal integer: {text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)")
+        raise ValueError(f"not a decimal integer: {quote(text)}")
     return int(text)
 
 
@@ -235,19 +229,16 @@ def _json_compare(op1: Operand, op2: Operand, rep: ComparisonReport) -> dict[str
     }
 
 
+def _write_json(stream: TextIO, payload: dict[str, Any]) -> None:
+    stream.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+
+
 def _emit(payload: dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    _write_json(sys.stdout, payload)
 
 
 def _emit_error(code: int, assumption: str, message: str) -> int:
-    sys.stderr.write(
-        json.dumps(
-            {"error": {"exit_code": code, "assumption": assumption, "message": message}},
-            indent=2,
-            ensure_ascii=False,
-        )
-        + "\n"
-    )
+    _write_json(sys.stderr, {"error": {"exit_code": code, "assumption": assumption, "message": message}})
     return code
 
 
@@ -279,7 +270,6 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
     if op.mode != "katsura":
         raise InputValidationError("missing B", "kappa needs a full pair (katsura mode)")
     path = parse_path(args.path)
-    validate_path(op.a, path)
     image, carry = kappa_path(op.a, op.b, args.m, path)
     _emit(
         {

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, with `decimal` (an integer
+as text, or an input error past the digit limit) and `quote` (input text
+for an error message, bounded in length)."""
 
 import sys
 
@@ -34,3 +36,16 @@ def decimal(v: int) -> str:
             f"an output integer has more than {sys.get_int_max_str_digits()} decimal "
             "digits, the limit of Python's int-to-text conversion",
         ) from None
+
+
+# A quoted input longer than this is shown by its prefix and its length, so
+# an error report stays small whatever the input holds.
+_QUOTE_LIMIT = 40
+
+
+def quote(text: str) -> str:
+    """``repr(text)`` for an input named in an error message; a text over 40
+    characters is quoted by its first 40 and its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"

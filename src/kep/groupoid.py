@@ -13,8 +13,9 @@ equality decides.
 
 A product `compose_slices` reads the two middle paths once as edge tuples:
 it compares them, folds the overhang of the longer one through the action
-(`selfsim._act`, the fold behind `kappa_path`), and builds one path and one
-slice.
+(`selfsim._act`, the one edge step behind `kappa_edge` and `kappa_path`),
+and builds one path and one slice; `Path._extended`, which `Path.concat`
+also uses, checks the junction.
 """
 
 from __future__ import annotations
@@ -85,13 +86,6 @@ def _refine_to_depth(a: IntMatrix, b: IntMatrix, s: Slice, depth: int) -> list[S
     return level
 
 
-def _extend(path: Path, edges: tuple[Edge, ...]) -> Path:
-    """`path.concat` with the nonempty path of `edges`, built once."""
-    if path.range != edges[0].source:
-        raise ValueError("paths are not composable")
-    return Path._composed(path.edges + edges)
-
-
 def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | None:
     """Product of two slices over the pair (A, B), or None when their
     middle cylinders miss.
@@ -119,11 +113,11 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
         if k1 == k2:
             return Slice(s1.alpha, s1.m + s2.m, s2.beta)
         image, carry = _act(a, b, s1.m, edges2[k1:])
-        return Slice(_extend(s1.alpha, image), carry + s2.m, s2.beta)
+        return Slice(s1.alpha._extended(image), carry + s2.m, s2.beta)
     if edges1[:k2] != edges2:
         return None
     preimage, carry = _act(a, b, -s2.m, edges1[k2:])
-    return Slice(s1.alpha, s1.m - carry, _extend(s2.beta, preimage))
+    return Slice(s1.alpha, s1.m - carry, s2.beta._extended(preimage))
 
 
 def invert_slice(s: Slice) -> Slice:

@@ -93,7 +93,7 @@ def _cokernel(m: IntMatrix, d: int) -> FGAbelianGroup:
     """coker(M) for a square M with det(M) = d: modulo |d| when d != 0."""
     if d == 0:
         return from_cokernel(m)
-    return FGAbelianGroup(0, tuple(x for x in smith_diagonal_mod_det(m, abs(d)) if x > 1))
+    return FGAbelianGroup.from_cyclic_orders(smith_diagonal_mod_det(m, abs(d)))
 
 
 def homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:

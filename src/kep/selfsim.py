@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, NamedTuple
 
-from .errors import InputValidationError
+from .errors import InputValidationError, quote
 from .intmat import IntMatrix
 
 
@@ -88,14 +88,19 @@ class Path:
     def range(self) -> int:
         return self.edges[-1].target if self.edges else self.vertex  # type: ignore[return-value]
 
-    def concat(self, other: "Path") -> "Path":
-        if self.range != other.source:
+    def _extended(self, edges: tuple[Edge, ...]) -> "Path":
+        """This path followed by the nonempty edge tuple `edges`, checked at
+        the junction only: `edges` is composable by construction."""
+        if self.range != edges[0].source:
             raise ValueError("paths are not composable")
-        if not other.edges:
-            return self
-        if not self.edges:
-            return other
-        return Path._composed(self.edges + other.edges)
+        return Path._composed(self.edges + edges)
+
+    def concat(self, other: "Path") -> "Path":
+        if other.edges:
+            return self._extended(other.edges)
+        if self.range != other.vertex:
+            raise ValueError("paths are not composable")
+        return self
 
     def tail_after(self, prefix: "Path") -> "Path | None":
         """The remainder of this path once `prefix` is stripped, or None
@@ -224,6 +229,11 @@ def path_ending_at(graph: Graph, rng: Random, vertex: int, max_len: int) -> Path
     return Path.empty(vertex)
 
 
+def _check_vertex(a: IntMatrix, v: int) -> None:
+    if not 1 <= v <= a.rows:
+        raise InputValidationError("unknown edge", f"vertex {v} outside 1..{a.rows}")
+
+
 def _check_edge(a: IntMatrix, e: Edge) -> int:
     n = a.rows
     if not (1 <= e.source <= n and 1 <= e.target <= n):
@@ -237,24 +247,24 @@ def _check_edge(a: IntMatrix, e: Edge) -> int:
 def kappa_edge(a: IntMatrix, b: IntMatrix, m: int, e: Edge) -> tuple[Edge, int]:
     """Apply the action to one edge; returns (kappa_m(e), phi(m, e)).
 
-    Uses floor division so the residue l always lands in [0, A[i, j]),
-    also for negative m*B[i, j] + label.
+    This is `_act` on the one-edge tuple, the step that `kappa_path` folds.
     """
-    a_entry = _check_edge(a, e)
-    b_entry = b[e.source - 1, e.target - 1]
-    k, l = divmod(m * b_entry + e.label, a_entry)
-    return Edge(e.source, e.target, l), k
+    (image,), carry = _act(a, b, m, (e,))
+    return image, carry
 
 
 def _act(a: IntMatrix, b: IntMatrix, m: int, edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], int]:
     """The carry fold of `kappa_path` on an edge tuple: (kappa_m(edges),
-    phi(m, edges)), each edge checked against A.  No edges give ((), m)."""
-    b_rows = tuple(b)
+    phi(m, edges)), each edge checked against A.  No edges give ((), m).
+
+    Floor division puts each residue in [0, A[i, j]), also when
+    carry * B[i, j] + label is negative.
+    """
     carry = m
     out = []
     for e in edges:
         a_entry = _check_edge(a, e)
-        carry, label = divmod(carry * b_rows[e.source - 1][e.target - 1] + e.label, a_entry)
+        carry, label = divmod(carry * b[e.source - 1, e.target - 1] + e.label, a_entry)
         out.append(Edge(e.source, e.target, label))
     return tuple(out), carry
 
@@ -263,9 +273,12 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
     """Extend the action along a path by folding the carry left to right.
 
     kappa_m(p q) = kappa_m(p) kappa_{phi(m, p)}(q) and
-    phi(m, p q) = phi(phi(m, p), q); the empty path returns (p, m).
+    phi(m, p q) = phi(phi(m, p), q).  Every edge is checked against A as
+    the fold reaches it; the empty path returns (p, m) once its anchor
+    vertex is checked to lie in 1..n.
     """
     if not p.edges:
+        _check_vertex(a, p.vertex)  # type: ignore[arg-type]
         return p, m
     edges, carry = _act(a, b, m, p.edges)
     return Path._composed(edges), carry
@@ -377,14 +390,14 @@ def _labels(match: re.Match, text: str) -> list[int]:
     try:
         return [int(group) for group in match.groups()]
     except ValueError:
-        raise InputValidationError("bad edge syntax", f"label too long in {text!r}") from None
+        raise InputValidationError("bad edge syntax", f"label too long in {quote(text)}") from None
 
 
 def parse_edge(text: str) -> Edge:
     """Parse the "e(i,j,n)" syntax."""
     match = _EDGE_RE.fullmatch(text.strip())
     if not match:
-        raise InputValidationError("bad edge syntax", f"cannot parse edge {text!r}")
+        raise InputValidationError("bad edge syntax", f"cannot parse edge {quote(text)}")
     return Edge(*_labels(match, text))
 
 
@@ -400,17 +413,3 @@ def parse_path(text: str) -> Path:
         return Path(tuple(edges))
     except ValueError as exc:
         raise InputValidationError("path not composable", str(exc)) from exc
-
-
-def _check_vertex(a: IntMatrix, v: int) -> None:
-    if not 1 <= v <= a.rows:
-        raise InputValidationError("unknown edge", f"vertex {v} outside 1..{a.rows}")
-
-
-def validate_path(a: IntMatrix, p: Path) -> None:
-    """Check every edge of p exists in the graph of A."""
-    if p.edges:
-        for e in p.edges:
-            _check_edge(a, e)
-    else:
-        _check_vertex(a, p.vertex)  # type: ignore[arg-type]

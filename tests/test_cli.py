@@ -411,6 +411,31 @@ class TestKappa:
     def test_bad_syntax(self, capsys, pair_file):
         assert main(["kappa", pair_file, "--m", "1", "--path", "zzz"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        ("path", "message"),
+        [
+            ("v(9)", "vertex 9 outside 1..1"),
+            ("e(1,1,5)", "e(1,1,5) does not exist (A entry is 2)"),
+            ("e(1,1,0).e(1,2,0)", "e(1,2,0) has a vertex outside 1..1"),
+        ],
+        ids=["vertex", "label", "target"],
+    )
+    def test_unknown_edge_report(self, capsys, path, message, pair_file):
+        assert main(["kappa", pair_file, "--m", "1", "--path", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["assumption"], err["message"]) == ("unknown edge", message)
+
+    def test_long_path_quoted_by_prefix(self, capsys, pair_file):
+        assert main(["kappa", pair_file, "--m", "1", "--path", "y" * 50000]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 1024
+        err = json.loads(captured.err)["error"]
+        assert err["assumption"] == "bad edge syntax"
+        assert err["message"] == f"cannot parse edge {'y' * 40!r}... (50000 characters)"
+
     @pytest.mark.parametrize("path", ["e(\u0661,\u0661,\u0660)", "v(\u0661)"], ids=["edge", "vertex"])
     def test_labels_are_ascii_digits(self, capsys, path, pair_file):
         # `\d` would also match these Arabic-Indic digits.
@@ -437,10 +462,12 @@ class TestKappa:
         "path", ["e(1,1," + "9" * 5000 + ")", "v(" + "1" * 5000 + ")"], ids=["edge", "vertex"]
     )
     def test_oversized_label(self, capsys, path, pair_file):
-        # More digits than Python converts to int: bad syntax, not a traceback.
+        # More digits than Python converts to int: bad syntax, not a traceback,
+        # and the report quotes the path by its prefix.
         assert main(["kappa", pair_file, "--m", "1", "--path", path]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert len(captured.err.encode()) < 1024
         err = json.loads(captured.err)["error"]
         assert err["exit_code"] == EXIT_VALIDATION and err["assumption"] == "bad edge syntax"
 

@@ -1,11 +1,12 @@
 """Every exported name resolves, so `from kep import *` works after a
 deletion, and is read by a demo or the README; no module keeps an import it
-no longer uses, and none imports `fractions` or `decimal` or calls
-`float`."""
+no longer uses or a private helper nothing reads, and none imports
+`fractions` or `decimal` or calls `float`."""
 
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,45 @@ def test_no_unused_imports():
     assert modules
     unused = {path.name: unused_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read below `node`, as a name or an attribute."""
+    return Counter(
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Name, ast.Attribute))
+    )
+
+
+def orphaned_privates(sources: list[str]) -> list[str]:
+    """Module-level private functions and classes of a package, given as the
+    sources of its modules, that nothing reads outside their own
+    definition."""
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    return sorted(
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and reads[node.name] == _reads(node)[node.name]
+    )
+
+
+def test_orphaned_privates_detects():
+    assert orphaned_privates(["def _f(n):\n    return _f(n - 1)\n\nclass _C:\n    pass\n"]) == ["_C", "_f"]
+    assert orphaned_privates(["def _f():\n    pass\n", "from .a import _f\n_f()\n"]) == []
+    assert orphaned_privates(["class _C:\n    pass\n", "import a\nx = a._C\n"]) == []
+    assert orphaned_privates(["def __getattr__(name):\n    pass\n\ndef f():\n    pass\n"]) == []
+
+
+def test_no_orphaned_privates():
+    modules = sorted(Path(kep.__file__).parent.glob("*.py"))
+    assert modules
+    assert orphaned_privates([path.read_text() for path in modules]) == []
 
 
 FLOAT_MODULES = ("fractions", "decimal")

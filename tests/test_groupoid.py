@@ -291,6 +291,12 @@ class TestSliceImage:
         s = Slice(P0, 5, P1)
         assert slice_image_cylinder(A1, B1, s, Path.empty(1)) == P0
 
+    def test_empty_tail_anchor_checked(self):
+        s = Slice(Path.empty(5), 0, Path.empty(5))
+        with pytest.raises(InputValidationError) as info:
+            slice_image_cylinder(A1, B1, s, Path.empty(5))
+        assert (info.value.assumption, str(info.value)) == ("unknown edge", "vertex 5 outside 1..1")
+
     def test_respects_refinement(self):
         rng = random.Random(46)
         for _ in range(100):

@@ -91,6 +91,13 @@ class TestKappaPath:
         assert kappa_path(A1, B1, 7, p) == (p, 7)
         assert kappa_path_preimage(A1, B1, 7, p) == (p, 7)
 
+    @pytest.mark.parametrize("act", [kappa_path, kappa_path_preimage], ids=["forward", "preimage"])
+    def test_empty_path_anchor_checked(self, act):
+        # The anchor of an empty path is checked like the edges of a nonempty one.
+        with pytest.raises(InputValidationError) as info:
+            act(A1, B1, 3, Path.empty(5))
+        assert (info.value.assumption, str(info.value)) == ("unknown edge", "vertex 5 outside 1..1")
+
     def test_preimage_inverts(self):
         rng = random.Random(32)
         for _ in range(200):
@@ -156,6 +163,8 @@ class TestPathInvariants:
             Path.of([e12]).concat(Path.of([e11]))
         with pytest.raises(ValueError):
             Path.empty(2).concat(Path.of([e11]))
+        with pytest.raises(ValueError):
+            Path.of([e12]).concat(Path.empty(1))
 
     @pytest.mark.parametrize("edge", [Edge(1, 1, 2), Edge(1, 3, 0), Edge(0, 1, 0), Edge(1, 2, 0)])
     def test_unknown_edge_raises(self, edge):
