@@ -16,10 +16,11 @@ does not change its Smith diagonal or nullity), so callers never see it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .abgroup import FGAbelianGroup, from_cokernel
 from .errors import InternalError
-from .intmat import IntMatrix, hnf, kernel_basis
+from .intmat import IntMatrix, det_adjugate, hnf, kernel_basis
 
 Vector = tuple[int, ...]
 
@@ -148,5 +149,18 @@ def coker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
     T acts as the identity on coker(T - I) (T x = x + (T - I) x), so the
     stationary system of cokernels is constant and the limit cokernel is
     just coker(T - I).
+
+    With M = T - I nonsingular, `det_adjugate` gives d = det M and adj M,
+    whose entries are the (n-1)-minors of M up to sign.  So gcd(adj M) is
+    the determinantal divisor D_(n-1) = s_1 ... s_(n-1) of M's Smith form
+    (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4).  If
+    it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and coker M is Z/|d|
+    with no Smith form.  A singular or non-cyclic M takes `_smith` through
+    `from_cokernel`.  `det_adjugate` shares no code with the formula
+    route's `det` and its diagonal modulo |det|.
     """
-    return from_cokernel(limit.matrix - IntMatrix.identity(limit.dim))
+    m = limit.matrix - IntMatrix.identity(limit.dim)
+    d, adj = det_adjugate(m)
+    if d and gcd(*adj.entries) == 1:
+        return FGAbelianGroup.from_cyclic_orders((d,))
+    return from_cokernel(m)

@@ -1,5 +1,5 @@
 """Exact dense integer matrices: Smith/Hermite normal forms, determinants,
-ranks and integer kernels.
+adjugates, ranks and integer kernels.
 
 All arithmetic is over Python ints, so nothing here can overflow.  Matrices
 are immutable; every operation returns fresh values.
@@ -16,6 +16,10 @@ caller that reads them uses `snf`; in the library that is a nonzero
 gets the diagonal from a Hermite form reduced modulo a shrinking modulus,
 so no entry exceeds |det M|; it reaches `_smith` only for a cokernel
 that is not cyclic, and then on that bounded triangular form.
+A third algorithm, not a Smith form, certifies cyclic cokernels:
+`det_adjugate` runs one fraction-free Gauss-Jordan elimination for det M
+and adj M, whose entries' gcd is the determinantal divisor D_(n-1), and
+D_(n-1) = 1 shows that coker M is cyclic of order |det M|.
 Injectivity and nullity come from the fraction-free `rank`, whose entries
 are minors of the input.
 """
@@ -379,6 +383,64 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
         prev = pivot
         r += 1
     return r, sign, prev
+
+
+def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """(det M, adj M) of a square M by one fraction-free (Bareiss)
+    Gauss-Jordan elimination; (0, None) when M is singular.
+
+    The arithmetic is that of Bareiss on [M | I], clearing each pivot's
+    column in every other row: after the last step the left block is p I
+    and the right block is p M^-1, p the last pivot.  It runs in place.
+    Before step k, the right block's column for the row now at position k
+    has only been scaled, to p_(k-1) e_k, so after the step it reads -a_ik
+    in row i != k and p_(k-1) in row k.  It is stored where M's column k
+    was, which the step turns into p_k e_k and need not be kept.  Each step
+    touches n entries per row, not 2n.  After k pivots every entry is a (k+1)-minor of [M | I], so
+    every division by the previous pivot is exact.
+
+    A zero pivot swaps in a lower row with a nonzero entry in its column;
+    if there is none, the first k + 1 columns are dependent and M is
+    singular.  With the swaps' sign s, p = s det M and p M^-1 = s adj M,
+    and the column stored at slot k belongs to the row swapped into
+    position k, so the result is scaled by s and its columns are put back.
+
+    >>> det_adjugate(IntMatrix([[2, 1], [4, 3]]))
+    (2, IntMatrix([[3, -1], [-4, 2]]))
+    >>> det_adjugate(IntMatrix([[0, 1], [1, 0]]))
+    (-1, IntMatrix([[0, -1], [-1, 0]]))
+    >>> det_adjugate(IntMatrix([[1, 2], [2, 4]]))
+    (0, None)
+    """
+    if not m.is_square:
+        raise ValueError("adjugate requires a square matrix")
+    a = m.to_lists()
+    n = m.rows
+    order = list(range(n))
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            r = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if r is None:
+                return 0, None
+            a[k], a[r] = a[r], a[k]
+            order[k], order[r] = order[r], order[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                x = a[i][k]
+                # Exact by the Bareiss identity: prev divides the numerator.
+                a[i] = [(u * p - x * v) // prev for u, v in zip(a[i], pivot_row)]
+                a[i][k] = -x
+        pivot_row[k] = prev
+        prev = p
+    slot = [0] * n
+    for k, j in enumerate(order):
+        slot[j] = k
+    return sign * prev, IntMatrix([[sign * row[slot[j]] for j in range(n)] for row in a])
 
 
 def det(m: IntMatrix) -> int:

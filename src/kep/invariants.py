@@ -8,8 +8,9 @@ These formulas are what :func:`homology` and :func:`ktheory` compute through
 Smith diagonals: for nonsingular I - A and I - B by Hermite elimination
 modulo |det|, which is computed once and also reported.  :func:`hk_check`
 also runs the stationary-limit model of :mod:`kep.dirlimit` - a computation
-that never touches the closed formulas, and whose cokernels come from the
-other Smith algorithm - and its evidence confirms K0 = H0 ⊕ H2, K1 = H1 and
+that never touches the closed formulas, and whose cokernels come from a
+Gauss-Jordan adjugate when they are cyclic and from the other Smith
+algorithm otherwise - and its evidence confirms K0 = H0 ⊕ H2, K1 = H1 and
 the routes' agreement for :func:`analyze` and ``kep check``.
 
 All formulas assume A nonnegative with no zero rows.  They are evaluated

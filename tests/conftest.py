@@ -123,6 +123,20 @@ def cofactor_det(m: IntMatrix) -> int:
     return total
 
 
+def cofactor_adjugate(m: IntMatrix) -> IntMatrix:
+    """adj(M)[i, j] = (-1)^(i+j) times the cofactor determinant of M without
+    row j and column i; adj of a 1 x 1 matrix is (1)."""
+    n = m.rows
+    if n == 1:
+        return IntMatrix([[1]])
+    rows = [list(r) for r in m]
+
+    def minor(skip_row: int, skip_col: int) -> IntMatrix:
+        return IntMatrix([[x for k, x in enumerate(row) if k != skip_col] for r, row in enumerate(rows) if r != skip_row])
+
+    return IntMatrix([[(-1) ** (i + j) * cofactor_det(minor(j, i)) for j in range(n)] for i in range(n)])
+
+
 def determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
     """D_k = gcd of all k x k minors of M (cofactor determinants), for
     k = 1..min(rows, cols); D_k = 0 when every k x k minor vanishes."""

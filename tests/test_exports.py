@@ -1,7 +1,8 @@
 """Every exported name resolves, so `from kep import *` works after a
 deletion, and is read by a demo or the README; no module keeps an import it
 no longer uses or a private helper nothing reads, and none imports
-`fractions` or `decimal` or calls `float`."""
+`fractions` or `decimal` or calls `float`; the limit route reaches none of
+the formula route's determinant and cokernel code."""
 
 import ast
 import importlib
@@ -147,3 +148,42 @@ def test_no_floats_in_kep():
     assert modules
     uses = {path.name: float_uses(path.read_text()) for path in modules}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def imported_names(source: str) -> set[str]:
+    """Every name a module imports, by `import` or `from ... import`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def called_names(source: str, function: str) -> set[str]:
+    """Names that the module-level function `function` calls, as a name or
+    an attribute."""
+    (node,) = (node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {
+        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_route_guards_detect():
+    assert imported_names("from .intmat import IntMatrix, det\nimport math\n") == {"IntMatrix", "det", "math"}
+    source = "def f(m):\n    return det(m) + m.rank()\n\ndef g(m):\n    return _smith(m)\n"
+    assert called_names(source, "f") == {"det", "rank"}
+
+
+LIMIT_ROUTE_BARRED = {"det", "_bareiss", "smith_diagonal_mod_det"}
+ADJUGATE_BARRED = {"_bareiss", "det", "rank", "_smith"}
+
+
+def test_limit_route_shares_no_formula_route_code():
+    # On a nonsingular T - I with a cyclic cokernel the limit route runs
+    # `det_adjugate` alone, so it shares no determinant and no cokernel code
+    # with the formula route's `det` and `smith_diagonal_mod_det`.
+    package = Path(kep.__file__).parent
+    assert imported_names((package / "dirlimit.py").read_text()) & LIMIT_ROUTE_BARRED == set()
+    assert called_names((package / "intmat.py").read_text(), "det_adjugate") & ADJUGATE_BARRED == set()

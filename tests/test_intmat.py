@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kep.intmat
-from conftest import cofactor_det, determinantal_divisors, random_matrix, rational_nullity, rational_rank
+from conftest import cofactor_adjugate, cofactor_det, determinantal_divisors, random_matrix, rational_nullity, rational_rank
 from kep import (
     IntMatrix,
     det,
@@ -15,7 +15,7 @@ from kep import (
     kernel_basis,
     snf,
 )
-from kep.intmat import rank, smith_diagonal, smith_diagonal_mod_det
+from kep.intmat import det_adjugate, rank, smith_diagonal, smith_diagonal_mod_det
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -205,7 +205,9 @@ class TestSmithDiagonal:
         # unimodular conjugation; and |det| = 1.  Scaled, block and
         # repeated-prime cokernels are not cyclic: the modular diagonal must
         # reach its `_smith` fallback on some and its cyclic shortcut on
-        # others.
+        # others.  On every nonsingular square case the Gauss-Jordan
+        # adjugate gives |det| = D_n and gcd(adj) = D_(n-1), and both its
+        # outcomes occur: gcd 1 (a cyclic cokernel) and gcd > 1.
         rng = random.Random(61)
         smith_runs = [0]
         real_smith = kep.intmat._smith
@@ -215,7 +217,7 @@ class TestSmithDiagonal:
             return real_smith(*args)
 
         monkeypatch.setattr(kep.intmat, "_smith", counted)
-        branches = set()
+        branches, adjugate_branches = set(), set()
 
         def check(m):
             divisors = determinantal_divisors(m)
@@ -224,6 +226,10 @@ class TestSmithDiagonal:
                 before = smith_runs[0]
                 diagonals.append(smith_diagonal_mod_det(m, divisors[-1]))
                 branches.add("fallback" if smith_runs[0] > before else "cyclic")
+                d, adj = det_adjugate(m)
+                minor_gcd = gcd(*adj.entries)
+                assert (abs(d), minor_gcd) == (divisors[-1], divisors[-2] if m.rows > 1 else 1), m
+                adjugate_branches.add("cyclic" if minor_gcd == 1 else "non-cyclic")
             for diagonal in diagonals:
                 product = 1
                 for d, divisor in zip(diagonal, divisors, strict=True):
@@ -260,6 +266,7 @@ class TestSmithDiagonal:
             for _ in range(3):
                 check(random_unimodular(rng, n))
         assert branches == {"cyclic", "fallback"}
+        assert adjugate_branches == {"cyclic", "non-cyclic"}
 
     @given(square_matrices(6), st.sampled_from((1, 2, 6)))
     @settings(max_examples=150, deadline=None)
@@ -274,6 +281,77 @@ class TestSmithDiagonal:
             smith_diagonal_mod_det(IntMatrix([[1, 2]]), 1)
         with pytest.raises(ValueError):
             smith_diagonal_mod_det(IntMatrix([[0]]), 0)
+
+
+class TestDetAdjugate:
+    """(det M, adj M) by in-place Gauss-Jordan against cofactor expansion."""
+
+    @staticmethod
+    def check(m):
+        d, adj = det_adjugate(m)
+        assert d == cofactor_det(m), m
+        if d == 0:
+            assert adj is None, m
+        else:
+            assert adj == cofactor_adjugate(m), m
+        return d
+
+    def test_one_by_one(self):
+        assert det_adjugate(IntMatrix([[-7]])) == (-7, IntMatrix([[1]]))
+        assert det_adjugate(IntMatrix([[0]])) == (0, None)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            det_adjugate(IntMatrix([[1, 2]]))
+
+    def test_random_small(self):
+        rng = random.Random(71)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            singular += self.check(random_matrix(rng, n, n, -9, 9)) == 0
+        assert singular
+
+    def test_zero_leading_entries(self):
+        # Zero pivots force row swaps: a zero first column above the last
+        # row, a zero leading 2 x 2 block, and row-rotated triangular
+        # matrices, whose every pivot position starts at zero.
+        rng = random.Random(72)
+        nonsingular = 0
+        for trial in range(150):
+            n = rng.randint(2, 5)
+            rows = random_matrix(rng, n, n, -9, 9).to_lists()
+            if trial % 3 == 0:
+                for i in range(n - 1):
+                    rows[i][0] = 0
+            elif trial % 3 == 1:
+                rows[0][0] = rows[0][1] = rows[1][0] = 0
+                rows[1][1] = rng.randint(-1, 1)
+            else:
+                rows = [[rows[i][j] if j >= i else 0 for j in range(n)] for i in range(n)]
+                for i in range(n):
+                    rows[i][i] = rng.choice((-3, -1, 1, 2))
+                rows = rows[1:] + rows[:1]
+            nonsingular += self.check(IntMatrix(rows)) != 0
+        assert nonsingular > 100
+
+    def test_singular(self):
+        rng = random.Random(73)
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            rows = random_matrix(rng, n, n, -9, 9).to_lists()
+            i, j = rng.sample(range(n), 2)
+            q = rng.randint(-3, 3)
+            rows[i] = [q * x for x in rows[j]]
+            assert det_adjugate(IntMatrix(rows)) == (0, None)
+        assert det_adjugate(IntMatrix([[0, 0], [0, 5]])) == (0, None)
+
+    def test_wide_entries(self):
+        rng = random.Random(74)
+        for trial in range(30):
+            n, bits = 1 + trial % 5, (64, 96, 160)[trial % 3]
+            m = IntMatrix([[rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)] for _ in range(n)])
+            assert self.check(m) != 0
 
 
 class TestRank:

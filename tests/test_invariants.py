@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import kep.dirlimit
 import kep.intmat
 import kep.invariants
 from conftest import random_pseudo_free_pair, rational_nullity
@@ -94,8 +95,9 @@ class TestHkCheck:
 
 
 class TestRouteIndependence:
-    # A, B, I - A and I - B all nonsingular: neither route may then call the
-    # other's cokernel algorithm.
+    # A, B, I - A and I - B all nonsingular, and coker(Aᵗ - I) = Z/2 and
+    # coker(Bᵗ - I) = Z/10 cyclic: neither route may then call the other's
+    # determinant or cokernel code.
     A = IntMatrix([[2, 1, 1], [1, 3, 1], [1, 1, 4]])
     B = IntMatrix([[1, 2, -1], [2, -1, 1], [1, 1, 3]])
     EXPECTED = groups((0, (2,)), (0, (10,)), (0, ()))
@@ -107,21 +109,27 @@ class TestRouteIndependence:
             assert homology(a, b) == limit_route_homology(a, b)
 
     @staticmethod
-    def forbid(monkeypatch, module, name):
+    def forbid(monkeypatch, name, modules=(kep.intmat, kep.dirlimit, kep.invariants)):
         def forbidden(*args):
             raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(module, name, forbidden)
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
 
     def test_formula_route_runs_without_smith(self, monkeypatch):
-        self.forbid(monkeypatch, kep.intmat, "_smith")
+        # Nor the limit route's adjugate.
+        for name in ("_smith", "det_adjugate"):
+            self.forbid(monkeypatch, name)
         h = homology(self.A, self.B)
         assert (h.h0, h.h1, h.h2) == self.EXPECTED
         assert h.dets == (-2, 10)
 
     def test_limit_route_runs_without_the_diagonal_mod_det(self, monkeypatch):
-        for module in (kep.intmat, kep.invariants):
-            self.forbid(monkeypatch, module, "smith_diagonal_mod_det")
+        # Nor `det`, nor `_smith`: both limit cokernels are cyclic, so the
+        # adjugate alone certifies them.
+        for name in ("_smith", "smith_diagonal_mod_det", "det"):
+            self.forbid(monkeypatch, name)
         h = limit_route_homology(self.A, self.B)
         assert (h.h0, h.h1, h.h2) == self.EXPECTED
 

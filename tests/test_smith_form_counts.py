@@ -1,6 +1,7 @@
-"""Each invariant is computed once: the number of Smith forms and
-determinants per command is pinned, so a second run of either homology route
-shows up here, and so is the number of slice products `check` composes."""
+"""Each invariant is computed once: the number of Smith forms, determinants
+and adjugates per command is pinned, so a second run of either homology
+route shows up here, and so is the number of slice products `check`
+composes."""
 
 import json
 from collections import Counter
@@ -20,7 +21,7 @@ A = [[2, 1, 3], [1, 4, 1], [2, 2, 5]]
 B = [[1, -1, 2], [3, 1, -2], [1, 1, 1]]
 PAIR = Operand("katsura", IntMatrix(A), IntMatrix(B))
 SFT = Operand("sft", IntMatrix(A))
-COUNTED = ("snf", "smith_diagonal", "smith_diagonal_mod_det", "det")
+COUNTED = ("snf", "smith_diagonal", "smith_diagonal_mod_det", "det", "det_adjugate")
 
 
 @pytest.fixture
@@ -43,17 +44,21 @@ def smith_calls(monkeypatch):
     return lambda: tuple(calls[name] for name in COUNTED)
 
 
-# (snf, smith_diagonal, smith_diagonal_mod_det, det) per command.  The
-# formula route takes det(I - A) and det(I - B) once each, and the diagonal
-# modulo each nonzero one; `analyze` reports those same determinants.  The
-# limit route's cokernels take `smith_diagonal`, and an injective T or T - I
-# takes no Smith form at all.  The sft operand's B = 0 has a nonzero
-# eventual kernel: its kernel and the fixed sublattice over it are the two
-# transformed forms, and its limit cokernel is one more diagonal.  The exact
-# solve takes none; it back-substitutes in the Hermite basis of the fixed
-# sublattice.
-KATSURA = (0, 2, 2, 2)
-SFT_COUNTS = (2, 3, 2, 2)
+# (snf, smith_diagonal, smith_diagonal_mod_det, det, det_adjugate) per
+# command.  The formula route takes det(I - A) and det(I - B) once each, and
+# the diagonal modulo each nonzero one; `analyze` reports those same
+# determinants.  The limit route takes one Gauss-Jordan adjugate of each
+# T - I, and `smith_diagonal` only where T - I is singular or its adjugate's
+# entries share a factor: here Aᵗ - I has |det| 4 and adjugate gcd 2, so it
+# falls back, while Bᵗ - I has det 8 and gcd 1, so its cokernel is Z/8 with
+# no Smith form.  An injective T or T - I takes no Smith form at all.  The
+# sft operand's B = 0 has a nonzero eventual kernel: its kernel and the
+# fixed sublattice over it are the two transformed forms, and the quotient
+# of the fixed sublattice is one more diagonal; its Bᵗ - I = -I is cyclic.
+# The exact solve takes none; it back-substitutes in the Hermite basis of
+# the fixed sublattice.
+KATSURA = (0, 1, 2, 2, 2)
+SFT_COUNTS = (2, 2, 2, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -68,7 +73,7 @@ def test_compare(smith_calls):
     # The formula route alone: one determinant and one diagonal modulo it
     # per matrix, no transforms.
     compare(PAIR, SFT)
-    assert smith_calls() == (0, 0, 4, 4)
+    assert smith_calls() == (0, 0, 4, 4, 0)
 
 
 @pytest.mark.parametrize(
@@ -86,10 +91,11 @@ def test_check(smith_calls, capsys, tmp_path, doc, expected):
 
 def test_realize(smith_calls, capsys):
     # The realized pair (diag(4, 2), diag(2, 6)) is verified by the one
-    # `analyze` that is printed: the same counts as analyzing it.
+    # `analyze` that is printed: the same counts as analyzing it.  Both
+    # limit cokernels, Z/3 and Z/5, are cyclic.
     main(["realize", "--rank", "0", "--t0", "3", "--t1", "5"])
     capsys.readouterr()
-    assert smith_calls() == (0, 2, 2, 2)
+    assert smith_calls() == (0, 0, 2, 2, 2)
 
 
 def test_check_composes_each_product_once(monkeypatch, capsys, tmp_path):
