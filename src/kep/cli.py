@@ -121,6 +121,17 @@ def _parse_matrix(raw: Any, n: int, name: str) -> IntMatrix:
     return IntMatrix(rows)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent
+    choice of its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {quote(key)}")
+        doc[key] = value
+    return doc
+
+
 def parse_input(data: bytes | str) -> Operand:
     """Parse and validate one input document.
 
@@ -130,10 +141,10 @@ def parse_input(data: bytes | str) -> Operand:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, a number literal beyond the int digit limit, or
-        # nesting deeper than the decoder's recursion limit.
+        # JSONDecodeError, a repeated key, a number literal beyond the int
+        # digit limit, or nesting deeper than the decoder's recursion limit.
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("input must be a JSON object")

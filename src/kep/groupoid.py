@@ -20,6 +20,7 @@ also uses, checks the junction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .intmat import IntMatrix
@@ -170,14 +171,31 @@ class PropertyReport:
         return True if self.pseudo_free else None
 
 
-def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[tuple[int, int] | None]]:
-    """walk[i][j] = (p, q) is the least product p/q of |B[e]|/A[e] over walks
-    i -> j of 1..L edges, where L = 2**r >= n, or None when there is no such
-    walk.
+def _reach(a: IntMatrix) -> list[int]:
+    """reach[i] is a bitmask whose bit j is set iff a walk of one or more
+    edges runs i -> j in the graph of A.
 
-    Each of the r = (n - 1).bit_length() rounds walk <- min(walk, walk (x) walk)
-    in the (min, *) semiring doubles the longest length covered, so the
-    closure costs O(n^3 log n) exact products.
+    Warshall's closure on int rows: pivot k adds row k to every row that
+    reaches k, so the closure costs O(n^2) mask operations.
+    """
+    reach = [sum(1 << j for j, x in enumerate(row) if x) for row in a]
+    for k in range(len(reach)):
+        bit, row_k = 1 << k, reach[k]
+        for i, row_i in enumerate(reach):
+            if row_i & bit:
+                reach[i] = row_i | row_k
+    return reach
+
+
+def _walk_rounds(a: IntMatrix, b: IntMatrix) -> Iterator[list[list[tuple[int, int] | None]]]:
+    """Yield the one-edge table, then the table after each squaring round.
+
+    The one-edge table holds walk[i][j] = (|B[i, j]|, A[i, j]) on each arc
+    and None elsewhere.  Each of the r = (n - 1).bit_length() rounds
+    walk <- min(walk, walk (x) walk) in the (min, *) semiring doubles the
+    longest length covered, so the last table holds the least product p/q
+    of |B[e]|/A[e] over walks i -> j of 1..L edges, L = 2**r >= n, or None
+    when there is no such walk; each round costs O(n^3) exact products.
 
     The pairs are never reduced: a product is (p1*p2, q1*q2), and p/q < p'/q'
     is tested as p*q' < p'*q.  That is exact because every q is a product of
@@ -186,12 +204,9 @@ def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[tuple[int, int] | Non
     have at most L times the bit length of the largest entry of |B| and A:
     the cost depends on n and bit length, not on the size of an entry.
     """
-    n = a.rows
-    walk = [
-        [(abs(b[i, j]), a[i, j]) if a[i, j] > 0 else None for j in range(n)]
-        for i in range(n)
-    ]
-    for _ in range((n - 1).bit_length()):
+    walk = [[(abs(y), x) if x > 0 else None for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    yield walk
+    for _ in range((a.rows - 1).bit_length()):
         squared = []
         for row in walk:
             best = list(row)
@@ -207,7 +222,30 @@ def _walk_closure(a: IntMatrix, b: IntMatrix) -> list[list[tuple[int, int] | Non
                             best[j] = (p, q)
             squared.append(best)
         walk = squared
-    return walk
+        yield walk
+
+
+def _contraction_everywhere(a: IntMatrix, b: IntMatrix, reach: list[int]) -> bool:
+    """Whether every vertex reaches, by one or more edges, a vertex of a
+    closed walk whose |B|/A product is below 1, read off the tables of
+    `_walk_rounds` as they are made.
+
+    A closed walk with product < 1 contains a simple cycle with product < 1
+    that its vertices reach, so walks longer than n change nothing, and the
+    last table decides.  The squaring stops early once the answer is True:
+    a round never removes an entry and never raises one, and every finite
+    entry is the product of a real walk, so a vertex found contracting stays
+    contracting.  With `reach` exact, the verdict can only go from False to
+    True, and stopping at True changes nothing.  False is decided only after
+    the last round.
+    """
+    for walk in _walk_rounds(a, b):
+        # walk[j][j] = (p, q) with q > 0: the product p/q is below 1 iff p < q.
+        loops = (row[j] for j, row in enumerate(walk))
+        contracting = sum(1 << j for j, w in enumerate(loops) if w is not None and w[0] < w[1])
+        if all(row & contracting for row in reach):
+            return True
+    return False
 
 
 def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
@@ -215,43 +253,40 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
 
     Pseudo-freeness is decided exactly (B nonzero on the support of A);
     Hausdorffness is asserted only as its consequence.  The graph conditions
-    are read off one walk closure: effectiveness is certified by "every
-    cycle has an exit" plus a cycle whose |B|/A product is below one,
-    reachable from every vertex; minimality and pure infiniteness by A
-    irreducible and not a permutation, where "not a permutation" is read
-    off the out-degrees.
+    read two facts.  Reachability comes from `_reach`, an exact bitset
+    closure of O(n^2) mask operations: "every cycle has an exit" and "A
+    irreducible" are read off it alone, and "not a permutation" off the
+    out-degrees.  Effectiveness also needs a cycle whose |B|/A product is
+    below one, reachable from every vertex; `_contraction_everywhere` finds
+    it by (min, *) squaring of walk products, O(n^3) exact products a round,
+    and stops at the first round that proves it (on a full support, the
+    one-edge table already does).  It is not run when a cycle has no exit.
+    Minimality and pure infiniteness are certified by A irreducible and not
+    a permutation.
     """
-    _validate_pair(a, b)
-    n = a.rows
     notes = []
-
+    # is_pseudo_free validates the pair before it reads it.
     pf: PseudoFreeness = is_pseudo_free(a, b)
     if not pf.verdict:
         notes.append(f"pseudo-freeness fails: m={pf.witness[0]} fixes {pf.witness[1]} with zero carry")
 
-    # A closed walk with product < 1 contains a simple cycle with product
-    # < 1 that its vertices reach, so walks longer than n change nothing.
-    walk = _walk_closure(a, b)
-    reach = [[w is not None for w in row] for row in walk]
-    # walk[j][j] = (p, q) with q > 0: the product p/q is below 1 iff p < q.
-    contracting = [j for j in range(n) if reach[j][j] and walk[j][j][0] < walk[j][j][1]]
-    single_edge = [sum(a.row(j)) == 1 for j in range(n)]
+    n = a.rows
+    reach = _reach(a)
+    every_vertex = (1 << n) - 1
+    single_edge = sum(1 << j for j, row in enumerate(a) if sum(row) == 1)
     # A cycle has no exit iff everything its vertices reach emits one edge.
-    exitless_cycle = any(
-        reach[i][i] and all(single_edge[j] for j in range(n) if reach[i][j]) for i in range(n)
-    )
-    contraction_everywhere = all(any(reach[i][j] for j in contracting) for i in range(n))
-    irreducible = all(reach[i][j] for i in range(n) for j in range(n) if i != j)
+    exitless_cycle = any(row >> i & 1 and not row & ~single_edge for i, row in enumerate(reach))
+    irreducible = all(row | 1 << i == every_vertex for i, row in enumerate(reach))
 
     condition_o = all(a[i, i] >= 2 and a[i, i] > abs(b[i, i]) for i in range(n))
 
     return PropertyReport(
         pseudo_free=pf.verdict,
-        effective_sufficient=not exitless_cycle and contraction_everywhere,
+        effective_sufficient=not exitless_cycle and _contraction_everywhere(a, b, reach),
         # An irreducible A with every out-degree 1 is a single cycle through
         # all vertices, so each column also holds exactly one 1: A is then a
         # permutation matrix exactly when every row sums to 1.
-        minimal_pi_sufficient=irreducible and not all(single_edge),
+        minimal_pi_sufficient=irreducible and single_edge != every_vertex,
         condition_O=condition_o,
         notes=tuple(notes),
     )

@@ -254,6 +254,23 @@ def simple_cycles(a: IntMatrix) -> list[tuple[int, ...]]:
     return cycles
 
 
+def reach_oracle(a: IntMatrix) -> list[set[int]]:
+    """reach[i] is the set of vertices j with a walk of one or more edges
+    i -> j, by depth-first search from the arcs leaving i."""
+    rows = [list(row) for row in a]
+    reach = []
+    for i in range(len(rows)):
+        seen, stack = set(), [i]
+        while stack:
+            v = stack.pop()
+            for w, x in enumerate(rows[v]):
+                if x > 0 and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    return reach
+
+
 def classifier_oracle(a: IntMatrix, b: IntMatrix) -> tuple[bool, bool]:
     """(effective_sufficient, minimal_pi_sufficient) from their definitions:
     every cycle has an exit and every vertex reaches a cycle whose |B|/A
@@ -269,16 +286,7 @@ def classifier_oracle(a: IntMatrix, b: IntMatrix) -> tuple[bool, bool]:
             ratio *= Fraction(abs(b[v, w]), a[v, w])
         if ratio < 1:
             contracting.update(cycle)
-    reach = []
-    for i in range(n):
-        seen, stack = {i}, [i]
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                if rows[v][w] > 0 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(seen)
+    reach = [seen | {i} for i, seen in enumerate(reach_oracle(a))]
     effective = every_cycle_exits and all(reach[i] & contracting for i in range(n))
     irreducible = all(len(seen) == n for seen in reach)
     unit_vector = [0] * (n - 1) + [1]

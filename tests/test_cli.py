@@ -270,6 +270,25 @@ class TestAnalyze:
         assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
         assert err["message"] == f"A[1][1]: not a decimal integer: {'x' * 40!r}... (100000 characters)"
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"mode":"katsura","n":1,"A":[[2]],"B":[[1]],"A":[[3]]}', "'A'"),
+            ('{"mode":"sft","mode":"sft","n":1,"A":[[2]]}', "'mode'"),
+            ('{"mode":"sft","n":1,"A":[[2]],"note":{"' + "k" * 100 + '":1,"' + "k" * 100 + '":2}}', f"{'k' * 40!r}... (100 characters)"),
+        ],
+    )
+    def test_exit_2_repeated_key(self, capsys, tmp_path, text, key):
+        # The last value of a repeated key is not silently kept, at any depth.
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_PARSE and err["assumption"] == "parse"
+        assert err["message"] == f"malformed JSON: repeated key {key}"
+
     def test_exit_3_oversized_output_integer(self, capsys, tmp_path):
         # Valid input whose torsion factor and det(I - A) have about 4400
         # digits: more than Python converts to text.

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import (
     classifier_oracle,
+    random_matrix,
     random_pseudo_free_pair,
+    reach_oracle,
     reference_compose,
     reference_random_walk,
     reference_refine,
@@ -27,7 +29,8 @@ from kep import (
     slice_image_cylinder,
     slices_equal,
 )
-from kep.groupoid import _walk_closure
+from kep import groupoid
+from kep.groupoid import _reach, _walk_rounds
 from kep.selfsim import path_ending_at, random_walk
 
 A1 = IntMatrix([[2]])
@@ -54,6 +57,21 @@ def random_sparse_pair(rng, max_n=5):
         if all(any(row) for row in a):
             break
     return IntMatrix(a), IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.fixture
+def tables_read(monkeypatch):
+    """The walk tables `classify` takes from `_walk_rounds`, in order."""
+    read = []
+    rounds = groupoid._walk_rounds
+
+    def counted(a, b):
+        for table in rounds(a, b):
+            read.append(table)
+            yield table
+
+    monkeypatch.setattr(groupoid, "_walk_rounds", counted)
+    return read
 
 
 def random_slice(rng, graph, max_len=3, max_m=3):
@@ -518,11 +536,12 @@ class TestClassify:
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("last_b, effective", [(1, True), (4, False)])
-    def test_hamiltonian_contraction_either_side_of_a_round(self, n, last_b, effective):
+    def test_hamiltonian_contraction_either_side_of_a_round(self, n, last_b, effective, tables_read):
         # n = 4 takes two squaring rounds (walks of up to 4 edges), n = 5
         # three (up to 8).  Loops have product 1; the only other cycle runs
         # through all n vertices, and each of its edges has ratio 3/2 except
         # the last, 1/9 or 4/9, so it contracts exactly when last_b = 1.
+        # That cycle shows only in the last table, so both cases read all.
         rows_a = [[1 if j == i else 2 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
         rows_a[-1][0] = 9
         rows_b = [[1 if j == i else 3 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
@@ -530,7 +549,75 @@ class TestClassify:
         a, b = IntMatrix(rows_a), IntMatrix(rows_b)
         report = classify(a, b)
         assert report.effective_sufficient is effective
+        assert len(tables_read) == (n - 1).bit_length() + 1
         assert (report.effective_sufficient, report.minimal_pi_sufficient) == classifier_oracle(a, b)
+
+    def test_full_support_stops_at_the_one_edge_table(self, tables_read):
+        # Every vertex reaches every vertex, so one contracting loop
+        # certifies contraction everywhere before any squaring.
+        rng = random.Random(64)
+        a = random_matrix(rng, 64, 64, 1, 9)
+        b = IntMatrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(64)] for _ in range(64)])
+        assert any(abs(b[j, j]) < a[j, j] for j in range(64))
+        assert classify(a, b).effective_sufficient
+        assert len(tables_read) == 1
+
+    def test_stops_at_the_round_that_shows_a_two_edge_cycle(self, tables_read):
+        # Strongly connected on 5 vertices with no loop: the cycle
+        # 0 -> 1 -> 2 -> 3 -> 4 -> 0 has product 3, the 2-cycle 0 -> 1 -> 0
+        # 3/4.  Walks of up to 2 edges show the 2-cycle: 2 of the 4 tables.
+        n = 5
+        rows_a = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+        rows_b = [list(row) for row in rows_a]
+        rows_a[1][0], rows_b[1][0] = 4, 1
+        rows_b[0][1] = 3
+        a, b = IntMatrix(rows_a), IntMatrix(rows_b)
+        report = classify(a, b)
+        assert report.effective_sufficient
+        assert len(tables_read) == 2
+        assert (report.effective_sufficient, report.minimal_pi_sufficient) == classifier_oracle(a, b)
+
+    def test_full_support_matches_cycle_oracle(self, tables_read):
+        rng = random.Random(57)
+        stopped_at_once = 0
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            a, b = random_matrix(rng, n, n, 1, 9), random_matrix(rng, n, n, -3, 3)
+            tables_read.clear()
+            report = classify(a, b)
+            assert (report.effective_sufficient, report.minimal_pi_sufficient) == classifier_oracle(a, b), (a, b)
+            if any(abs(b[j, j]) < a[j, j] for j in range(n)):
+                assert len(tables_read) == 1
+                stopped_at_once += 1
+        assert stopped_at_once >= 60
+
+    def test_reach_matches_depth_first_search(self):
+        # A lone loop; a vertex with no cycle through it; a reducible pair.
+        cases = [IntMatrix([[1]]), IntMatrix([[0, 1], [0, 1]]), IntMatrix([[1, 1], [0, 2]])]
+        rng = random.Random(56)
+        cases += [random_sparse_pair(rng, max_n=6)[0] for _ in range(400)]
+        seen = Counter()
+        for a in cases:
+            reach = reach_oracle(a)
+            assert _reach(a) == [sum(1 << j for j in row) for row in reach], a
+            seen["n = 1"] += a.rows == 1
+            seen["reducible"] += any(len(row | {i}) < a.rows for i, row in enumerate(reach))
+            seen["vertex on no cycle"] += any(i not in row for i, row in enumerate(reach))
+        assert min(seen.values()) >= 10
+
+    def test_walk_rounds_never_raise_or_drop_an_entry(self):
+        rng = random.Random(55)
+        fell = appeared = 0
+        for _ in range(300):
+            a, b = random_sparse_pair(rng)
+            tables = [[None if w is None else Fraction(*w) for row in t for w in row] for t in _walk_rounds(a, b)]
+            assert len(tables) == (a.rows - 1).bit_length() + 1
+            for before, after in zip(tables, tables[1:]):
+                for x, y in zip(before, after):
+                    assert x is None or (y is not None and y <= x), (a, b)
+                    fell += x is not None and y < x
+                    appeared += x is None and y is not None
+        assert fell and appeared
 
     def test_walk_closure_is_least_walk_product(self):
         def least(x, y):
@@ -552,5 +639,6 @@ class TestClassify:
                 exact = longer
                 best = [[least(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(best, exact)]
             # the library keeps unreduced pairs (p, q), q > 0; compare values
-            closure = [[None if w is None else Fraction(*w) for w in row] for row in _walk_closure(a, b)]
+            *_, last = _walk_rounds(a, b)
+            closure = [[None if w is None else Fraction(*w) for w in row] for row in last]
             assert closure == best
