@@ -5,7 +5,9 @@ is the group of pairs [x, stage] under the identification [x, i] = [T x, i+1].
 The one-step translation ("shift") sends [x, i] to [x, i+1].  This module
 computes the kernel and cokernel of (identity - shift) directly from the
 lattice model, which is the route independent of the closed matrix formulas
-used in :mod:`kep.invariants`.
+used in :mod:`kep.invariants`.  `one_minus_shift` gets both from one
+adjugate of T - I and one eventual kernel EK; it builds the fixed
+sublattice and its quotient only when EK is neither 0 nor all of Z^n.
 
 Convention: a vertex matrix M acting on basis vectors by
 1_v -> sum_w M[v, w] 1_w acts on coordinate columns through transpose(M).
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abgroup import FGAbelianGroup, from_cokernel
+from .abgroup import FGAbelianGroup, from_cokernel, kernel_group
 from .errors import InternalError
 from .intmat import IntMatrix, det_adjugate, hnf, kernel_basis
 
@@ -120,47 +122,61 @@ def _fixed_sublattice(limit: StationaryLimit, ek: list[Vector]) -> list[Vector]:
     return _preimage(limit.matrix - IntMatrix.identity(limit.dim), ek)
 
 
-def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
-    """Group of limit elements fixed by the shift, computed as L'/EK.
+def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGroup]:
+    """(kernel, cokernel) of (identity - shift) on the limit, from one
+    `det_adjugate` of M = T - I and one `eventual_kernel` EK.
 
-    L' = {x : (T - I) x in EK} surjects onto the fixed subgroup with kernel
-    exactly EK, and the quotient is torsion free because EK is saturated;
-    any torsion in the quotient therefore signals an internal defect.
-    The result is abstractly isomorphic to kernel_group(I - T).
-    """
-    ek = eventual_kernel(limit)
-    fixed = _fixed_sublattice(limit, ek)
-    if not fixed:
-        if ek:
-            raise InternalError("eventual kernel escaped the fixed sublattice")
-        return FGAbelianGroup.trivial()
-    if not ek:
-        return FGAbelianGroup.free(len(fixed))
-    coords = _solve_exact(IntMatrix.from_columns(fixed), ek)
-    quotient = from_cokernel(IntMatrix.from_columns(coords))
-    if quotient.torsion:
-        raise InternalError("fixed-point quotient acquired torsion")
-    return quotient
-
-
-def coker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
-    """Cokernel of (identity - shift) on the limit.
-
-    T acts as the identity on coker(T - I) (T x = x + (T - I) x), so the
+    Cokernel.  T acts as the identity on coker M (T x = x + M x), so the
     stationary system of cokernels is constant and the limit cokernel is
-    just coker(T - I).
-
-    With M = T - I nonsingular, `det_adjugate` gives d = det M and adj M,
-    whose entries are the (n-1)-minors of M up to sign.  So gcd(adj M) is
-    the determinantal divisor D_(n-1) = s_1 ... s_(n-1) of M's Smith form
+    just coker M.  With M nonsingular, `det_adjugate` gives d = det M and
+    adj M, whose entries are the (n-1)-minors of M up to sign.  So gcd(adj M)
+    is the determinantal divisor D_(n-1) = s_1 ... s_(n-1) of M's Smith form
     (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4).  If
     it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and coker M is Z/|d|
     with no Smith form.  A singular or non-cyclic M takes `_smith` through
     `from_cokernel`.  `det_adjugate` shares no code with the formula
     route's `det` and its diagonal modulo |det|.
+
+    Kernel.  The fixed subgroup is L'/EK with L' = {x : M x in EK}: L'
+    surjects onto it with kernel exactly EK.  T EK lies in EK, so
+    M x = T x - x lies in EK for x in EK, and EK lies in L'.  Hence:
+
+    - EK = Z^n: L' = Z^n = EK, and the kernel is 0 (every nilpotent T);
+    - EK = 0: L' = ker M.  With d != 0 that is 0.  With d = 0 it is a
+      saturated lattice of rank nullity(M), free of that rank, which
+      `kernel_group` reads off one fraction-free rank;
+    - otherwise L' is built by `_fixed_sublattice` and EK is solved for in
+      its Hermite basis.  The quotient is torsion free because EK is
+      saturated, so torsion there, or an empty L' over a nonempty EK,
+      signals an internal defect.
+
+    Every case yields a group abstractly isomorphic to kernel_group(M).
     """
     m = limit.matrix - IntMatrix.identity(limit.dim)
     d, adj = det_adjugate(m)
-    if d and gcd(*adj.entries) == 1:
-        return FGAbelianGroup.from_cyclic_orders((d,))
-    return from_cokernel(m)
+    ek = eventual_kernel(limit)
+    coker = FGAbelianGroup.from_cyclic_orders((d,)) if d and gcd(*adj.entries) == 1 else from_cokernel(m)
+    if len(ek) == limit.dim or (not ek and d):
+        return FGAbelianGroup.trivial(), coker
+    if not ek:
+        return kernel_group(m), coker
+    fixed = _fixed_sublattice(limit, ek)
+    if not fixed:
+        raise InternalError("eventual kernel escaped the fixed sublattice")
+    coords = _solve_exact(IntMatrix.from_columns(fixed), ek)
+    quotient = from_cokernel(IntMatrix.from_columns(coords))
+    if quotient.torsion:
+        raise InternalError("fixed-point quotient acquired torsion")
+    return quotient, coker
+
+
+def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
+    """Group of limit elements fixed by the shift, L'/EK: the kernel that
+    `one_minus_shift` computes, abstractly isomorphic to kernel_group(I - T)."""
+    return one_minus_shift(limit)[0]
+
+
+def coker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
+    """Cokernel of (identity - shift) on the limit, coker(T - I): the
+    cokernel that `one_minus_shift` computes."""
+    return one_minus_shift(limit)[1]

@@ -8,10 +8,12 @@ These formulas are what :func:`homology` and :func:`ktheory` compute through
 Smith diagonals: for nonsingular I - A and I - B by Hermite elimination
 modulo |det|, which is computed once and also reported.  :func:`hk_check`
 also runs the stationary-limit model of :mod:`kep.dirlimit` - a computation
-that never touches the closed formulas, and whose cokernels come from a
-Gauss-Jordan adjugate when they are cyclic and from the other Smith
-algorithm otherwise - and its evidence confirms K0 = H0 ⊕ H2, K1 = H1 and
-the routes' agreement for :func:`analyze` and ``kep check``.
+that never touches the closed formulas.  Per limit it takes one
+Gauss-Jordan adjugate of T - I and one eventual kernel of T: cokernels are
+read off the adjugate when they are cyclic and come from the other Smith
+algorithm otherwise, and kernels need lattice work only when the eventual
+kernel is neither 0 nor everything.  Its evidence confirms K0 = H0 ⊕ H2,
+K1 = H1 and the routes' agreement for :func:`analyze` and ``kep check``.
 
 All formulas assume A nonnegative with no zero rows.  They are evaluated
 for any such pair, but when the matching-support criterion for
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abgroup import FGAbelianGroup, direct_sum, from_cokernel
-from .dirlimit import StationaryLimit, coker_one_minus_shift, ker_one_minus_shift
+from .dirlimit import StationaryLimit, one_minus_shift
 from .errors import InputValidationError, InternalError
 from .groupoid import PropertyReport, classify
 from .intmat import IntMatrix, det, smith_diagonal_mod_det
@@ -136,13 +138,9 @@ def limit_route_homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
     the pair enters this route.
     """
     _validate_pair(a, b)
-    lim_a = StationaryLimit.from_row_action(a)
-    lim_b = StationaryLimit.from_row_action(b)
-    return HomologyTuple(
-        h0=coker_one_minus_shift(lim_a),
-        h1=direct_sum(ker_one_minus_shift(lim_a), coker_one_minus_shift(lim_b)),
-        h2=ker_one_minus_shift(lim_b),
-    )
+    ker_a, coker_a = one_minus_shift(StationaryLimit.from_row_action(a))
+    ker_b, coker_b = one_minus_shift(StationaryLimit.from_row_action(b))
+    return HomologyTuple(h0=coker_a, h1=direct_sum(ker_a, coker_b), h2=ker_b)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,25 @@ def random_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) ->
     return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+def low_rank_pair(n: int, repeat_row: bool = False) -> tuple[IntMatrix, IntMatrix]:
+    """A = P Q + I, with P n x (n/2) and Q (n/2) x n of entries 0..3, and B
+    of entries ±1, all drawn from `random.Random(1)`.  So I - A = -P Q is
+    singular with a large kernel, and A >= 1 on its diagonal.  With
+    `repeat_row`, row 1 of A is set equal to row 0, which makes A singular
+    too, and the limit over A gets a nonzero eventual kernel short of Z^n."""
+    rng = random.Random(1)
+    k = n // 2
+    p = random_matrix(rng, n, k, 0, 3)
+    q = random_matrix(rng, k, n, 0, 3)
+    a = (p @ q).to_lists()
+    for i in range(n):
+        a[i][i] += 1
+    if repeat_row:
+        a[1] = list(a[0])
+    b = IntMatrix([[rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)])
+    return IntMatrix(a), b
+
+
 def random_pseudo_free_pair(
     rng: random.Random,
     max_n: int = 5,

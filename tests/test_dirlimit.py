@@ -1,8 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import in_lattice, random_matrix, rational_nullity, solve_rational
+import kep.dirlimit
+import kep.intmat
+from conftest import (
+    determinantal_divisors,
+    in_lattice,
+    low_rank_pair,
+    random_matrix,
+    rational_nullity,
+    rational_rank,
+    solve_rational,
+)
 from kep import (
     FGAbelianGroup,
     IntMatrix,
@@ -11,10 +22,12 @@ from kep import (
     coker_one_minus_shift,
     eventual_kernel,
     from_cokernel,
+    homology,
     ker_one_minus_shift,
+    limit_route_homology,
 )
 from kep.abgroup import kernel_group
-from kep.dirlimit import _fixed_sublattice, _lattice_basis, _solve_exact
+from kep.dirlimit import _fixed_sublattice, _lattice_basis, _solve_exact, one_minus_shift
 
 
 def limit_of(entries) -> StationaryLimit:
@@ -127,6 +140,43 @@ class TestSolveExact:
             _solve_exact(IntMatrix.from_columns([(2, 0)]), [(0, 1)])
 
 
+def _connecting_map(rng: random.Random, n: int, case: int) -> IntMatrix:
+    """A T of size n for one kernel case of `one_minus_shift`: 0 a nonzero
+    nilpotent T (n >= 2), 1 an injective T with 1 - T singular, 2 a random
+    T, 3 a T of rank n - 1 (nilpotent when n = 1)."""
+    if case == 0:
+        n = max(n, 2)
+        strict = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+        strict[0][1] = rng.choice((-2, -1, 1, 2))
+        perm = rng.sample(range(n), n)
+        return IntMatrix([[strict[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    if case == 1:
+        # T = I + u v^t with v^t u != -1 is injective, and 1 - T has rank 1.
+        while True:
+            u = [rng.randint(-3, 3) for _ in range(n)]
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            if sum(x * y for x, y in zip(u, v)) != -1:
+                return IntMatrix([[int(i == j) + u[i] * v[j] for j in range(n)] for i in range(n)])
+    t = random_matrix(rng, n, n, -4, 6).to_lists()
+    if case == 3:
+        t[-1] = [sum(row[j] for row in t[:-1]) for j in range(n)]
+    return IntMatrix(t)
+
+
+def _kernel_case(t: IntMatrix, nullity: int) -> str:
+    """Which of `one_minus_shift`'s kernel cases T falls in, read off the
+    rational ranks of T and T^n and the `nullity` of 1 - T."""
+    n = t.rows
+    power = t
+    for _ in range(n - 1):
+        power = power @ t
+    if rational_rank(power) == 0:
+        return "nilpotent"
+    if rational_rank(t) == n:
+        return "injective, singular 1 - T" if nullity else "injective, nonsingular 1 - T"
+    return "proper"
+
+
 class TestShiftKernelCokernel:
     def test_doubling(self):
         lim = limit_of([[2]])
@@ -148,15 +198,23 @@ class TestShiftKernelCokernel:
 
     def test_oracle_agreement(self):
         # The module's reason to exist: the lattice-model groups agree with
-        # the closed kernel/cokernel formulas on random connecting maps.
+        # ker and coker of 1 - T, read here off rational elimination and the
+        # determinantal divisors, on connecting maps drawn so that each of
+        # `one_minus_shift`'s kernel cases is hit.
         rng = random.Random(25)
-        for _ in range(200):
+        cases = Counter()
+        for draw in range(240):
             n = rng.randint(1, 5)
-            t = random_matrix(rng, n, n, -4, 6)
+            t = _connecting_map(rng, n, draw % 4)
             lim = StationaryLimit(t)
-            one = IntMatrix.identity(n)
-            assert ker_one_minus_shift(lim) == kernel_group(one - t)
-            assert coker_one_minus_shift(lim) == from_cokernel(one - t)
+            one_minus_t = IntMatrix.identity(t.rows) - t
+            nullity = rational_nullity(one_minus_t)
+            divisors = (1,) + tuple(x for x in determinantal_divisors(one_minus_t) if x)
+            factors = tuple(x // y for x, y in zip(divisors[1:], divisors) if x != y)
+            assert one_minus_shift(lim) == (FGAbelianGroup.free(nullity), FGAbelianGroup(nullity, factors))
+            assert (ker_one_minus_shift(lim), coker_one_minus_shift(lim)) == one_minus_shift(lim)
+            cases[_kernel_case(t, nullity)] += 1
+        assert set(cases) == {"nilpotent", "injective, singular 1 - T", "injective, nonsingular 1 - T", "proper"}
 
     def test_transpose_immaterial(self):
         rng = random.Random(26)
@@ -166,3 +224,52 @@ class TestShiftKernelCokernel:
             one = IntMatrix.identity(n)
             assert kernel_group(one - t) == kernel_group(one - t.transpose())
             assert from_cokernel(one - t) == from_cokernel(one - t.transpose())
+
+
+class TestLowRankConstruction:
+    """A = P Q + I with P n x (n/2) and Q (n/2) x n, B = ±1 (`low_rank_pair`):
+    I - A has a kernel of rank about n/2, whose Hermite basis once took
+    minutes at n = 64."""
+
+    @pytest.mark.parametrize("repeat_row", [False, True])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_routes_agree(self, n, repeat_row):
+        a, b = low_rank_pair(n, repeat_row)
+        assert limit_route_homology(a, b) == homology(a, b)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_no_lattice_transforms(self, monkeypatch, n):
+        # A and B are injective at these sizes, so both eventual kernels are
+        # 0, and the nonzero kernel of I - A is read off one rank.
+        a, b = low_rank_pair(n)
+        assert rational_rank(a) == rational_rank(b) == n
+        expected = homology(a, b)
+
+        def barred(m):
+            raise AssertionError("lattice transform on a zero eventual kernel")
+
+        for module in (kep.intmat, kep.dirlimit):
+            for name in ("hnf", "snf"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, barred)
+        assert limit_route_homology(a, b) == expected
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_repeated_row_takes_the_fixed_sublattice(self, monkeypatch, n):
+        # Row 1 = row 0 makes Aᵗ singular with an eventual kernel of rank 1,
+        # so the kernel of 1 - shift is the quotient L'/EK.
+        a, _ = low_rank_pair(n, repeat_row=True)
+        lim = StationaryLimit.from_row_action(a)
+        assert len(eventual_kernel(lim)) == 1
+        calls = 0
+        real = kep.dirlimit._fixed_sublattice
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(kep.dirlimit, "_fixed_sublattice", counted)
+        kernel, _ = one_minus_shift(lim)
+        assert calls == 1
+        assert kernel == FGAbelianGroup.free(rational_nullity(IntMatrix.identity(n) - a))

@@ -1,7 +1,7 @@
-"""Each invariant is computed once: the number of Smith forms, determinants
-and adjugates per command is pinned, so a second run of either homology
-route shows up here, and so is the number of slice products `check`
-composes."""
+"""Each invariant is computed once: the number of Smith forms, determinants,
+adjugates and integer kernels per command is pinned, so a second run of
+either homology route shows up here, and so is the number of slice products
+`check` composes."""
 
 import json
 from collections import Counter
@@ -21,7 +21,7 @@ A = [[2, 1, 3], [1, 4, 1], [2, 2, 5]]
 B = [[1, -1, 2], [3, 1, -2], [1, 1, 1]]
 PAIR = Operand("katsura", IntMatrix(A), IntMatrix(B))
 SFT = Operand("sft", IntMatrix(A))
-COUNTED = ("snf", "smith_diagonal", "smith_diagonal_mod_det", "det", "det_adjugate")
+COUNTED = ("snf", "smith_diagonal", "smith_diagonal_mod_det", "det", "det_adjugate", "kernel_basis")
 
 
 @pytest.fixture
@@ -44,21 +44,23 @@ def smith_calls(monkeypatch):
     return lambda: tuple(calls[name] for name in COUNTED)
 
 
-# (snf, smith_diagonal, smith_diagonal_mod_det, det, det_adjugate) per
-# command.  The formula route takes det(I - A) and det(I - B) once each, and
-# the diagonal modulo each nonzero one; `analyze` reports those same
-# determinants.  The limit route takes one Gauss-Jordan adjugate of each
-# T - I, and `smith_diagonal` only where T - I is singular or its adjugate's
-# entries share a factor: here Aᵗ - I has |det| 4 and adjugate gcd 2, so it
-# falls back, while Bᵗ - I has det 8 and gcd 1, so its cokernel is Z/8 with
-# no Smith form.  An injective T or T - I takes no Smith form at all.  The
-# sft operand's B = 0 has a nonzero eventual kernel: its kernel and the
-# fixed sublattice over it are the two transformed forms, and the quotient
-# of the fixed sublattice is one more diagonal; its Bᵗ - I = -I is cyclic.
-# The exact solve takes none; it back-substitutes in the Hermite basis of
-# the fixed sublattice.
-KATSURA = (0, 1, 2, 2, 2)
-SFT_COUNTS = (2, 2, 2, 2, 2)
+# (snf, smith_diagonal, smith_diagonal_mod_det, det, det_adjugate,
+# kernel_basis) per command.  The formula route takes det(I - A) and
+# det(I - B) once each, and the diagonal modulo each nonzero one; `analyze`
+# reports those same determinants.  The limit route takes one Gauss-Jordan
+# adjugate of each T - I and one eventual kernel of each T, and
+# `smith_diagonal` only where T - I is singular or its adjugate's entries
+# share a factor: here Aᵗ - I has |det| 4 and adjugate gcd 2, so it falls
+# back, while Bᵗ - I has det 8 and gcd 1, so its cokernel is Z/8 with no
+# Smith form.  The eventual kernel is one `kernel_basis` of T per limit,
+# with no Smith form when T is injective.  Both Ts of the pair are, so the
+# kernel of 1 - shift is read off the adjugate (d != 0 means a zero kernel)
+# and needs no second `kernel_basis`.  The sft operand's B = 0 is
+# nilpotent: its eventual kernel is all of Z^n, one transformed form, and
+# the kernel of 1 - shift is 0 with no fixed sublattice, exact solve or
+# quotient; its Bᵗ - I = -I is cyclic.
+KATSURA = (0, 1, 2, 2, 2, 2)
+SFT_COUNTS = (1, 1, 2, 2, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -73,7 +75,7 @@ def test_compare(smith_calls):
     # The formula route alone: one determinant and one diagonal modulo it
     # per matrix, no transforms.
     compare(PAIR, SFT)
-    assert smith_calls() == (0, 0, 4, 4, 0)
+    assert smith_calls() == (0, 0, 4, 4, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +97,7 @@ def test_realize(smith_calls, capsys):
     # limit cokernels, Z/3 and Z/5, are cyclic.
     main(["realize", "--rank", "0", "--t0", "3", "--t1", "5"])
     capsys.readouterr()
-    assert smith_calls() == (0, 0, 2, 2, 2)
+    assert smith_calls() == (0, 0, 2, 2, 2, 2)
 
 
 def test_check_composes_each_product_once(monkeypatch, capsys, tmp_path):
