@@ -6,8 +6,9 @@ The one-step translation ("shift") sends [x, i] to [x, i+1].  This module
 computes the kernel and cokernel of (identity - shift) directly from the
 lattice model, which is the route independent of the closed matrix formulas
 used in :mod:`kep.invariants`.  `one_minus_shift` gets both from one
-adjugate of T - I and one eventual kernel EK; it builds the fixed
-sublattice and its quotient only when EK is neither 0 nor all of Z^n.
+adjugate of T - I.  When det(T - I) != 0 the kernel is 0 and nothing more
+runs; otherwise it takes one eventual kernel EK, and builds the fixed
+sublattice and its quotient only when EK is nonzero.
 
 Convention: a vertex matrix M acting on basis vectors by
 1_v -> sum_w M[v, w] 1_w acts on coordinate columns through transpose(M).
@@ -124,7 +125,8 @@ def _fixed_sublattice(limit: StationaryLimit, ek: list[Vector]) -> list[Vector]:
 
 def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGroup]:
     """(kernel, cokernel) of (identity - shift) on the limit, from one
-    `det_adjugate` of M = T - I and one `eventual_kernel` EK.
+    `det_adjugate` of M = T - I and, only when det M = 0, one
+    `eventual_kernel` EK.
 
     Cokernel.  T acts as the identity on coker M (T x = x + M x), so the
     stationary system of cokernels is constant and the limit cokernel is
@@ -141,23 +143,28 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
     surjects onto it with kernel exactly EK.  T EK lies in EK, so
     M x = T x - x lies in EK for x in EK, and EK lies in L'.  Hence:
 
-    - EK = Z^n: L' = Z^n = EK, and the kernel is 0 (every nilpotent T);
-    - EK = 0: L' = ker M.  With d != 0 that is 0.  With d = 0 it is a
-      saturated lattice of rank nullity(M), free of that rank, which
-      `kernel_group` reads off one fraction-free rank;
-    - otherwise L' is built by `_fixed_sublattice` and EK is solved for in
-      its Hermite basis.  The quotient is torsion free because EK is
-      saturated, so torsion there, or an empty L' over a nonempty EK,
-      signals an internal defect.
+    - d != 0: the kernel is 0, and EK is not computed.  T is nilpotent
+      on EK, so M restricted to EK is N - I with N nilpotent, which has
+      the integer inverse -(I + N + N^2 + ...): M maps EK onto EK.  With M
+      injective, M x in EK = M EK forces x in EK, so L' = EK.  This covers
+      EK = Z^n (every nilpotent T, so every `sft` operand), which forces
+      d = det(T - I) = +-1;
+    - d = 0 and EK = 0: L' = ker M, a saturated lattice of rank
+      nullity(M), free of that rank, which `kernel_group` reads off one
+      fraction-free rank;
+    - d = 0 and EK != 0 (then EK != Z^n): L' is built by
+      `_fixed_sublattice` and EK is solved for in its Hermite basis.  The
+      quotient is torsion free because EK is saturated, so torsion there,
+      or an empty L' over a nonempty EK, signals an internal defect.
 
     Every case yields a group abstractly isomorphic to kernel_group(M).
     """
     m = limit.matrix - IntMatrix.identity(limit.dim)
     d, adj = det_adjugate(m)
-    ek = eventual_kernel(limit)
     coker = FGAbelianGroup.from_cyclic_orders((d,)) if d and gcd(*adj.entries) == 1 else from_cokernel(m)
-    if len(ek) == limit.dim or (not ek and d):
+    if d:
         return FGAbelianGroup.trivial(), coker
+    ek = eventual_kernel(limit)
     if not ek:
         return kernel_group(m), coker
     fixed = _fixed_sublattice(limit, ek)

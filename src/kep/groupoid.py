@@ -3,13 +3,15 @@
 A slice Z(alpha, m, beta) is the compact open bisection of groupoid elements
 "[alpha, m, beta; x] for x in the cylinder of beta": it maps the source
 cylinder Z(beta) homeomorphically onto the range cylinder Z(alpha), sending
-beta.y to alpha.kappa_m(y).  A slice is the triple (alpha, m, beta); the
-operations that read A and B take the pair as their leading arguments, like
-`kappa_path`.  A slice is stored as built, never reduced.  It equals the
-disjoint union of its refinements, so two slices are compared with
-`slices_equal`, which refines both to a common depth, not by field equality;
-at equal beta depth that refinement is the slices themselves, and field
-equality decides.
+beta.y to alpha.kappa_m(y).  A slice is the tuple record (alpha, m, beta),
+as a `Path` is the record (edges, vertex) and an `Edge` the record
+(source, target, label): each is built, compared and hashed as the tuple of
+its fields.  The operations that read A and B take the pair as their
+leading arguments, like `kappa_path`.  A slice is stored as built, never
+reduced.  It equals the disjoint union of its refinements, so two slices
+are compared with `slices_equal`, which refines both to a common depth, not
+by field equality; at equal beta depth that refinement is the slices
+themselves, and field equality decides.
 
 A product `compose_slices` reads the two middle paths once as edge tuples:
 it compares them, folds the overhang of the longer one through the action
@@ -20,8 +22,9 @@ also uses, checks the junction.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intmat import IntMatrix
 from .selfsim import (
@@ -36,18 +39,39 @@ from .selfsim import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Slice:
-    """Basic bisection Z(alpha, m, beta); the pair (A, B) it lives over is
-    an argument of every operation that reads it."""
-
+class _SliceFields(NamedTuple):
     alpha: Path
     m: int
     beta: Path
 
-    def __post_init__(self):
-        if self.alpha.range != self.beta.range:
+
+class Slice(_SliceFields):
+    """Basic bisection Z(alpha, m, beta); the pair (A, B) it lives over is
+    an argument of every operation that reads it.
+
+    A slice is the record (alpha, m, beta), a tuple like `Edge` and `Path`:
+    equality, hashing and `repr` are those of its field tuple, so a slice
+    also compares equal to the plain tuple (alpha, m, beta).  `__new__`
+    checks that alpha and beta end at the same vertex.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Path, m: int, beta: Path) -> "Slice":
+        if alpha.range != beta.range:
             raise ValueError("alpha and beta must end at the same vertex")
+        return tuple.__new__(cls, (alpha, m, beta))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Slice":
+        """The slice of a field iterable, checked by `__new__`; namedtuple's
+        own `_make`, which `_replace` calls, would skip the check."""
+        return cls(*fields)
+
+    def __reduce__(self):
+        # Unpickling and copying call the class, so every pickle protocol
+        # runs the check of `__new__`.
+        return type(self), tuple(self)
 
     def __str__(self) -> str:
         return f"Z({self.alpha}|{self.m}|{self.beta})"
@@ -70,7 +94,7 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
     for j, (a_entry, b_entry) in enumerate(zip(a.row(v - 1), b.row(v - 1)), 1):
         shift = m * b_entry
         # t -> l permutes the labels, so both new edges come from one list.
-        steps = [(Edge(v, j, t),) for t in range(a_entry)]
+        steps = [(tuple.__new__(Edge, (v, j, t)),) for t in range(a_entry)]
         for t, step in enumerate(steps):
             carry, label = divmod(shift + t, a_entry)
             alpha = Path._composed(alpha_edges + steps[label])
@@ -103,7 +127,8 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
     preimage kappa_{-m2}(overhang), and m1 gains -phi(-m2, overhang), the
     carry of that preimage under m2 (see `kappa_path_preimage`).
     """
-    middle1, middle2 = s1.beta, s2.alpha
+    alpha1, m1, middle1 = s1
+    middle2, m2, beta2 = s2
     if middle1.source != middle2.source:
         return None
     edges1, edges2 = middle1.edges, middle2.edges
@@ -112,13 +137,13 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
         if edges2[:k1] != edges1:
             return None
         if k1 == k2:
-            return Slice(s1.alpha, s1.m + s2.m, s2.beta)
-        image, carry = _act(a, b, s1.m, edges2[k1:])
-        return Slice(s1.alpha._extended(image), carry + s2.m, s2.beta)
+            return Slice(alpha1, m1 + m2, beta2)
+        image, carry = _act(a, b, m1, edges2[k1:])
+        return Slice(alpha1._extended(image), carry + m2, beta2)
     if edges1[:k2] != edges2:
         return None
-    preimage, carry = _act(a, b, -s2.m, edges1[k2:])
-    return Slice(s1.alpha, s1.m - carry, s2.beta._extended(preimage))
+    preimage, carry = _act(a, b, -m2, edges1[k2:])
+    return Slice(alpha1, m1 - carry, beta2._extended(preimage))
 
 
 def invert_slice(s: Slice) -> Slice:

@@ -35,27 +35,44 @@ class Edge(NamedTuple):
         return f"e({self.source},{self.target},{self.label})"
 
 
-# Bound once: `Path._composed` runs for every path the slice algebra builds.
-_new_object = object.__new__
-_set_field = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True)
-class Path:
-    """A composable sequence of edges; the empty path is anchored at a vertex."""
-
+class _PathFields(NamedTuple):
     edges: tuple[Edge, ...] = ()
     vertex: int | None = None
 
-    def __post_init__(self):
-        if self.edges:
-            if self.vertex is not None:
+
+class Path(_PathFields):
+    """A composable sequence of edges; the empty path is anchored at a vertex.
+
+    A path is the record (edges, vertex), a tuple like `Edge`: equality,
+    hashing and `repr` are those of its field tuple, so a path also compares
+    equal to the plain tuple (edges, vertex).  `len` counts edges, and the
+    empty path is falsy; iterating or indexing reads the two fields.
+    `__new__` checks the anchor rules and that consecutive edges compose.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, edges: tuple[Edge, ...] = (), vertex: int | None = None) -> "Path":
+        if edges:
+            if vertex is not None:
                 raise ValueError("nonempty paths carry no anchor vertex")
-            for a, b in zip(self.edges, self.edges[1:]):
+            for a, b in zip(edges, edges[1:]):
                 if a.target != b.source:
                     raise ValueError(f"edges {a} and {b} are not composable")
-        elif self.vertex is None:
+        elif vertex is None:
             raise ValueError("the empty path needs an anchor vertex")
+        return tuple.__new__(cls, (edges, vertex))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Path":
+        """The path of a field iterable, checked by `__new__`; namedtuple's
+        own `_make`, which `_replace` calls, would skip the checks."""
+        return cls(*fields)
+
+    def __reduce__(self):
+        # Unpickling and copying call the class, so every pickle protocol
+        # runs the checks of `__new__`.
+        return type(self), tuple(self)
 
     @classmethod
     def empty(cls, vertex: int) -> "Path":
@@ -64,11 +81,9 @@ class Path:
     @classmethod
     def _composed(cls, edges: tuple[Edge, ...]) -> "Path":
         """A nonempty path from edges that are composable by construction,
-        without the junction scan of `__post_init__`."""
-        path = _new_object(cls)
-        _set_field(path, "edges", edges)
-        _set_field(path, "vertex", None)
-        return path
+        without the junction scan of `__new__`: the one builder that skips
+        it, run for every path the slice algebra builds."""
+        return tuple.__new__(cls, (edges, None))
 
     @classmethod
     def of(cls, edges: Iterable[Edge]) -> "Path":
@@ -235,11 +250,13 @@ def _check_vertex(a: IntMatrix, v: int) -> None:
 
 
 def _check_edge(a: IntMatrix, e: Edge) -> int:
+    """A[source, target] for an edge of the graph of A; raises on any other."""
+    source, target, label = e
     n = a.rows
-    if not (1 <= e.source <= n and 1 <= e.target <= n):
+    if not (1 <= source <= n and 1 <= target <= n):
         raise InputValidationError("unknown edge", f"{e} has a vertex outside 1..{n}")
-    bound = a[e.source - 1, e.target - 1]
-    if not 0 <= e.label < bound:
+    bound = a.row(source - 1)[target - 1]
+    if not 0 <= label < bound:
         raise InputValidationError("unknown edge", f"{e} does not exist (A entry is {bound})")
     return bound
 
@@ -264,8 +281,10 @@ def _act(a: IntMatrix, b: IntMatrix, m: int, edges: tuple[Edge, ...]) -> tuple[t
     out = []
     for e in edges:
         a_entry = _check_edge(a, e)
-        carry, label = divmod(carry * b[e.source - 1, e.target - 1] + e.label, a_entry)
-        out.append(Edge(e.source, e.target, label))
+        source, target, label = e
+        carry, label = divmod(carry * b.row(source - 1)[target - 1] + label, a_entry)
+        # The image edge is built as a plain tuple: Edge has no checks to run.
+        out.append(tuple.__new__(Edge, (source, target, label)))
     return tuple(out), carry
 
 

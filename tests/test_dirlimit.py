@@ -140,10 +140,30 @@ class TestSolveExact:
             _solve_exact(IntMatrix.from_columns([(2, 0)]), [(0, 1)])
 
 
+def _unimodular(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """A random unimodular U of size n and its inverse, as products of
+    elementary column and row operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[:] for row in u]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # U <- U (I + c e_ij) adds c times column i to column j;
+        # U^-1 <- (I - c e_ij) U^-1 subtracts c times row j from row i.
+        for row in u:
+            row[j] += c * row[i]
+        inverse[i] = [x - c * y for x, y in zip(inverse[i], inverse[j])]
+    u, inverse = IntMatrix(u), IntMatrix(inverse)
+    assert u @ inverse == IntMatrix.identity(n)
+    return u, inverse
+
+
 def _connecting_map(rng: random.Random, n: int, case: int) -> IntMatrix:
     """A T of size n for one kernel case of `one_minus_shift`: 0 a nonzero
     nilpotent T (n >= 2), 1 an injective T with 1 - T singular, 2 a random
-    T, 3 a T of rank n - 1 (nilpotent when n = 1)."""
+    T, 3 a T of rank n - 1 (nilpotent when n = 1), 4 a T with 1 - T
+    singular and a proper nonzero eventual kernel (n >= 2): U diag(1, J) U^-1
+    with J a nilpotent Jordan block and U unimodular."""
     if case == 0:
         n = max(n, 2)
         strict = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
@@ -157,6 +177,12 @@ def _connecting_map(rng: random.Random, n: int, case: int) -> IntMatrix:
             v = [rng.randint(-3, 3) for _ in range(n)]
             if sum(x * y for x, y in zip(u, v)) != -1:
                 return IntMatrix([[int(i == j) + u[i] * v[j] for j in range(n)] for i in range(n)])
+    if case == 4:
+        n = max(n, 2)
+        # 1 in the corner, then J: ones just above the diagonal of the rest.
+        block = [[int(i == j == 0 or (i >= 1 and j == i + 1)) for j in range(n)] for i in range(n)]
+        u, inverse = _unimodular(rng, n)
+        return u @ IntMatrix(block) @ inverse
     t = random_matrix(rng, n, n, -4, 6).to_lists()
     if case == 3:
         t[-1] = [sum(row[j] for row in t[:-1]) for j in range(n)]
@@ -174,7 +200,7 @@ def _kernel_case(t: IntMatrix, nullity: int) -> str:
         return "nilpotent"
     if rational_rank(t) == n:
         return "injective, singular 1 - T" if nullity else "injective, nonsingular 1 - T"
-    return "proper"
+    return "proper, singular 1 - T" if nullity else "proper, nonsingular 1 - T"
 
 
 class TestShiftKernelCokernel:
@@ -203,9 +229,9 @@ class TestShiftKernelCokernel:
         # `one_minus_shift`'s kernel cases is hit.
         rng = random.Random(25)
         cases = Counter()
-        for draw in range(240):
+        for draw in range(300):
             n = rng.randint(1, 5)
-            t = _connecting_map(rng, n, draw % 4)
+            t = _connecting_map(rng, n, draw % 5)
             lim = StationaryLimit(t)
             one_minus_t = IntMatrix.identity(t.rows) - t
             nullity = rational_nullity(one_minus_t)
@@ -214,7 +240,36 @@ class TestShiftKernelCokernel:
             assert one_minus_shift(lim) == (FGAbelianGroup.free(nullity), FGAbelianGroup(nullity, factors))
             assert (ker_one_minus_shift(lim), coker_one_minus_shift(lim)) == one_minus_shift(lim)
             cases[_kernel_case(t, nullity)] += 1
-        assert set(cases) == {"nilpotent", "injective, singular 1 - T", "injective, nonsingular 1 - T", "proper"}
+        assert set(cases) == {
+            "nilpotent",
+            "injective, singular 1 - T",
+            "injective, nonsingular 1 - T",
+            "proper, singular 1 - T",
+            "proper, nonsingular 1 - T",
+        }
+
+    def test_nonsingular_one_minus_t_takes_no_eventual_kernel(self, monkeypatch):
+        # det(T - I) != 0 makes the kernel 0 whatever the eventual kernel
+        # is, here a proper nonzero one: diag(0, 2), a Jordan block beside
+        # (3), and T of rank n - 1 from `_connecting_map`.
+        rng = random.Random(28)
+        maps = [IntMatrix([[0, 0], [0, 2]]), IntMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 3]])]
+        while len(maps) < 30:
+            t = _connecting_map(rng, rng.randint(2, 5), 3)
+            one_minus_t = IntMatrix.identity(t.rows) - t
+            if rational_nullity(one_minus_t) == 0 and _kernel_case(t, 0) == "proper, nonsingular 1 - T":
+                maps.append(t)
+        expected = []
+        for t in maps:
+            lim = StationaryLimit(t)
+            assert 0 < len(eventual_kernel(lim)) < t.rows
+            expected.append((FGAbelianGroup.trivial(), from_cokernel(IntMatrix.identity(t.rows) - t)))
+
+        def barred(limit):
+            raise AssertionError("eventual kernel taken with det(T - I) != 0")
+
+        monkeypatch.setattr(kep.dirlimit, "eventual_kernel", barred)
+        assert [one_minus_shift(StationaryLimit(t)) for t in maps] == expected
 
     def test_transpose_immaterial(self):
         rng = random.Random(26)

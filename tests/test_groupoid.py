@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -78,6 +80,62 @@ def random_slice(rng, graph, max_len=3, max_m=3):
     beta = random_walk(graph, rng, rng.choice(list(graph.vertices())), rng.randint(0, max_len))
     alpha = path_ending_at(graph, rng, beta.range, max_len)
     return Slice(alpha, rng.randint(-max_m, max_m), beta)
+
+
+class TestSliceRecord:
+    """A slice is the tuple record (alpha, m, beta): its check, message,
+    immutability, repr, hash and copies match the frozen dataclass it
+    replaced."""
+
+    S = Slice(P0, 2, V)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Slice(V, 0, Path.empty(2)),
+            lambda: Slice(Path.of([Edge(1, 2, 0)]), 0, V),
+            lambda: Slice(P0, 1, P1)._replace(beta=Path.empty(2)),
+        ],
+    )
+    def test_constructor_message(self, build):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert info.value.args == ("alpha and beta must end at the same vertex",)
+
+    def test_fields_are_read_only(self):
+        for name, value in (("alpha", V), ("m", 0), ("beta", V), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(self.S, name, value)
+        assert self.S == Slice(P0, 2, V)
+
+    def test_repr_hash_and_tuple_equality(self):
+        s = self.S
+        assert repr(s) == (
+            "Slice(alpha=Path(edges=(Edge(source=1, target=1, label=0),), vertex=None), "
+            "m=2, beta=Path(edges=(), vertex=1))"
+        )
+        assert str(s) == "Z(e(1,1,0)|2|v(1))"
+        assert hash(s) == hash((s.alpha, s.m, s.beta))
+        # Like Edge, a slice equals the plain tuple of its fields.
+        assert s == (P0, 2, V) and s == (((E0,), None), 2, ((), 1))
+        assert s != Slice(P1, 2, V) and s != Slice(P0, 3, V)
+        assert len({s, Slice(P0, 2, V), invert_slice(invert_slice(s))}) == 1
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        rng = random.Random(41)
+        graph = Graph(IntMatrix([[2, 1], [1, 3]]))
+        for s in [self.S] + [random_slice(rng, graph) for _ in range(20)]:
+            pickled = [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for copied in [*pickled, copy.deepcopy(s), copy.copy(s)]:
+                assert copied == s and type(copied) is Slice and hash(copied) == hash(s)
+                assert type(copied.alpha) is Path and type(copied.beta) is Path
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_validates(self, protocol):
+        # A record built past the check pickles, but does not load.
+        forged = tuple.__new__(Slice, (V, 0, Path.empty(2)))
+        with pytest.raises(ValueError, match="same vertex"):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 class TestRefine:

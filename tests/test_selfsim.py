@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -186,6 +188,77 @@ class TestPathInvariants:
         for index in (-1, g.edge_count()):
             with pytest.raises(IndexError):
                 g.edge(index)
+
+
+class TestPathRecord:
+    """A path is the tuple record (edges, vertex): its checks, messages,
+    immutability, repr, hash and copies match the frozen dataclass it
+    replaced."""
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: Path((E0,), 1), "nonempty paths carry no anchor vertex"),
+            (lambda: Path(), "the empty path needs an anchor vertex"),
+            (lambda: Path(()), "the empty path needs an anchor vertex"),
+            (lambda: Path((Edge(1, 2, 0), E0)), "edges e(1,2,0) and e(1,1,0) are not composable"),
+            (lambda: Path.of([]), "use Path.empty for length-zero paths"),
+            (lambda: Path.empty(1)._replace(vertex=None), "the empty path needs an anchor vertex"),
+            (lambda: Path.of([E0])._replace(vertex=1), "nonempty paths carry no anchor vertex"),
+        ],
+    )
+    def test_constructor_messages(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert info.value.args == (message,)
+
+    @pytest.mark.parametrize(
+        ("edge", "message"),
+        [
+            (Edge(1, 3, 0), "e(1,3,0) has a vertex outside 1..2"),
+            (Edge(0, 1, 0), "e(0,1,0) has a vertex outside 1..2"),
+            (Edge(1, 1, 2), "e(1,1,2) does not exist (A entry is 2)"),
+            (Edge(1, 2, 0), "e(1,2,0) does not exist (A entry is 0)"),
+        ],
+    )
+    def test_edge_check_messages(self, edge, message):
+        a, b = IntMatrix([[2, 0], [1, 1]]), IntMatrix([[1, 0], [1, 1]])
+        with pytest.raises(InputValidationError) as info:
+            kappa_edge(a, b, 1, edge)
+        assert str(info.value) == message
+
+    def test_fields_are_read_only(self):
+        p = Path.of([E0, E1])
+        for name, value in (("edges", ()), ("vertex", 1), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        assert p == Path.of([E0, E1])
+
+    def test_repr_hash_and_tuple_equality(self):
+        p = Path.of([E0])
+        assert repr(p) == "Path(edges=(Edge(source=1, target=1, label=0),), vertex=None)"
+        assert repr(Path.empty(3)) == "Path(edges=(), vertex=3)"
+        assert hash(p) == hash((p.edges, p.vertex))
+        # Like Edge, a path equals the plain tuple of its fields.
+        assert p == ((E0,), None) and Path.empty(2) == ((), 2)
+        assert p != Path.of([E1]) and Path.empty(1) != Path.empty(2)
+
+    def test_length_counts_edges(self):
+        assert len(Path.empty(2)) == 0 and not Path.empty(2)
+        assert len(Path.of([E0, E1, E0])) == 3 and Path.of([E0])
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for p in (Path.empty(2), Path.of([E0, E1])):
+            pickled = [pickle.loads(pickle.dumps(p, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for copied in [*pickled, copy.deepcopy(p), copy.copy(p)]:
+                assert copied == p and type(copied) is Path and hash(copied) == hash(p)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_validates(self, protocol):
+        # A record built past the checks pickles, but does not load.
+        forged = tuple.__new__(Path, ((Edge(1, 2, 0), E0), None))
+        with pytest.raises(ValueError, match="not composable"):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 class TestTailAfter:

@@ -52,15 +52,14 @@ def smith_calls(monkeypatch):
 # `smith_diagonal` only where T - I is singular or its adjugate's entries
 # share a factor: here Aᵗ - I has |det| 4 and adjugate gcd 2, so it falls
 # back, while Bᵗ - I has det 8 and gcd 1, so its cokernel is Z/8 with no
-# Smith form.  The eventual kernel is one `kernel_basis` of T per limit,
-# with no Smith form when T is injective.  Both Ts of the pair are, so the
-# kernel of 1 - shift is read off the adjugate (d != 0 means a zero kernel)
-# and needs no second `kernel_basis`.  The sft operand's B = 0 is
-# nilpotent: its eventual kernel is all of Z^n, one transformed form, and
-# the kernel of 1 - shift is 0 with no fixed sublattice, exact solve or
-# quotient; its Bᵗ - I = -I is cyclic.
-KATSURA = (0, 1, 2, 2, 2, 2)
-SFT_COUNTS = (1, 1, 2, 2, 2, 2)
+# Smith form.  A nonzero det(T - I) means a zero kernel of 1 - shift, read
+# off the adjugate with no eventual kernel, so no `kernel_basis` runs: the
+# eventual kernel (one `kernel_basis` of T, and a Smith form when T is not
+# injective) is taken only when T - I is singular.  That holds for both
+# limits of both operands here, the sft operand's nilpotent B = 0 too,
+# whose Bᵗ - I = -I has det +-1 and is cyclic.
+KATSURA = (0, 1, 2, 2, 2, 0)
+SFT_COUNTS = (0, 1, 2, 2, 2, 0)
 
 
 @pytest.mark.parametrize(
@@ -94,10 +93,10 @@ def test_check(smith_calls, capsys, tmp_path, doc, expected):
 def test_realize(smith_calls, capsys):
     # The realized pair (diag(4, 2), diag(2, 6)) is verified by the one
     # `analyze` that is printed: the same counts as analyzing it.  Both
-    # limit cokernels, Z/3 and Z/5, are cyclic.
+    # limit cokernels, Z/3 and Z/5, are cyclic, so no eventual kernel runs.
     main(["realize", "--rank", "0", "--t0", "3", "--t1", "5"])
     capsys.readouterr()
-    assert smith_calls() == (0, 0, 2, 2, 2, 2)
+    assert smith_calls() == (0, 0, 2, 2, 2, 0)
 
 
 def test_check_composes_each_product_once(monkeypatch, capsys, tmp_path):
