@@ -2,10 +2,16 @@
 
 Route one: closed formulas through Smith forms of I - A and I - B.
 Route two: the stationary inductive limit Z^n -> Z^n -> ... with the shift
-endomorphism; its kernel and cokernel of (identity - shift) are computed
-from lattices (eventual kernels, preimages, saturated quotients) without
-ever looking at the closed formulas.  The two agree on every valid input,
-and K0 = H0 + H2, K1 = H1 ties homology to K-theory.
+endomorphism; `limit_route_homology` reads the kernel and cokernel of
+(identity - shift) off one fraction-free adjugate of T - I (and one rank
+when T - I is singular), without ever looking at the closed formulas.  The
+two agree on every valid input, and K0 = H0 + H2, K1 = H1 ties homology to
+K-theory.
+
+The peek inside the limit below uses the lattice model that route two is
+proven against: `eventual_kernel` and `ker_one_minus_shift` build the
+eventual kernel, the fixed sublattice and their quotient, while
+`coker_one_minus_shift` is the route's own cokernel.
 """
 
 import random

@@ -3,12 +3,15 @@
 A square matrix T defines the direct system Z^n -T-> Z^n -T-> ...; its limit
 is the group of pairs [x, stage] under the identification [x, i] = [T x, i+1].
 The one-step translation ("shift") sends [x, i] to [x, i+1].  This module
-computes the kernel and cokernel of (identity - shift) directly from the
-lattice model, which is the route independent of the closed matrix formulas
-used in :mod:`kep.invariants`.  `one_minus_shift` gets both from one
-adjugate of T - I.  When det(T - I) != 0 the kernel is 0 and nothing more
-runs; otherwise it takes one eventual kernel EK, and builds the fixed
-sublattice and its quotient only when EK is nonzero.
+computes the kernel and cokernel of (identity - shift) on the limit, the
+route independent of the closed matrix formulas used in
+:mod:`kep.invariants`.  `one_minus_shift`, the route, gets both from one
+adjugate of T - I: the kernel is 0 when det(T - I) != 0 and otherwise free
+of rank nullity(T - I), because the fixed sublattice L' splits as the
+eventual kernel EK plus ker(T - I).  `ker_one_minus_shift` is the lattice
+model that this splitting replaces: it builds EK, the Hermite basis of L'
+and the quotient L'/EK, at lattice-model cost, and tests hold the route
+to it.
 
 Convention: a vertex matrix M acting on basis vectors by
 1_v -> sum_w M[v, w] 1_w acts on coordinate columns through transpose(M).
@@ -125,8 +128,8 @@ def _fixed_sublattice(limit: StationaryLimit, ek: list[Vector]) -> list[Vector]:
 
 def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGroup]:
     """(kernel, cokernel) of (identity - shift) on the limit, from one
-    `det_adjugate` of M = T - I and, only when det M = 0, one
-    `eventual_kernel` EK.
+    `det_adjugate` of M = T - I: the bounded route that
+    `limit_route_homology` runs.
 
     Cokernel.  T acts as the identity on coker M (T x = x + M x), so the
     stationary system of cokernels is constant and the limit cokernel is
@@ -139,34 +142,39 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
     `from_cokernel`.  `det_adjugate` shares no code with the formula
     route's `det` and its diagonal modulo |det|.
 
-    Kernel.  The fixed subgroup is L'/EK with L' = {x : M x in EK}: L'
-    surjects onto it with kernel exactly EK.  T EK lies in EK, so
-    M x = T x - x lies in EK for x in EK, and EK lies in L'.  Hence:
-
-    - d != 0: the kernel is 0, and EK is not computed.  T is nilpotent
-      on EK, so M restricted to EK is N - I with N nilpotent, which has
-      the integer inverse -(I + N + N^2 + ...): M maps EK onto EK.  With M
-      injective, M x in EK = M EK forces x in EK, so L' = EK.  This covers
-      EK = Z^n (every nilpotent T, so every `sft` operand), which forces
-      d = det(T - I) = +-1;
-    - d = 0 and EK = 0: L' = ker M, a saturated lattice of rank
-      nullity(M), free of that rank, which `kernel_group` reads off one
-      fraction-free rank;
-    - d = 0 and EK != 0 (then EK != Z^n): L' is built by
-      `_fixed_sublattice` and EK is solved for in its Hermite basis.  The
-      quotient is torsion free because EK is saturated, so torsion there,
-      or an empty L' over a nonempty EK, signals an internal defect.
-
-    Every case yields a group abstractly isomorphic to kernel_group(M).
+    Kernel.  The fixed subgroup is L'/EK, with EK the eventual kernel and
+    L' = {x : M x in EK}: L' surjects onto it with kernel exactly EK, and
+    T EK lies in EK, so EK lies in L'.  T is nilpotent on EK, so M
+    restricted to EK is N - I with N nilpotent, which has the integer
+    inverse -(I + N + N^2 + ...): M maps EK onto EK.  So for x in L' some
+    y in EK has M y = M x, and x - y lies in ker M; and EK meets ker M in
+    0, since M is injective on EK.  Hence L' = EK ⊕ ker M, and L'/EK is
+    isomorphic to ker M, free of rank nullity(M): 0 when d != 0, and
+    otherwise `kernel_group` reads it off one fraction-free rank.  Neither
+    EK nor L' is computed; `ker_one_minus_shift` builds both.
     """
     m = limit.matrix - IntMatrix.identity(limit.dim)
     d, adj = det_adjugate(m)
     coker = FGAbelianGroup.from_cyclic_orders((d,)) if d and gcd(*adj.entries) == 1 else from_cokernel(m)
-    if d:
-        return FGAbelianGroup.trivial(), coker
+    return FGAbelianGroup.trivial() if d else kernel_group(m), coker
+
+
+def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
+    """Group of limit elements fixed by the shift, L'/EK, built from the
+    lattice model: the eventual kernel EK, the Hermite basis of
+    L' = {x : (T - I) x in EK} (`_fixed_sublattice`), EK solved for in that
+    basis, and the quotient.  With EK = 0, L' is ker(T - I) itself.
+
+    It costs what the lattice model costs, whose Hermite bases can take
+    minutes on a dense kernel lattice at n = 64; `one_minus_shift` is the
+    bounded route, and its splitting L' = EK ⊕ ker(T - I) makes the two
+    groups equal.  The quotient is torsion free because EK is saturated, so
+    torsion there, or an empty L' over a nonempty EK, signals an internal
+    defect.
+    """
     ek = eventual_kernel(limit)
     if not ek:
-        return kernel_group(m), coker
+        return kernel_group(limit.matrix - IntMatrix.identity(limit.dim))
     fixed = _fixed_sublattice(limit, ek)
     if not fixed:
         raise InternalError("eventual kernel escaped the fixed sublattice")
@@ -174,13 +182,7 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
     quotient = from_cokernel(IntMatrix.from_columns(coords))
     if quotient.torsion:
         raise InternalError("fixed-point quotient acquired torsion")
-    return quotient, coker
-
-
-def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
-    """Group of limit elements fixed by the shift, L'/EK: the kernel that
-    `one_minus_shift` computes, abstractly isomorphic to kernel_group(I - T)."""
-    return one_minus_shift(limit)[0]
+    return quotient
 
 
 def coker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:

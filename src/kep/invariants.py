@@ -9,11 +9,12 @@ Smith diagonals: for nonsingular I - A and I - B by Hermite elimination
 modulo |det|, which is computed once and also reported.  :func:`hk_check`
 also runs the stationary-limit model of :mod:`kep.dirlimit` - a computation
 that never touches the closed formulas.  Per limit it takes one
-Gauss-Jordan adjugate of T - I and one eventual kernel of T: cokernels are
-read off the adjugate when they are cyclic and come from the other Smith
-algorithm otherwise, and kernels need lattice work only when the eventual
-kernel is neither 0 nor everything.  Its evidence confirms K0 = H0 ⊕ H2,
-K1 = H1 and the routes' agreement for :func:`analyze` and ``kep check``.
+Gauss-Jordan adjugate of T - I: cokernels are read off the adjugate when
+they are cyclic and come from the other Smith algorithm otherwise, and the
+kernel is 0 when det(T - I) != 0 and otherwise free of rank nullity(T - I),
+from one rank, with no eventual kernel and no lattice basis.  Its evidence
+confirms K0 = H0 ⊕ H2, K1 = H1 and the routes' agreement for
+:func:`analyze` and ``kep check``.
 
 All formulas assume A nonnegative with no zero rows.  They are evaluated
 for any such pair, but when the matching-support criterion for

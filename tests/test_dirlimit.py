@@ -159,7 +159,7 @@ def _unimodular(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
 
 
 def _connecting_map(rng: random.Random, n: int, case: int) -> IntMatrix:
-    """A T of size n for one kernel case of `one_minus_shift`: 0 a nonzero
+    """A T of size n for one of five kernel cases of the limit: 0 a nonzero
     nilpotent T (n >= 2), 1 an injective T with 1 - T singular, 2 a random
     T, 3 a T of rank n - 1 (nilpotent when n = 1), 4 a T with 1 - T
     singular and a proper nonzero eventual kernel (n >= 2): U diag(1, J) U^-1
@@ -190,7 +190,7 @@ def _connecting_map(rng: random.Random, n: int, case: int) -> IntMatrix:
 
 
 def _kernel_case(t: IntMatrix, nullity: int) -> str:
-    """Which of `one_minus_shift`'s kernel cases T falls in, read off the
+    """Which of the five kernel cases of the limit T falls in, read off the
     rational ranks of T and T^n and the `nullity` of 1 - T."""
     n = t.rows
     power = t
@@ -223,10 +223,11 @@ class TestShiftKernelCokernel:
         assert coker_one_minus_shift(StationaryLimit(t)) == FGAbelianGroup(1, ())
 
     def test_oracle_agreement(self):
-        # The module's reason to exist: the lattice-model groups agree with
-        # ker and coker of 1 - T, read here off rational elimination and the
-        # determinantal divisors, on connecting maps drawn so that each of
-        # `one_minus_shift`'s kernel cases is hit.
+        # The module's reason to exist: the route's groups agree with ker
+        # and coker of 1 - T, read here off rational elimination and the
+        # determinantal divisors, and its kernel with the lattice model's
+        # L'/EK, on connecting maps drawn so that each kernel case (EK = 0,
+        # EK = Z^n or in between, with d = 0 or not) is hit.
         rng = random.Random(25)
         cases = Counter()
         for draw in range(300):
@@ -249,24 +250,27 @@ class TestShiftKernelCokernel:
         }
 
     def test_nonsingular_one_minus_t_takes_no_eventual_kernel(self, monkeypatch):
-        # det(T - I) != 0 makes the kernel 0 whatever the eventual kernel
-        # is, here a proper nonzero one: diag(0, 2), a Jordan block beside
-        # (3), and T of rank n - 1 from `_connecting_map`.
+        # L' = EK ⊕ ker(T - I), so the route reads the kernel off d and one
+        # rank in every kernel case, the repeated-row maps' nonzero
+        # eventual kernel with d = 0 too.
         rng = random.Random(28)
         maps = [IntMatrix([[0, 0], [0, 2]]), IntMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 3]])]
-        while len(maps) < 30:
-            t = _connecting_map(rng, rng.randint(2, 5), 3)
-            one_minus_t = IntMatrix.identity(t.rows) - t
-            if rational_nullity(one_minus_t) == 0 and _kernel_case(t, 0) == "proper, nonsingular 1 - T":
-                maps.append(t)
+        for n in (4, 8, 12):
+            a, _ = low_rank_pair(n, repeat_row=True)
+            maps.append(a.transpose())
+        for draw in range(40):
+            maps.append(_connecting_map(rng, rng.randint(2, 5), draw % 5))
+        cases = Counter()
         expected = []
         for t in maps:
-            lim = StationaryLimit(t)
-            assert 0 < len(eventual_kernel(lim)) < t.rows
-            expected.append((FGAbelianGroup.trivial(), from_cokernel(IntMatrix.identity(t.rows) - t)))
+            one_minus_t = IntMatrix.identity(t.rows) - t
+            nullity = rational_nullity(one_minus_t)
+            cases[_kernel_case(t, nullity)] += 1
+            expected.append((FGAbelianGroup.free(nullity), from_cokernel(one_minus_t)))
+        assert len(cases) == 5
 
         def barred(limit):
-            raise AssertionError("eventual kernel taken with det(T - I) != 0")
+            raise AssertionError("eventual kernel taken by the route")
 
         monkeypatch.setattr(kep.dirlimit, "eventual_kernel", barred)
         assert [one_minus_shift(StationaryLimit(t)) for t in maps] == expected
@@ -312,7 +316,8 @@ class TestLowRankConstruction:
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_repeated_row_takes_the_fixed_sublattice(self, monkeypatch, n):
         # Row 1 = row 0 makes Aᵗ singular with an eventual kernel of rank 1,
-        # so the kernel of 1 - shift is the quotient L'/EK.
+        # so the lattice model builds L' once and takes the quotient L'/EK,
+        # which the route reads off one rank.
         a, _ = low_rank_pair(n, repeat_row=True)
         lim = StationaryLimit.from_row_action(a)
         assert len(eventual_kernel(lim)) == 1
@@ -325,6 +330,6 @@ class TestLowRankConstruction:
             return real(*args)
 
         monkeypatch.setattr(kep.dirlimit, "_fixed_sublattice", counted)
-        kernel, _ = one_minus_shift(lim)
+        kernel = ker_one_minus_shift(lim)
         assert calls == 1
-        assert kernel == FGAbelianGroup.free(rational_nullity(IntMatrix.identity(n) - a))
+        assert kernel == one_minus_shift(lim)[0] == FGAbelianGroup.free(rational_nullity(IntMatrix.identity(n) - a))

@@ -2,7 +2,8 @@
 deletion, and is read by a demo or the README; no module keeps an import it
 no longer uses or a private helper nothing reads, and none imports
 `fractions` or `decimal` or calls `float`; the limit route reaches none of
-the formula route's determinant and cokernel code."""
+the formula route's determinant and cokernel code, and none of the lattice
+model's eventual kernels and Hermite bases."""
 
 import ast
 import importlib
@@ -187,3 +188,14 @@ def test_limit_route_shares_no_formula_route_code():
     package = Path(kep.__file__).parent
     assert imported_names((package / "dirlimit.py").read_text()) & LIMIT_ROUTE_BARRED == set()
     assert called_names((package / "intmat.py").read_text(), "det_adjugate") & ADJUGATE_BARRED == set()
+
+
+LATTICE_MODEL = {"eventual_kernel", "_fixed_sublattice", "_solve_exact", "_preimage", "kernel_basis", "hnf", "snf"}
+
+
+def test_limit_route_takes_no_lattice_model():
+    # The fixed sublattice splits as EK ⊕ ker(T - I), so the route reads its
+    # kernel off det(T - I) and one rank; the lattice model, whose Hermite
+    # bases are unbounded, stays in `ker_one_minus_shift`.
+    source = (Path(kep.__file__).parent / "dirlimit.py").read_text()
+    assert called_names(source, "one_minus_shift") & LATTICE_MODEL == set()

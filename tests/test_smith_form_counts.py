@@ -48,16 +48,14 @@ def smith_calls(monkeypatch):
 # kernel_basis) per command.  The formula route takes det(I - A) and
 # det(I - B) once each, and the diagonal modulo each nonzero one; `analyze`
 # reports those same determinants.  The limit route takes one Gauss-Jordan
-# adjugate of each T - I and one eventual kernel of each T, and
-# `smith_diagonal` only where T - I is singular or its adjugate's entries
-# share a factor: here Aᵗ - I has |det| 4 and adjugate gcd 2, so it falls
-# back, while Bᵗ - I has det 8 and gcd 1, so its cokernel is Z/8 with no
-# Smith form.  A nonzero det(T - I) means a zero kernel of 1 - shift, read
-# off the adjugate with no eventual kernel, so no `kernel_basis` runs: the
-# eventual kernel (one `kernel_basis` of T, and a Smith form when T is not
-# injective) is taken only when T - I is singular.  That holds for both
-# limits of both operands here, the sft operand's nilpotent B = 0 too,
-# whose Bᵗ - I = -I has det +-1 and is cyclic.
+# adjugate of each T - I, and `smith_diagonal` only where T - I is singular
+# or its adjugate's entries share a factor: here Aᵗ - I has |det| 4 and
+# adjugate gcd 2, so it falls back, while Bᵗ - I has det 8 and gcd 1, so
+# its cokernel is Z/8 with no Smith form.  The kernel of 1 - shift is 0
+# when det(T - I) != 0 and otherwise one rank of T - I; the route takes no
+# eventual kernel, so no `kernel_basis` runs.  Both limits of both operands
+# here have det(T - I) != 0, the sft operand's nilpotent B = 0 too, whose
+# Bᵗ - I = -I has det +-1 and is cyclic.
 KATSURA = (0, 1, 2, 2, 2, 0)
 SFT_COUNTS = (0, 1, 2, 2, 2, 0)
 
