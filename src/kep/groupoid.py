@@ -16,8 +16,11 @@ themselves, and field equality decides.
 A product `compose_slices` reads the two middle paths once as edge tuples:
 it compares them, folds the overhang of the longer one through the action
 (`selfsim._act`, the one edge step behind `kappa_edge` and `kappa_path`),
-and builds one path and one slice; `Path._extended`, which `Path.concat`
-also uses, checks the junction.
+and builds one path and one slice.  Records are checked where they enter:
+`Slice` and `Path` check every record built from outside, and
+`refine_slice`, `compose_slices` and `invert_slice` build what they derive
+from valid operands as plain records, because their construction proves
+the range and junction rules (the proof is in `compose_slices`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,10 @@ class Slice(_SliceFields):
     A slice is the record (alpha, m, beta), a tuple like `Edge` and `Path`:
     equality, hashing and `repr` are those of its field tuple, so a slice
     also compares equal to the plain tuple (alpha, m, beta).  `__new__`
-    checks that alpha and beta end at the same vertex.
+    checks that alpha and beta end at the same vertex.  The slices that
+    `refine_slice`, `compose_slices` and `invert_slice` derive skip it:
+    they are built with `tuple.__new__`, since alpha and beta of a slice
+    derived from valid ones end at the same vertex by construction.
     """
 
     __slots__ = ()
@@ -85,6 +91,8 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
     children's source cylinders partition the parent's.  Each child is read
     off the rows of A and B at range(beta): g = e(v, j, t) with
     m*B[v, j] + t = k*A[v, j] + l gives Z(alpha.e(v, j, l), k, beta.g).
+    Both new edges leave v = range(beta) = range(alpha) and end at j, so
+    each child is built as a plain record, without the checks of `Slice`.
     """
     _validate_pair(a, b)
     v = s.beta.range
@@ -99,7 +107,7 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
             carry, label = divmod(shift + t, a_entry)
             alpha = Path._composed(alpha_edges + steps[label])
             beta = Path._composed(beta_edges + step)
-            children.append(Slice(alpha, carry, beta))
+            children.append(tuple.__new__(Slice, (alpha, carry, beta)))
     return children
 
 
@@ -126,6 +134,15 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
     added to m2.  A backward one (s1.beta longer) extends s2.beta by the
     preimage kappa_{-m2}(overhang), and m1 gains -phi(-m2, overhang), the
     carry of that preimage under m2 (see `kappa_path_preimage`).
+
+    The product is built as a plain record, without the checks of `Slice`
+    and `Path`, because both operands are valid records.  `_act` maps
+    e(i, j, t) to e(i, j, l), so an image composes exactly as its source
+    path does.  The sources are compared first, and the shorter middle is
+    a prefix of the longer, so a forward overhang starts at range(beta1) =
+    range(alpha1) and ends at range(alpha2) = range(beta2); the backward
+    case is its mirror image.  Equal middles give range(alpha1) =
+    range(beta2) directly.
     """
     alpha1, m1, middle1 = s1
     middle2, m2, beta2 = s2
@@ -137,18 +154,19 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
         if edges2[:k1] != edges1:
             return None
         if k1 == k2:
-            return Slice(alpha1, m1 + m2, beta2)
+            return tuple.__new__(Slice, (alpha1, m1 + m2, beta2))
         image, carry = _act(a, b, m1, edges2[k1:])
-        return Slice(alpha1._extended(image), carry + m2, beta2)
+        return tuple.__new__(Slice, (Path._composed(alpha1.edges + image), carry + m2, beta2))
     if edges1[:k2] != edges2:
         return None
     preimage, carry = _act(a, b, -m2, edges1[k2:])
-    return Slice(alpha1, m1 - carry, beta2._extended(preimage))
+    return tuple.__new__(Slice, (alpha1, m1 - carry, Path._composed(beta2.edges + preimage)))
 
 
 def invert_slice(s: Slice) -> Slice:
-    """Z(alpha, m, beta)^(-1) = Z(beta, -m, alpha)."""
-    return Slice(s.beta, -s.m, s.alpha)
+    """Z(alpha, m, beta)^(-1) = Z(beta, -m, alpha), built as a plain record:
+    swapping alpha and beta keeps their common range."""
+    return tuple.__new__(Slice, (s.beta, -s.m, s.alpha))
 
 
 def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> Path:

@@ -47,12 +47,14 @@ class Path(_PathFields):
     hashing and `repr` are those of its field tuple, so a path also compares
     equal to the plain tuple (edges, vertex).  `len` counts edges, and the
     empty path is falsy; iterating or indexing reads the two fields.
-    `__new__` checks the anchor rules and that consecutive edges compose.
+    `__new__` stores any edge iterable as a tuple and checks the anchor
+    rules and that consecutive edges compose.
     """
 
     __slots__ = ()
 
-    def __new__(cls, edges: tuple[Edge, ...] = (), vertex: int | None = None) -> "Path":
+    def __new__(cls, edges: Iterable[Edge] = (), vertex: int | None = None) -> "Path":
+        edges = tuple(edges)
         if edges:
             if vertex is not None:
                 raise ValueError("nonempty paths carry no anchor vertex")
@@ -103,19 +105,12 @@ class Path(_PathFields):
     def range(self) -> int:
         return self.edges[-1].target if self.edges else self.vertex  # type: ignore[return-value]
 
-    def _extended(self, edges: tuple[Edge, ...]) -> "Path":
-        """This path followed by the nonempty edge tuple `edges`, checked at
-        the junction only: `edges` is composable by construction."""
-        if self.range != edges[0].source:
-            raise ValueError("paths are not composable")
-        return Path._composed(self.edges + edges)
-
     def concat(self, other: "Path") -> "Path":
-        if other.edges:
-            return self._extended(other.edges)
-        if self.range != other.vertex:
+        """This path followed by `other`, checked at the junction only: both
+        paths are composable on their own."""
+        if self.range != other.source:
             raise ValueError("paths are not composable")
-        return self
+        return Path._composed(self.edges + other.edges) if other.edges else self
 
     def tail_after(self, prefix: "Path") -> "Path | None":
         """The remainder of this path once `prefix` is stripped, or None

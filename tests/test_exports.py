@@ -3,7 +3,8 @@ deletion, and is read by a demo or the README; no module keeps an import it
 no longer uses or a private helper nothing reads, and none imports
 `fractions` or `decimal` or calls `float`; the limit route reaches none of
 the formula route's determinant and cokernel code, and none of the lattice
-model's eventual kernels and Hermite bases."""
+model's eventual kernels and Hermite bases; the slice algebra runs no
+record check on what it derives."""
 
 import ast
 import importlib
@@ -199,3 +200,11 @@ def test_limit_route_takes_no_lattice_model():
     # bases are unbounded, stays in `ker_one_minus_shift`.
     source = (Path(kep.__file__).parent / "dirlimit.py").read_text()
     assert called_names(source, "one_minus_shift") & LATTICE_MODEL == set()
+
+
+@pytest.mark.parametrize("function", ["refine_slice", "compose_slices", "invert_slice"])
+def test_slice_algebra_builds_plain_records(function):
+    # Operands are checked where they enter; what the algebra derives from
+    # them meets the range and junction rules by construction.
+    source = (Path(kep.__file__).parent / "groupoid.py").read_text()
+    assert called_names(source, function) & {"Slice", "_extended"} == set()

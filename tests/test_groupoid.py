@@ -82,6 +82,14 @@ def random_slice(rng, graph, max_len=3, max_m=3):
     return Slice(alpha, rng.randint(-max_m, max_m), beta)
 
 
+def assert_built_record(s):
+    """A slice the algebra derives is a `Slice` of two `Path`s, and passes
+    the checks its construction skipped."""
+    assert type(s) is Slice
+    assert type(s.alpha) is type(s.beta) is Path
+    assert Slice(Path(*s.alpha), s.m, Path(*s.beta)) == s
+
+
 class TestSliceRecord:
     """A slice is the tuple record (alpha, m, beta): its check, message,
     immutability, repr, hash and copies match the frozen dataclass it
@@ -170,7 +178,10 @@ class TestRefine:
             s = random_slice(rng, Graph(a), max_len=2, max_m=20)
             empty_alpha += not s.alpha.edges
             empty_beta += not s.beta.edges
-            assert refine_slice(a, b, s) == reference_refine(a, b, s)
+            children = refine_slice(a, b, s)
+            assert children == reference_refine(a, b, s)
+            for child in children:
+                assert_built_record(child)
         assert empty_alpha and empty_beta
 
     @pytest.mark.parametrize("vertex", [0, 2])
@@ -298,7 +309,10 @@ class TestCompose:
                 seen["empty apart"] += 1
             else:
                 seen["incomparable"] += 1
-            assert compose_slices(a, b, s1, s2) == reference_compose(a, b, s1, s2)
+            product = compose_slices(a, b, s1, s2)
+            assert product == reference_compose(a, b, s1, s2)
+            if product is not None:
+                assert_built_record(product)
         assert min(seen[key] for key in ("equal", "forward", "backward", "empty apart", "incomparable")) >= 50
 
     @pytest.mark.parametrize("edge", [Edge(1, 1, 5), Edge(1, 2, 0)], ids=["label", "vertex"])
@@ -343,6 +357,7 @@ class TestInvert:
         for _ in range(100):
             a, b = random_pseudo_free_pair(rng, max_n=3)
             s = random_slice(rng, Graph(a))
+            assert_built_record(invert_slice(s))
             assert invert_slice(invert_slice(s)) == s
 
     def test_inverse_times_self_is_unit(self):

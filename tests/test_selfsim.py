@@ -12,11 +12,13 @@ from kep import (
     InputValidationError,
     IntMatrix,
     Path,
+    Slice,
     fixes_path,
     is_pseudo_free,
     kappa_edge,
     kappa_path,
     phi_vertex_sum,
+    refine_slice,
 )
 from kep.selfsim import kappa_path_preimage, parse_edge, parse_path, path_ending_at, random_walk
 
@@ -151,6 +153,18 @@ class TestPathInvariants:
             assert (preimage, pre_carry) == (pq, carry)
             if pq.edges:
                 assert image == Path(image.edges) and preimage == Path(preimage.edges)
+
+    def test_edges_from_any_iterable(self):
+        # A list or a generator is stored as a tuple: the path hashes like
+        # the tuple-built one, and the slice algebra extends it.
+        built = Path((E0,))
+        for edges in ([E0], (e for e in [E0])):
+            p = Path(edges)
+            assert type(p.edges) is tuple
+            assert p == built and hash(p) == hash(built)
+        p = Path([E0])
+        children = refine_slice(A1, B1, Slice(p, 0, p))
+        assert children == [Slice(Path((E0, e)), 0, Path((E0, e))) for e in (E0, E1)]
 
     def test_non_composable_junction_raises(self):
         e12, e11 = Edge(1, 2, 0), Edge(1, 1, 0)
