@@ -55,6 +55,7 @@ from .selfsim import (
 
 SCHEMA_VERSION = 2
 _SAFE_INT = 1 << 53
+_encode_string = json.encoder.encode_basestring
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -240,8 +241,51 @@ def _json_compare(op1: Operand, op2: Operand, rep: ComparisonReport) -> dict[str
     }
 
 
+def _json_text(value: Any, indent: str = "") -> str:
+    """`value` as `json.dumps(value, indent=2, ensure_ascii=False)` writes it,
+    at nesting `indent`.
+
+    With an indent, `json` runs its pure-Python encoder, whose layout this
+    follows step by step: a nonempty container opens a line per item at
+    the indent of its level, joins the items with ",\n" and that indent
+    (`json` writes ",", a newline and the indent before every item but the
+    first), and closes on its own line at the outer indent; an empty one
+    prints as {} or [].  A key is followed by ": ".  Strings and keys go
+    through `json.encoder.encode_basestring`, the function `json` picks
+    when `ensure_ascii` is false, and ints through `int.__repr__`, as
+    `json` does; True, False and None print as true, false and null, and a
+    tuple as a list.  The payloads hold only these exact types; any other
+    value, or a key that is not a string, raises TypeError.  The pieces
+    are joined by `str.join` in C, with none of `json`'s per-item
+    generator steps.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_encode_string(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _write_json(stream: TextIO, payload: dict[str, Any]) -> None:
-    stream.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    stream.write(_json_text(payload) + "\n")
 
 
 def _emit(payload: dict[str, Any]) -> None:
@@ -423,8 +467,8 @@ def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION,
         "command": "check",
         "input": _json_input(op),
-        "seed": seed,
-        "trials": trials,
+        "seed": _json_int(seed),
+        "trials": _json_int(trials),
         "checks": counters,
         "pseudo_free": pf.verdict,
         "failures": failures,

@@ -15,7 +15,11 @@ caller that reads them uses `snf`; in the library that is a nonzero
 `smith_diagonal_mod_det` takes a square M with its |det M| > 0 and
 gets the diagonal from a Hermite form reduced modulo a shrinking modulus,
 so no entry exceeds |det M|; it reaches `_smith` only for a cokernel
-that is not cyclic, and then on that bounded triangular form.
+that is not cyclic, and then on that bounded triangular form.  Its Bezout
+coefficients, and those of `hnf`, come from `_xgcd`: `math.gcd` and the
+modular inverse of `pow`, both computed in C.  Both results are canonical
+(a Smith diagonal, a Hermite basis), so they do not depend on which Bezout
+pair is used.
 A third algorithm, not a Smith form, certifies cyclic cokernels:
 `det_adjugate` runs one fraction-free Gauss-Jordan elimination for det M
 and adj M, whose entries' gcd is the determinantal divisor D_(n-1), and
@@ -27,7 +31,7 @@ are minors of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -160,18 +164,18 @@ class SnfDecomposition:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g.
+
+    x is the inverse of a/g modulo |b/g|, in [0, |b/g|), so a*x = g modulo
+    b and y = (g - a*x) / b is exact; |x| <= max(1, |b|/g) and
+    |y| <= max(1, |a|/g).  `math.gcd` and the modular inverse of `pow` run
+    in C, with no interpreted step per Euclidean quotient.
+    """
+    if b == 0:
+        return abs(a), (a > 0) - (a < 0), 0
+    g = gcd(a, b)
+    x = pow(a // g, -1, abs(b // g))
+    return g, x, (g - a * x) // b
 
 
 def _smith(a: list[list[int]], rows: int, cols: int) -> None:
@@ -294,12 +298,14 @@ def smith_diagonal_mod_det(m: IntMatrix, d: int) -> tuple[int, ...]:
       quotient group of order R.  So L and M Z^n, of index d, contain
       d Z^n (as adj(M) M = M adj(M) = det(M) I shows directly), and a
       generator of L may be reduced entrywise modulo d.
-    - Column t is cleared by one `_xgcd` 2x2 unimodular row combination per
-      entry.  With R the index of the remaining sublattice (coordinates
-      t..n-1), R e_t lies in it, so the pivot is g = gcd(column t, R).
-      The remaining sublattice then has index R/g, and by the first point
-      it contains (R/g) Z^{n-t-1}: the remaining rows and the pivot row's
-      tail are reduced modulo the new modulus R/g.
+    - Column t is cleared by one 2x2 unimodular row combination per entry,
+      whose Bezout coefficients `_xgcd` takes from `math.gcd` and a modular
+      inverse (`pow(a/g, -1, |b/g|)`); the diagonal does not depend on
+      which Bezout pair is used.  With R the index of the remaining
+      sublattice (coordinates t..n-1), R e_t lies in it, so the pivot is
+      g = gcd(column t, R).  The remaining sublattice then has index R/g,
+      and by the first point it contains (R/g) Z^{n-t-1}: the remaining
+      rows and the pivot row's tail are reduced modulo the new modulus R/g.
     - The triangular form H has diagonal g_0, ..., g_{n-1} with product d.
       If these are pairwise coprime, then localising at each prime p only
       one diagonal entry is not a unit, so eliminating with the unit pivots

@@ -149,29 +149,33 @@ class HkEvidence:
     """Both routes to the homology of one pair, each computed once.
 
     K is read off the formula route; ``ok`` is the (HK) identity K0 = H0 ⊕ H2,
-    K1 = H1 against the limit route.  Groups are canonical, so ``==`` on
-    groups and tuples decides isomorphism.
+    K1 = H1 against the limit route.  Each route's (H0 ⊕ H2, H1) is formed
+    once, on construction.  Groups are canonical, so ``==`` on groups and
+    tuples decides isomorphism.
     """
 
     formula: HomologyTuple
     limit: HomologyTuple
 
     def __post_init__(self):
-        k0, k1 = self.formula.k_groups()
-        if k0.free_rank != k1.free_rank:
+        k = self.formula.k_groups()
+        if k[0].free_rank != k[1].free_rank:
             raise InternalError("K0 and K1 must share their free rank for square pairs")
+        # Not fields: derived from them, so repr and == leave them out.
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_limit_k", self.limit.k_groups())
 
     @property
     def k0(self) -> FGAbelianGroup:
-        return self.formula.k_groups()[0]
+        return self._k[0]
 
     @property
     def k1(self) -> FGAbelianGroup:
-        return self.formula.k_groups()[1]
+        return self._k[1]
 
     @property
     def ok(self) -> bool:
-        return self.formula.k_groups() == self.limit.k_groups()
+        return self._k == self._limit_k
 
     @property
     def routes_agree(self) -> bool:

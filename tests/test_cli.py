@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kep import cli, invariants
 from kep.abgroup import FGAbelianGroup, direct_sum
@@ -41,6 +43,19 @@ def sft_file(tmp_path):
     path = tmp_path / "sft.json"
     path.write_text(SFT_DOC)
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_json(monkeypatch):
+    """Every payload a test here emits, the golden and error cases among
+    them, must come out as `json.dumps(indent=2)` writes it."""
+    write = cli._write_json
+
+    def checked(stream, payload):
+        write(stream, payload)
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, ensure_ascii=False)
+
+    monkeypatch.setattr(cli, "_write_json", checked)
 
 
 def run_json(capsys, argv):
@@ -644,6 +659,24 @@ class TestCheck:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # Seeds of magnitude >= 2^53 are written as strings, like every other
+    # reported integer; the trial count goes through the same rule.
+    @pytest.mark.parametrize(
+        "seed, written",
+        [
+            (2**53 - 1, 2**53 - 1),
+            (-(2**53 - 1), -(2**53 - 1)),
+            (2**53, str(2**53)),
+            (-(2**53), str(-(2**53))),
+            (123456789012345678901234567890, "123456789012345678901234567890"),
+        ],
+    )
+    def test_seed_beyond_53_bits_is_a_string(self, capsys, pair_file, seed, written):
+        code, doc = run_json(capsys, ["check", pair_file, "--trials", "2", f"--seed={seed}"])
+        assert code == EXIT_OK
+        assert doc["seed"] == written
+        assert doc["trials"] == 2
+
     def test_sft_inconclusive(self, capsys, sft_file):
         # B = 0 fails the matching-support criterion, so the theorem
         # hypothesis is unverified: exit 1 even though no check fails.
@@ -710,6 +743,43 @@ def test_every_report_carries_schema_and_echo(capsys, pair_file, sft_file):
             assert doc["inputs"][0]["A"] == [[2]]
         else:
             assert doc["A"] == [[2]]
+
+
+json_text = st.one_of(st.text(), st.text(alphabet='⊕"\\/\x00\x1f\x7f\n\t\u2028é Z'))
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**53 - 1, 2**53, -(2**53), -(2**53 - 1), 0]),
+    json_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """`_json_text` against `json.dumps(indent=2, ensure_ascii=False)`."""
+
+    @given(json_values)
+    @example({})
+    @example(())
+    @example([[], {"a": {}}, ()])
+    @example({"K": ["Z ⊕ Z/2"], "A": [[1, "9007199254740992"]], "ok": True, "e": None})
+    @settings(max_examples=400, deadline=None)
+    def test_same_text_as_json(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {None: 1}}, [set()], b"x", object()])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 def test_parse_input_returns_operand():

@@ -3,7 +3,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kep.intmat
@@ -15,7 +15,7 @@ from kep import (
     kernel_basis,
     snf,
 )
-from kep.intmat import det_adjugate, rank, smith_diagonal, smith_diagonal_mod_det
+from kep.intmat import _xgcd, det_adjugate, rank, smith_diagonal, smith_diagonal_mod_det
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -444,6 +444,34 @@ class TestHnf:
                     for row in shuffled:
                         row[j] += q * row[k]
             assert hnf(IntMatrix(shuffled)) == h
+
+
+# Zero, small and 600-bit operands of either sign.
+xgcd_operands = st.one_of(
+    st.just(0),
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=-(1 << 600), max_value=1 << 600),
+)
+
+
+class TestXgcd:
+    @given(xgcd_operands, xgcd_operands)
+    @example(0, 0)
+    @example(5, 0)
+    @example(-5, 0)
+    @example(0, -7)
+    @example(1 << 600, -(1 << 599))
+    @settings(max_examples=300, deadline=None)
+    def test_bezout_against_math_gcd(self, a, b):
+        g, x, y = _xgcd(a, b)
+        assert g == gcd(a, b)
+        assert a * x + b * y == g
+        if g:
+            # |x| <= max(1, |b|/g) and |y| <= max(1, |a|/g), cleared of g.
+            assert abs(x) * g <= max(g, abs(b))
+            assert abs(y) * g <= max(g, abs(a))
+        else:
+            assert (x, y) == (0, 0)
 
 
 def test_docstring_examples():
