@@ -18,14 +18,14 @@ it compares them, folds the overhang of the longer one through the action
 (`selfsim._act`, the one edge step behind `kappa_edge` and `kappa_path`),
 and builds one path and one slice.  Records are checked where they enter:
 `Slice` and `Path` check every record built from outside, and
-`refine_slice`, `compose_slices` and `invert_slice` build what they derive
-from valid operands as plain records, because their construction proves
-the range and junction rules (the proof is in `compose_slices`).
+`refine_slice`, `compose_slices` and `invert_slice` take only `Slice`s and
+build what they derive as plain records, because their construction
+proves the range and junction rules (the proof is in `compose_slices`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +34,7 @@ from .selfsim import (
     Edge,
     Path,
     PseudoFreeness,
+    _CheckedRecord,
     _act,
     _check_vertex,
     _validate_pair,
@@ -48,16 +49,16 @@ class _SliceFields(NamedTuple):
     beta: Path
 
 
-class Slice(_SliceFields):
+class Slice(_CheckedRecord, _SliceFields):
     """Basic bisection Z(alpha, m, beta); the pair (A, B) it lives over is
     an argument of every operation that reads it.
 
     A slice is the record (alpha, m, beta), a tuple like `Edge` and `Path`:
     equality, hashing and `repr` are those of its field tuple, so a slice
     also compares equal to the plain tuple (alpha, m, beta).  `__new__`
-    checks that alpha and beta end at the same vertex.  The slices that
-    `refine_slice`, `compose_slices` and `invert_slice` derive skip it:
-    they are built with `tuple.__new__`, since alpha and beta of a slice
+    checks that alpha and beta end at the same vertex, also on a rebuild
+    (`selfsim._CheckedRecord`).  The slices the slice algebra derives skip
+    it: they are built with `tuple.__new__`, since alpha and beta of a slice
     derived from valid ones end at the same vertex by construction.
     """
 
@@ -67,17 +68,6 @@ class Slice(_SliceFields):
         if alpha.range != beta.range:
             raise ValueError("alpha and beta must end at the same vertex")
         return tuple.__new__(cls, (alpha, m, beta))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> "Slice":
-        """The slice of a field iterable, checked by `__new__`; namedtuple's
-        own `_make`, which `_replace` calls, would skip the check."""
-        return cls(*fields)
-
-    def __reduce__(self):
-        # Unpickling and copying call the class, so every pickle protocol
-        # runs the check of `__new__`.
-        return type(self), tuple(self)
 
     def __str__(self) -> str:
         return f"Z({self.alpha}|{self.m}|{self.beta})"
@@ -94,6 +84,8 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
     Both new edges leave v = range(beta) = range(alpha) and end at j, so
     each child is built as a plain record, without the checks of `Slice`.
     """
+    if type(s) is not Slice:
+        raise TypeError("refine_slice takes a Slice")
     _validate_pair(a, b)
     v = s.beta.range
     _check_vertex(a, v)
@@ -144,6 +136,8 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
     case is its mirror image.  Equal middles give range(alpha1) =
     range(beta2) directly.
     """
+    if type(s1) is not Slice or type(s2) is not Slice:
+        raise TypeError("compose_slices takes two Slices")
     alpha1, m1, middle1 = s1
     middle2, m2, beta2 = s2
     if middle1.source != middle2.source:
@@ -166,6 +160,8 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
 def invert_slice(s: Slice) -> Slice:
     """Z(alpha, m, beta)^(-1) = Z(beta, -m, alpha), built as a plain record:
     swapping alpha and beta keeps their common range."""
+    if type(s) is not Slice:
+        raise TypeError("invert_slice takes a Slice")
     return tuple.__new__(Slice, (s.beta, -s.m, s.alpha))
 
 

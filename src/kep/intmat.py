@@ -471,8 +471,8 @@ def rank(m: IntMatrix) -> int:
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice {x : M @ x = 0}.
 
-    Most callers (the limit route's T and T - I) pass injective matrices, so
-    full column rank is decided first by `rank`, with no Smith form.  A
+    Its one caller in the library is the lattice model's `_preimage`.
+    Full column rank is decided first by `rank`, with no Smith form.  A
     nonzero kernel is read off the columns of the Smith form's V that hit
     zero diagonal entries; that is the one place here that needs a
     transform, and it makes the basis saturated: if k*x lies in the span

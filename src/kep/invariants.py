@@ -46,7 +46,8 @@ class HomologyTuple:
 
     The formula route also keeps (det(I - A), det(I - B)), the moduli of its
     cokernels; the limit route has none.  They are not groups, so equality
-    ignores them."""
+    ignores them.  Its degree tuple and (H0 ⊕ H2, H1) are formed once, when
+    it is built (so `dataclasses.replace` forms them again), for every reader."""
 
     h0: FGAbelianGroup
     h1: FGAbelianGroup
@@ -56,14 +57,16 @@ class HomologyTuple:
     def __post_init__(self):
         if not self.h2.is_free:
             raise InternalError("degree-2 homology must be free")
+        object.__setattr__(self, "_degrees", (self.h0, self.h1, self.h2, FGAbelianGroup.trivial()))
+        object.__setattr__(self, "_k", (direct_sum(self.h0, self.h2), self.h1))
 
     def degrees(self) -> tuple[FGAbelianGroup, ...]:
         """Degrees 0..3 explicitly; degree 3 is always trivial."""
-        return (self.h0, self.h1, self.h2, FGAbelianGroup.trivial())
+        return self._degrees
 
     def k_groups(self) -> tuple[FGAbelianGroup, FGAbelianGroup]:
         """(H0 ⊕ H2, H1): the groups the (HK) identity equates with (K0, K1)."""
-        return direct_sum(self.h0, self.h2), self.h1
+        return self._k
 
 
 @dataclass(frozen=True)
@@ -149,33 +152,29 @@ class HkEvidence:
     """Both routes to the homology of one pair, each computed once.
 
     K is read off the formula route; ``ok`` is the (HK) identity K0 = H0 ⊕ H2,
-    K1 = H1 against the limit route.  Each route's (H0 ⊕ H2, H1) is formed
-    once, on construction.  Groups are canonical, so ``==`` on groups and
-    tuples decides isomorphism.
+    K1 = H1 against the limit route, each side's (H0 ⊕ H2, H1) read off its
+    `HomologyTuple`.  Groups are canonical, so ``==`` on groups and tuples
+    decides isomorphism.
     """
 
     formula: HomologyTuple
     limit: HomologyTuple
 
     def __post_init__(self):
-        k = self.formula.k_groups()
-        if k[0].free_rank != k[1].free_rank:
+        if self.k0.free_rank != self.k1.free_rank:
             raise InternalError("K0 and K1 must share their free rank for square pairs")
-        # Not fields: derived from them, so repr and == leave them out.
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_limit_k", self.limit.k_groups())
 
     @property
     def k0(self) -> FGAbelianGroup:
-        return self._k[0]
+        return self.formula.k_groups()[0]
 
     @property
     def k1(self) -> FGAbelianGroup:
-        return self._k[1]
+        return self.formula.k_groups()[1]
 
     @property
     def ok(self) -> bool:
-        return self._k == self._limit_k
+        return self.formula.k_groups() == self.limit.k_groups()
 
     @property
     def routes_agree(self) -> bool:

@@ -35,12 +35,27 @@ class Edge(NamedTuple):
         return f"e({self.source},{self.target},{self.label})"
 
 
+class _CheckedRecord:
+    """Listed ahead of a checked record's NamedTuple fields (`Path`, `Slice`):
+    `_replace`, copying and unpickling under every protocol call the class,
+    so `__new__` runs its checks, which namedtuple's own `_make` skips."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
 class _PathFields(NamedTuple):
     edges: tuple[Edge, ...] = ()
     vertex: int | None = None
 
 
-class Path(_PathFields):
+class Path(_CheckedRecord, _PathFields):
     """A composable sequence of edges; the empty path is anchored at a vertex.
 
     A path is the record (edges, vertex), a tuple like `Edge`: equality,
@@ -48,7 +63,7 @@ class Path(_PathFields):
     equal to the plain tuple (edges, vertex).  `len` counts edges, and the
     empty path is falsy; iterating or indexing reads the two fields.
     `__new__` stores any edge iterable as a tuple and checks the anchor
-    rules and that consecutive edges compose.
+    rules and that consecutive edges compose, also on every rebuild.
     """
 
     __slots__ = ()
@@ -64,17 +79,6 @@ class Path(_PathFields):
         elif vertex is None:
             raise ValueError("the empty path needs an anchor vertex")
         return tuple.__new__(cls, (edges, vertex))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> "Path":
-        """The path of a field iterable, checked by `__new__`; namedtuple's
-        own `_make`, which `_replace` calls, would skip the checks."""
-        return cls(*fields)
-
-    def __reduce__(self):
-        # Unpickling and copying call the class, so every pickle protocol
-        # runs the checks of `__new__`.
-        return type(self), tuple(self)
 
     @classmethod
     def empty(cls, vertex: int) -> "Path":

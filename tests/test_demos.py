@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the library in `src`."""
+"""Every demo script runs to completion against the library in `src`, with
+every warning an error (pytest's own `-W error` does not reach the
+subprocess)."""
 
 import os
 import subprocess
@@ -15,5 +17,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    command = [sys.executable, "-W", "error", str(demo)]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

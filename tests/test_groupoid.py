@@ -42,6 +42,9 @@ E0 = Edge(1, 1, 0)
 E1 = Edge(1, 1, 1)
 P0 = Path.of([E0])
 P1 = Path.of([E1])
+# A plain tuple whose ends differ: not a slice, though it unpacks like one.
+A_PLAIN = IntMatrix([[2, 1], [1, 2]])
+PLAIN = (Path.empty(1), 0, Path.empty(2))
 
 
 def random_sparse_pair(rng, max_n=5):
@@ -147,6 +150,10 @@ class TestSliceRecord:
 
 
 class TestRefine:
+    def test_takes_only_slices(self):
+        with pytest.raises(TypeError, match="refine_slice takes a Slice"):
+            refine_slice(A_PLAIN, A_PLAIN, PLAIN)
+
     def test_translation_slice(self):
         children = set(refine_slice(A1, B1, Slice(V, 1, V)))
         assert children == {Slice(P1, 0, P0), Slice(P0, 1, P1)}
@@ -221,6 +228,14 @@ class TestRandomWalk:
 
 
 class TestCompose:
+    def test_takes_only_slices(self):
+        # Unpacked, the tuple would compose with the slice into
+        # Z(v(1)|0|v(2)), whose ends differ.
+        v2 = Path.empty(2)
+        for s1, s2 in ((PLAIN, Slice(v2, 0, v2)), (Slice(V, 0, V), (V, 0, V))):
+            with pytest.raises(TypeError, match="compose_slices takes two Slices"):
+                compose_slices(A_PLAIN, A_PLAIN, s1, s2)
+
     def test_matching_middle(self):
         s1 = Slice(V, 1, V)
         s2 = Slice(V, 2, V)
@@ -348,6 +363,10 @@ class TestCompose:
 
 
 class TestInvert:
+    def test_takes_only_slices(self):
+        with pytest.raises(TypeError, match="invert_slice takes a Slice"):
+            invert_slice(PLAIN)
+
     def test_rule(self):
         s = Slice(P1, 1, P0)
         assert invert_slice(s) == Slice(P0, -1, P1)

@@ -27,6 +27,8 @@ from kep.invariants import (
     VALIDITY_OK,
     VERDICT_DISTINGUISHED,
     VERDICT_NOT_DISTINGUISHED,
+    HkEvidence,
+    HomologyTuple,
     Operand,
 )
 
@@ -58,6 +60,17 @@ class TestHomology:
     def test_degree_three_always_trivial(self):
         assert homology(A1, B1).degrees()[3] == ZERO
 
+    def test_torsion_degree_two_raises(self):
+        with pytest.raises(InternalError, match="degree-2 homology must be free"):
+            HomologyTuple(ZERO, ZERO, FGAbelianGroup(0, (2,)))
+
+    def test_derived_views_follow_replace(self):
+        # The degree tuple and (H0 ⊕ H2, H1) are formed on construction, so
+        # a replaced record forms its own.
+        h = dataclasses.replace(homology(A1, B1), h0=FGAbelianGroup(0, (3,)))
+        assert h.degrees() == (FGAbelianGroup(0, (3,)), Z, Z, ZERO)
+        assert h.k_groups() == (FGAbelianGroup(1, (3,)), Z)
+
     def test_rejects_zero_row(self):
         with pytest.raises(InputValidationError):
             homology(IntMatrix([[0]]), IntMatrix([[0]]))
@@ -86,6 +99,12 @@ class TestHkCheck:
         ev = hk_check(IntMatrix([[3]]), IntMatrix([[2]]))
         assert ev.ok
         assert ev.k0 == FGAbelianGroup(0, (2,))
+
+    def test_k_free_ranks_must_agree(self):
+        # K0 = Z ⊕ 0 and K1 = 0: no square pair has such homology.
+        h = HomologyTuple(Z, ZERO, ZERO)
+        with pytest.raises(InternalError, match="must share their free rank"):
+            HkEvidence(h, h)
 
     def test_random_pairs(self):
         rng = random.Random(51)

@@ -1,7 +1,7 @@
 """Each invariant is computed once: the number of Smith forms, determinants,
 adjugates and integer kernels per command is pinned, so a second run of
-either homology route shows up here, and so is the number of slice products
-`check` composes."""
+either homology route shows up here, and so are the number of derived
+groups (`direct_sum`) and of slice products `check` composes."""
 
 import json
 from collections import Counter
@@ -95,6 +95,45 @@ def test_realize(smith_calls, capsys):
     main(["realize", "--rank", "0", "--t0", "3", "--t1", "5"])
     capsys.readouterr()
     assert smith_calls() == (0, 0, 2, 2, 2, 0)
+
+
+@pytest.fixture
+def sums_formed(monkeypatch):
+    """The number of `direct_sum` calls, wherever they are made."""
+    calls = 0
+    real = kep.abgroup.direct_sum
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    for module in (kep.abgroup, kep.invariants):
+        monkeypatch.setattr(module, "direct_sum", counted)
+    return lambda: calls
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "pair.json"],
+        ["compare", "pair.json", "sft.json"],
+        ["check", "pair.json", "--trials", "5", "--seed", "0"],
+        ["realize", "--rank", "0", "--t0", "3", "--t1", "5"],
+    ],
+    ids=["analyze", "compare", "check", "realize"],
+)
+def test_each_derived_group_is_formed_once(sums_formed, capsys, tmp_path, monkeypatch, args):
+    # Each homology route forms H1 = ker ⊕ coker once, and each resulting
+    # HomologyTuple forms H0 ⊕ H2 once, on construction; the JSON reads
+    # them.  Two tuples per command: both routes of one pair, or the formula
+    # route of two operands.
+    (tmp_path / "pair.json").write_text(json.dumps({"mode": "katsura", "n": 3, "A": A, "B": B}))
+    (tmp_path / "sft.json").write_text(json.dumps({"mode": "sft", "n": 3, "A": A}))
+    monkeypatch.chdir(tmp_path)
+    main(args)
+    capsys.readouterr()
+    assert sums_formed() == 4
 
 
 def test_check_composes_each_product_once(monkeypatch, capsys, tmp_path):
