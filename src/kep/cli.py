@@ -397,7 +397,7 @@ def _run_checks(op: Operand, trials: int, seed: int) -> dict[str, Any]:
     b = op.b_or_zero()
     rng = random.Random(seed)
     graph = Graph(a)
-    vertices = list(graph.vertices())
+    vertices = graph.vertices()
     edge_count = graph.edge_count()
     if trials and edge_count > sys.maxsize:  # choice(range(k)) takes len(); out-degrees <= k
         raise InputValidationError("edge count", f"cannot draw from more than {sys.maxsize} edges")

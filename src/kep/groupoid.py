@@ -36,8 +36,9 @@ from .selfsim import (
     PseudoFreeness,
     _CheckedRecord,
     _act,
-    _check_vertex,
+    _check_m,
     _validate_pair,
+    _vertex_row,
     is_pseudo_free,
     kappa_path,
 )
@@ -56,15 +57,17 @@ class Slice(_CheckedRecord, _SliceFields):
     A slice is the record (alpha, m, beta), a tuple like `Edge` and `Path`:
     equality, hashing and `repr` are those of its field tuple, so a slice
     also compares equal to the plain tuple (alpha, m, beta).  `__new__`
-    checks that alpha and beta end at the same vertex, also on a rebuild
-    (`selfsim._CheckedRecord`).  The slices the slice algebra derives skip
-    it: they are built with `tuple.__new__`, since alpha and beta of a slice
-    derived from valid ones end at the same vertex by construction.
+    checks that m is an int (else TypeError) and that alpha and beta end at
+    the same vertex, also on a rebuild (`selfsim._CheckedRecord`).  The
+    slices the slice algebra derives skip it: they are built with
+    `tuple.__new__`, since alpha and beta of a slice derived from valid
+    ones end at the same vertex by construction.
     """
 
     __slots__ = ()
 
     def __new__(cls, alpha: Path, m: int, beta: Path) -> "Slice":
+        _check_m(m)
         if alpha.range != beta.range:
             raise ValueError("alpha and beta must end at the same vertex")
         return tuple.__new__(cls, (alpha, m, beta))
@@ -88,10 +91,9 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
         raise TypeError("refine_slice takes a Slice")
     _validate_pair(a, b)
     v = s.beta.range
-    _check_vertex(a, v)
     alpha_edges, m, beta_edges = s.alpha.edges, s.m, s.beta.edges
     children = []
-    for j, (a_entry, b_entry) in enumerate(zip(a.row(v - 1), b.row(v - 1)), 1):
+    for j, (a_entry, b_entry) in enumerate(zip(_vertex_row(a, v), b.row(v - 1)), 1):
         shift = m * b_entry
         # t -> l permutes the labels, so both new edges come from one list.
         steps = [(tuple.__new__(Edge, (v, j, t)),) for t in range(a_entry)]
@@ -309,15 +311,14 @@ def classify(a: IntMatrix, b: IntMatrix) -> PropertyReport:
     if not pf.verdict:
         notes.append(f"pseudo-freeness fails: m={pf.witness[0]} fixes {pf.witness[1]} with zero carry")
 
-    n = a.rows
     reach = _reach(a)
-    every_vertex = (1 << n) - 1
+    every_vertex = (1 << a.rows) - 1
     single_edge = sum(1 << j for j, row in enumerate(a) if sum(row) == 1)
     # A cycle has no exit iff everything its vertices reach emits one edge.
     exitless_cycle = any(row >> i & 1 and not row & ~single_edge for i, row in enumerate(reach))
     irreducible = all(row | 1 << i == every_vertex for i, row in enumerate(reach))
 
-    condition_o = all(a[i, i] >= 2 and a[i, i] > abs(b[i, i]) for i in range(n))
+    condition_o = all(ra[i] >= 2 and ra[i] > abs(rb[i]) for i, (ra, rb) in enumerate(zip(a, b)))
 
     return PropertyReport(
         pseudo_free=pf.verdict,

@@ -72,10 +72,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not columns:
-            raise ValueError("need at least one column")
-        n = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(n)])
+        return cls(columns).transpose()
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key

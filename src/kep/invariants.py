@@ -261,7 +261,7 @@ class ComparisonReport:
 
     @property
     def ker_ib_isomorphic(self) -> bool:
-        return self.h_left.h2 == self.h_right.h2
+        return self.homology_isomorphic[2]
 
     @property
     def distinguished(self) -> bool:

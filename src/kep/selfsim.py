@@ -62,8 +62,9 @@ class Path(_CheckedRecord, _PathFields):
     hashing and `repr` are those of its field tuple, so a path also compares
     equal to the plain tuple (edges, vertex).  `len` counts edges, and the
     empty path is falsy; iterating or indexing reads the two fields.
-    `__new__` stores any edge iterable as a tuple and checks the anchor
-    rules and that consecutive edges compose, also on every rebuild.
+    `__new__` stores any edge iterable as a tuple and checks, also on every
+    rebuild, that edges are `Edge`s of ints and the anchor an int (else
+    TypeError), the anchor rules, and that consecutive edges compose.
     """
 
     __slots__ = ()
@@ -73,11 +74,15 @@ class Path(_CheckedRecord, _PathFields):
         if edges:
             if vertex is not None:
                 raise ValueError("nonempty paths carry no anchor vertex")
+            for e in edges:
+                _check_edge_record(e)
             for a, b in zip(edges, edges[1:]):
                 if a.target != b.source:
                     raise ValueError(f"edges {a} and {b} are not composable")
         elif vertex is None:
             raise ValueError("the empty path needs an anchor vertex")
+        elif not isinstance(vertex, int):
+            raise TypeError(f"the anchor vertex must be int, got {type(vertex).__name__}")
         return tuple.__new__(cls, (edges, vertex))
 
     @classmethod
@@ -154,37 +159,32 @@ class EventuallyPeriodicPath:
 
 @dataclass(frozen=True)
 class Graph:
-    """The graph of A: one vertex per row, A[i, j] edges from i to j."""
+    """The graph of A: one vertex per row, A[i, j] edges from i to j.  A
+    method that takes a vertex reads its row through `_vertex_row`."""
 
     a: IntMatrix
 
-    @property
-    def n(self) -> int:
-        return self.a.rows
-
     def vertices(self) -> range:
-        return range(1, self.n + 1)
+        return range(1, self.a.rows + 1)
 
     def out_edges(self, vertex: int) -> list[Edge]:
-        return [
-            Edge(vertex, j, t)
-            for j in self.vertices()
-            for t in range(self.a[vertex - 1, j - 1])
-        ]
+        row = _vertex_row(self.a, vertex)
+        return [Edge(vertex, j, t) for j, count in enumerate(row, 1) for t in range(count)]
 
     def edges(self) -> list[Edge]:
         return [e for v in self.vertices() for e in self.out_edges(v)]
 
     def out_degree(self, vertex: int) -> int:
-        return sum(self.a.row(vertex - 1))
+        return sum(_vertex_row(self.a, vertex))
 
     def edge_count(self) -> int:
         return sum(self.a.entries)
 
     def out_edge(self, vertex: int, index: int) -> Edge:
         """`out_edges(vertex)[index]`, found without listing the edges."""
+        row = _vertex_row(self.a, vertex)
         if index >= 0:
-            for j, count in enumerate(self.a.row(vertex - 1), 1):
+            for j, count in enumerate(row, 1):
                 if index < count:
                     return Edge(vertex, j, index)
                 index -= count
@@ -200,18 +200,24 @@ class Graph:
         raise IndexError("edge index out of range")
 
 
+def _check_shapes(a: IntMatrix, b: IntMatrix) -> None:
+    """A square and B of A's shape: the O(1) part of `_validate_pair`."""
+    if a.rows != a.cols:
+        raise InputValidationError("shape mismatch", "matrix must be square")
+    if b.rows != a.rows or b.cols != a.cols:
+        raise InputValidationError("shape mismatch", "A and B must have the same shape")
+
+
 def _validate_pair(a: IntMatrix, b: IntMatrix) -> None:
     """The standing assumptions on the pair: A square, nonnegative and
     without zero rows, and B of A's shape."""
-    if not a.is_square:
-        raise InputValidationError("shape mismatch", "matrix must be square")
+    _check_shapes(a, a)  # A square; B's shape is checked after A's rows
     for i, row in enumerate(a):
         if any(x < 0 for x in row):
             raise InputValidationError("negative entry", f"A row {i + 1} has a negative entry")
         if all(x == 0 for x in row):
             raise InputValidationError("zero row", f"A row {i + 1} is identically zero")
-    if (b.rows, b.cols) != (a.rows, a.cols):
-        raise InputValidationError("shape mismatch", "A and B must have the same shape")
+    _check_shapes(a, b)
 
 
 def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
@@ -222,6 +228,7 @@ def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
     `rng.choice(graph.out_edges(v))`, without listing the edges.
     """
     if length == 0:
+        _vertex_row(graph.a, start)
         return Path.empty(start)
     edges = []
     v = start
@@ -235,17 +242,33 @@ def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
 def path_ending_at(graph: Graph, rng: Random, vertex: int, max_len: int) -> Path:
     """A random walk of length at most `max_len` with range `vertex`: up to
     32 draws, then the empty path at `vertex`."""
+    _vertex_row(graph.a, vertex)
     for _ in range(32):
-        start = rng.choice(list(graph.vertices()))
+        start = rng.choice(graph.vertices())
         p = random_walk(graph, rng, start, rng.randint(0, max_len))
         if p.range == vertex:
             return p
     return Path.empty(vertex)
 
 
-def _check_vertex(a: IntMatrix, v: int) -> None:
+def _vertex_row(a: IntMatrix, v: int) -> tuple[int, ...]:
+    """A's row at vertex v, the one door through which a vertex reads A: a
+    bare index would read vertex 0 as the last row."""
     if not 1 <= v <= a.rows:
         raise InputValidationError("unknown edge", f"vertex {v} outside 1..{a.rows}")
+    return a.row(v - 1)
+
+
+def _check_edge_record(e: Edge) -> None:
+    """An edge that enters the library is an `Edge` of ints."""
+    if not (type(e) is Edge and isinstance(e.source, int) and isinstance(e.target, int)
+            and isinstance(e.label, int)):
+        raise TypeError(f"an edge must be an Edge of ints, got {quote(repr(e))}")
+
+
+def _check_m(m: int) -> None:
+    if not isinstance(m, int):
+        raise TypeError(f"m must be int, got {type(m).__name__}")
 
 
 def _check_edge(a: IntMatrix, e: Edge) -> int:
@@ -264,7 +287,12 @@ def kappa_edge(a: IntMatrix, b: IntMatrix, m: int, e: Edge) -> tuple[Edge, int]:
     """Apply the action to one edge; returns (kappa_m(e), phi(m, e)).
 
     This is `_act` on the one-edge tuple, the step that `kappa_path` folds.
+    It takes an int m and an `Edge` of ints (else TypeError), and A square
+    with B of its shape ("shape mismatch", checked in O(1)).
     """
+    _check_shapes(a, b)
+    _check_m(m)
+    _check_edge_record(e)
     (image,), carry = _act(a, b, m, (e,))
     return image, carry
 
@@ -291,12 +319,14 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
     """Extend the action along a path by folding the carry left to right.
 
     kappa_m(p q) = kappa_m(p) kappa_{phi(m, p)}(q) and
-    phi(m, p q) = phi(phi(m, p), q).  Every edge is checked against A as
-    the fold reaches it; the empty path returns (p, m) once its anchor
-    vertex is checked to lie in 1..n.
+    phi(m, p q) = phi(phi(m, p), q).  m and the shapes are checked as in
+    `kappa_edge`, every edge against A as the fold reaches it, and the
+    empty path's anchor through `_vertex_row`; it returns (p, m).
     """
+    _check_shapes(a, b)
+    _check_m(m)
     if not p.edges:
-        _check_vertex(a, p.vertex)  # type: ignore[arg-type]
+        _vertex_row(a, p.vertex)  # type: ignore[arg-type]
         return p, m
     edges, carry = _act(a, b, m, p.edges)
     return Path._composed(edges), carry
@@ -370,8 +400,9 @@ def fixes_path(a: IntMatrix, b: IntMatrix, m: int, x: EventuallyPeriodicPath) ->
     times an integer already seen).
     If q > 1, a passing period maps v to v * p/q with p prime to q, which
     lowers the valuation of v at every prime dividing q; a nonzero v thus
-    fails within log2|v| + 1 periods.
+    fails within log2|v| + 1 periods.  m must be an int.
     """
+    _check_m(m)
     period_b, period_a = 1, 1
     for e in x.period.edges:
         period_b *= b[e.source - 1, e.target - 1]
@@ -390,8 +421,9 @@ def phi_vertex_sum(a: IntMatrix, b: IntMatrix, m: int, v: int, w: int) -> int:
     The residues permute {0, ..., A[v, w) - 1}, so the sum collapses to
     m * B[v, w] whenever the edge set is nonempty.
     """
+    _vertex_row(a, w)
     total = 0
-    for t in range(a[v - 1, w - 1]):
+    for t in range(_vertex_row(a, v)[w - 1]):
         _, carry = kappa_edge(a, b, m, Edge(v, w, t))
         total += carry
     return total

@@ -4,7 +4,8 @@ no longer uses or a private helper nothing reads, and none imports
 `fractions` or `decimal` or calls `float`; the limit route reaches none of
 the formula route's determinant and cokernel code, and none of the lattice
 model's eventual kernels and Hermite bases; the slice algebra runs no
-record check on what it derives."""
+record check on what it derives; a vertex reads its row of A through one
+checked door."""
 
 import ast
 import importlib
@@ -208,3 +209,43 @@ def test_slice_algebra_builds_plain_records(function):
     # them meets the range and junction rules by construction.
     source = (Path(kep.__file__).parent / "groupoid.py").read_text()
     assert called_names(source, function) & {"Slice", "_extended"} == set()
+
+
+def _is_a(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "a") or (isinstance(node, ast.Attribute) and node.attr == "a")
+
+
+def a_row_reads(source: str) -> set[str]:
+    """Functions and methods, by name, that index the matrix A (`a` or
+    `self.a`) or call `row` on it; iterating over all of A's rows is not
+    such a read."""
+    return {
+        func.name
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Subscript) and _is_a(node.value))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "row"
+            and _is_a(node.func.value)
+        )
+    }
+
+
+def test_a_row_reads_detects():
+    source = (
+        "def f(a, v):\n    return a[v - 1, 0]\n\n"
+        "class G:\n    def g(self, v):\n        return self.a.row(v - 1)\n\n"
+        "def h(a, b, v):\n    return b.row(v - 1), b[v, v], [sum(row) for row in a]\n"
+    )
+    assert a_row_reads(source) == {"f", "g"}
+
+
+def test_a_vertex_reads_go_through_one_door():
+    # A bare index reads vertex 0 as A's last row; `_vertex_row` checks
+    # 1 <= v <= n first, and `_check_edge` checks an edge's two vertices.
+    package = Path(kep.__file__).parent
+    reads = set().union(*(a_row_reads((package / name).read_text()) for name in ("selfsim.py", "groupoid.py")))
+    assert reads == {"_vertex_row", "_check_edge"}

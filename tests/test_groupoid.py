@@ -113,6 +113,20 @@ class TestSliceRecord:
             build()
         assert info.value.args == ("alpha and beta must end at the same vertex",)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: refine_slice(A_PLAIN, IntMatrix([[1, 1], [1, 1]]), Slice(V, 0.5, V)),
+            lambda: Slice(V, "1", V),
+            lambda: Slice(P0, 1, P0)._replace(m=1.0),
+            lambda: pickle.loads(pickle.dumps(tuple.__new__(Slice, (V, 0.5, V)))),
+        ],
+        ids=["refine", "str", "replace", "unpickle"],
+    )
+    def test_m_must_be_int(self, build):
+        with pytest.raises(TypeError, match="m must be int"):
+            build()
+
     def test_fields_are_read_only(self):
         for name, value in (("alpha", V), ("m", 0), ("beta", V), ("other", 0)):
             with pytest.raises(AttributeError):

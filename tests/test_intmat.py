@@ -66,6 +66,18 @@ def assert_snf_sound(m):
     return decomp
 
 
+class TestFromColumns:
+    def test_columns_become_columns(self):
+        m = IntMatrix.from_columns([(1, 2, 3), (4, 5, 6)])
+        assert m == IntMatrix([[1, 4], [2, 5], [3, 6]])
+        assert [m.column(j) for j in range(m.cols)] == [(1, 2, 3), (4, 5, 6)]
+
+    @pytest.mark.parametrize("columns", [[], [()], [(1, 2), (3,)]], ids=["none", "empty", "ragged"])
+    def test_rejects_what_the_constructor_rejects(self, columns):
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns(columns)
+
+
 class TestSnf:
     def test_zero_1x1(self):
         decomp = snf(IntMatrix([[0]]))

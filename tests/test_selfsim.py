@@ -472,3 +472,97 @@ class TestParsing:
     def test_rejects_non_composable(self):
         with pytest.raises(InputValidationError):
             parse_path("e(1,2,0).e(1,2,0)")
+
+
+A2 = IntMatrix([[2, 1], [0, 3]])
+B2 = IntMatrix([[1, 1], [1, 1]])
+G2 = Graph(A2)
+VERTEX_ENTRIES = {
+    "out_edges": lambda v: G2.out_edges(v),
+    "out_degree": lambda v: G2.out_degree(v),
+    "out_edge": lambda v: G2.out_edge(v, 0),
+    "refine_slice": lambda v: refine_slice(A2, B2, Slice(Path.empty(v), 0, Path.empty(v))),
+    "phi_vertex_sum-v": lambda v: phi_vertex_sum(A2, B2, 1, v, 2),
+    "phi_vertex_sum-w": lambda v: phi_vertex_sum(A2, B2, 1, 2, v),
+    "kappa_path-empty": lambda v: kappa_path(A2, B2, 1, Path.empty(v)),
+    "random_walk": lambda v: random_walk(G2, random.Random(1), v, 2),
+    "random_walk-length-0": lambda v: random_walk(G2, random.Random(1), v, 0),
+    "path_ending_at": lambda v: path_ending_at(G2, random.Random(1), v, 2),
+}
+
+
+class TestVertexDoor:
+    """Every entry that takes a vertex reads its row of A through one
+    checked door: vertex 0 does not read A's last row through a negative
+    index, and n + 1 raises no bare IndexError."""
+
+    @pytest.mark.parametrize("vertex", [0, 3])
+    @pytest.mark.parametrize("entry", sorted(VERTEX_ENTRIES))
+    def test_vertex_outside_raises(self, entry, vertex):
+        with pytest.raises(InputValidationError) as info:
+            VERTEX_ENTRIES[entry](vertex)
+        assert info.value.assumption == "unknown edge"
+        assert str(info.value) == f"vertex {vertex} outside 1..2"
+
+
+class TestIntegerFields:
+    """Records and the action take ints where they enter, as `IntMatrix`
+    does for its entries: no float reaches a label or a carry."""
+
+    A = IntMatrix([[2, 1], [1, 2]])
+    B = IntMatrix([[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Path([(1, 1, 0)]),
+            lambda: Path([(1, 1, 0), (1, 1, 1)]),
+            lambda: Path([Edge(1, 1, 0.5)]),
+            lambda: Path.of([E0])._replace(edges=((1, 1, 0),)),
+            lambda: Path.empty(1.0),
+            lambda: Path.empty("1"),
+        ],
+        ids=["plain-tuple", "two-plain-tuples", "float-label", "replace", "float-anchor", "str-anchor"],
+    )
+    def test_path_takes_edges_of_ints_and_an_int_anchor(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a, b: kappa_edge(a, b, 1.5, E0),
+            lambda a, b: kappa_path(a, b, 1.5, Path.of([E0, Edge(1, 2, 0)])),
+            lambda a, b: kappa_path(a, b, 1.5, Path.empty(1)),
+            lambda a, b: kappa_path_preimage(a, b, 1.5, Path.of([E0])),
+            lambda a, b: phi_vertex_sum(a, b, 1.5, 1, 1),
+            lambda a, b: fixes_path(a, b, 1.5, EventuallyPeriodicPath(Path.empty(1), Path.of([E0]))),
+        ],
+        ids=["kappa_edge", "kappa_path", "kappa_path-empty", "kappa_path_preimage", "phi_vertex_sum", "fixes_path"],
+    )
+    def test_action_takes_an_int_m(self, run):
+        with pytest.raises(TypeError, match="m must be int"):
+            run(self.A, self.B)
+
+    @pytest.mark.parametrize("edge", [Edge(1, 1, 0.5), (1, 1, 0)], ids=["float-label", "plain-tuple"])
+    def test_kappa_edge_takes_an_edge_of_ints(self, edge):
+        with pytest.raises(TypeError, match="Edge of ints"):
+            kappa_edge(self.A, self.B, 1, edge)
+
+
+class TestActionShapes:
+    """The action's entries compare shapes in O(1): a B of another shape
+    is refused, not read past or short of A's rows."""
+
+    A = IntMatrix([[2, 1], [1, 2]])
+
+    @pytest.mark.parametrize(
+        ("b", "edge"),
+        [(IntMatrix([[1] * 3] * 3), Edge(1, 1, 0)), (IntMatrix([[1]]), Edge(2, 2, 0))],
+        ids=["b-larger", "b-smaller"],
+    )
+    def test_b_of_another_shape_raises(self, b, edge):
+        for run in (lambda: kappa_edge(self.A, b, 1, edge), lambda: kappa_path(self.A, b, 1, Path.of([edge]))):
+            with pytest.raises(InputValidationError) as info:
+                run()
+            assert info.value.assumption == "shape mismatch"
