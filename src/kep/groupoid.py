@@ -4,23 +4,23 @@ A slice Z(alpha, m, beta) is the compact open bisection of groupoid elements
 "[alpha, m, beta; x] for x in the cylinder of beta": it maps the source
 cylinder Z(beta) homeomorphically onto the range cylinder Z(alpha), sending
 beta.y to alpha.kappa_m(y).  A slice is the tuple record (alpha, m, beta),
-as a `Path` is the record (edges, vertex) and an `Edge` the record
-(source, target, label): each is built, compared and hashed as the tuple of
-its fields.  The operations that read A and B take the pair as their
-leading arguments, like `kappa_path`.  A slice is stored as built, never
-reduced.  It equals the disjoint union of its refinements, so two slices
-are compared with `slices_equal`, which refines both to a common depth, not
-by field equality; at equal beta depth that refinement is the slices
-themselves, and field equality decides.
+as a `Path` is the record (edges, vertex) and an `Edge` the record (source,
+target, label): each is built, compared and hashed as the tuple of its
+fields.  The operations that read A and B take the pair as their leading
+arguments, like `kappa_path`.  A slice is stored as built, never reduced.
+It equals the disjoint union of its refinements, so two slices are compared
+with `slices_equal`, which refines the shallower one to the other's beta
+depth, not by field equality; at equal depth field equality decides.
 
 A product `compose_slices` reads the two middle paths once as edge tuples:
 it compares them, folds the overhang of the longer one through the action
-(`selfsim._act`, the one edge step behind `kappa_edge` and `kappa_path`),
-and builds one path and one slice.  Records are checked where they enter:
-`Slice` and `Path` check every record built from outside, and
-`refine_slice`, `compose_slices` and `invert_slice` take only `Slice`s and
-build what they derive as plain records, because their construction
-proves the range and junction rules (the proof is in `compose_slices`).
+(`selfsim._act`, the one edge step behind `kappa_edge` and `kappa_path`,
+which reads the pair through the checked door `_check_edge`), and builds one
+path and one slice.  Records are checked where they enter: `Slice` and
+`Path` check every record built from outside, and every operation here takes
+only `Slice`s; `refine_slice`, `compose_slices` and `invert_slice` build
+what they derive as plain records, because their construction proves the
+range and junction rules (the proof is in `compose_slices`).
 """
 
 from __future__ import annotations
@@ -57,17 +57,19 @@ class Slice(_CheckedRecord, _SliceFields):
     A slice is the record (alpha, m, beta), a tuple like `Edge` and `Path`:
     equality, hashing and `repr` are those of its field tuple, so a slice
     also compares equal to the plain tuple (alpha, m, beta).  `__new__`
-    checks that m is an int (else TypeError) and that alpha and beta end at
-    the same vertex, also on a rebuild (`selfsim._CheckedRecord`).  The
-    slices the slice algebra derives skip it: they are built with
-    `tuple.__new__`, since alpha and beta of a slice derived from valid
-    ones end at the same vertex by construction.
+    checks that m is an int and alpha and beta `Path`s (else TypeError),
+    and that they end at the same vertex, also on a rebuild
+    (`selfsim._CheckedRecord`).  The slices the slice algebra derives skip
+    it: they are built with `tuple.__new__`, since alpha and beta of a
+    slice derived from valid ones end at the same vertex by construction.
     """
 
     __slots__ = ()
 
     def __new__(cls, alpha: Path, m: int, beta: Path) -> "Slice":
         _check_m(m)
+        if type(alpha) is not Path or type(beta) is not Path:
+            raise TypeError("alpha and beta must be Paths")
         if alpha.range != beta.range:
             raise ValueError("alpha and beta must end at the same vertex")
         return tuple.__new__(cls, (alpha, m, beta))
@@ -103,14 +105,6 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
             beta = Path._composed(beta_edges + step)
             children.append(tuple.__new__(Slice, (alpha, carry, beta)))
     return children
-
-
-def _refine_to_depth(a: IntMatrix, b: IntMatrix, s: Slice, depth: int) -> list[Slice]:
-    """All refinements of s whose beta side has length `depth`."""
-    level = [s]
-    while level and len(level[0].beta) < depth:
-        level = [child for piece in level for child in refine_slice(a, b, piece)]
-    return level
 
 
 def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | None:
@@ -170,6 +164,8 @@ def invert_slice(s: Slice) -> Slice:
 def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> Path:
     """Image of the source cylinder Z(beta.gamma) under the slice's partial
     homeomorphism over the pair (A, B): the cylinder of alpha.kappa_m(gamma)."""
+    if type(s) is not Slice:
+        raise TypeError("slice_image_cylinder takes a Slice")
     if gamma.source != s.beta.range:
         raise ValueError("gamma must start where beta ends")
     image, _ = kappa_path(a, b, s.m, gamma)
@@ -177,17 +173,22 @@ def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> P
 
 
 def slices_equal(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> bool:
-    """Semantic equality of two slices over the pair (A, B): refine both to
-    a common beta depth and compare the resulting sets of pieces.  Exact for
-    pseudo-free pairs.
-
-    At equal beta depth each slice is its own refinement to that depth, so
-    the sets are {s1} and {s2} and field equality decides."""
+    """Semantic equality of two slices over the pair (A, B), exact for
+    pseudo-free pairs: refined to a common beta depth, both give the same
+    pieces.  The deeper slice is its own refinement to its depth, so only
+    the shallower one is refined, and its pieces must be the deeper slice
+    alone; at equal depth field equality decides."""
+    if type(s1) is not Slice or type(s2) is not Slice:
+        raise TypeError("slices_equal takes two Slices")
     k1, k2 = len(s1.beta), len(s2.beta)
     if k1 == k2:
         return s1 == s2
-    depth = max(k1, k2)
-    return set(_refine_to_depth(a, b, s1, depth)) == set(_refine_to_depth(a, b, s2, depth))
+    if k1 > k2:
+        s1, s2, k1, k2 = s2, s1, k2, k1
+    level = [s1]
+    for _ in range(k2 - k1):
+        level = [child for piece in level for child in refine_slice(a, b, piece)]
+    return set(level) == {s2}
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,8 @@ def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
     Each step draws `rng.choice(range(out_degree))`, the same draw as
     `rng.choice(graph.out_edges(v))`, without listing the edges.
     """
+    if length < 0:
+        raise ValueError(f"walk length must be nonnegative, got {length}")
     if length == 0:
         _vertex_row(graph.a, start)
         return Path.empty(start)
@@ -271,26 +273,30 @@ def _check_m(m: int) -> None:
         raise TypeError(f"m must be int, got {type(m).__name__}")
 
 
-def _check_edge(a: IntMatrix, e: Edge) -> int:
-    """A[source, target] for an edge of the graph of A; raises on any other."""
-    source, target, label = e
+def _check_edge(a: IntMatrix, b: IntMatrix, e: Edge) -> tuple[int, int]:
+    """(A[source, target], B[source, target]) for an edge of the graph of A,
+    the one door through which the action reads the pair at an edge: it
+    compares the shapes inline (`_check_shapes` runs only to raise), then
+    the edge against A, and raises on any other edge."""
     n = a.rows
+    if a.cols != n or b.rows != n or b.cols != n:
+        _check_shapes(a, b)
+    source, target, label = e
     if not (1 <= source <= n and 1 <= target <= n):
         raise InputValidationError("unknown edge", f"{e} has a vertex outside 1..{n}")
-    bound = a.row(source - 1)[target - 1]
-    if not 0 <= label < bound:
-        raise InputValidationError("unknown edge", f"{e} does not exist (A entry is {bound})")
-    return bound
+    a_entry = a.row(source - 1)[target - 1]
+    if not 0 <= label < a_entry:
+        raise InputValidationError("unknown edge", f"{e} does not exist (A entry is {a_entry})")
+    return a_entry, b.row(source - 1)[target - 1]
 
 
 def kappa_edge(a: IntMatrix, b: IntMatrix, m: int, e: Edge) -> tuple[Edge, int]:
     """Apply the action to one edge; returns (kappa_m(e), phi(m, e)).
 
     This is `_act` on the one-edge tuple, the step that `kappa_path` folds.
-    It takes an int m and an `Edge` of ints (else TypeError), and A square
-    with B of its shape ("shape mismatch", checked in O(1)).
+    It takes an int m and an `Edge` of ints (else TypeError), and `_act`'s
+    door refuses A not square or B of another shape ("shape mismatch").
     """
-    _check_shapes(a, b)
     _check_m(m)
     _check_edge_record(e)
     (image,), carry = _act(a, b, m, (e,))
@@ -299,7 +305,8 @@ def kappa_edge(a: IntMatrix, b: IntMatrix, m: int, e: Edge) -> tuple[Edge, int]:
 
 def _act(a: IntMatrix, b: IntMatrix, m: int, edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], int]:
     """The carry fold of `kappa_path` on an edge tuple: (kappa_m(edges),
-    phi(m, edges)), each edge checked against A.  No edges give ((), m).
+    phi(m, edges)), the one fold that reads A and B at an edge, through
+    `_check_edge`.  No edges give ((), m) and read nothing.
 
     Floor division puts each residue in [0, A[i, j]), also when
     carry * B[i, j] + label is negative.
@@ -307,9 +314,9 @@ def _act(a: IntMatrix, b: IntMatrix, m: int, edges: tuple[Edge, ...]) -> tuple[t
     carry = m
     out = []
     for e in edges:
-        a_entry = _check_edge(a, e)
+        a_entry, b_entry = _check_edge(a, b, e)
         source, target, label = e
-        carry, label = divmod(carry * b.row(source - 1)[target - 1] + label, a_entry)
+        carry, label = divmod(carry * b_entry + label, a_entry)
         # The image edge is built as a plain tuple: Edge has no checks to run.
         out.append(tuple.__new__(Edge, (source, target, label)))
     return tuple(out), carry
@@ -319,13 +326,13 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
     """Extend the action along a path by folding the carry left to right.
 
     kappa_m(p q) = kappa_m(p) kappa_{phi(m, p)}(q) and
-    phi(m, p q) = phi(phi(m, p), q).  m and the shapes are checked as in
-    `kappa_edge`, every edge against A as the fold reaches it, and the
-    empty path's anchor through `_vertex_row`; it returns (p, m).
+    phi(m, p q) = phi(phi(m, p), q).  m is checked as in `kappa_edge`, the
+    shapes and each edge by `_act`; the empty path reads no edge, checks the
+    shapes and its anchor (`_vertex_row`) itself, and returns (p, m).
     """
-    _check_shapes(a, b)
     _check_m(m)
     if not p.edges:
+        _check_shapes(a, b)
         _vertex_row(a, p.vertex)  # type: ignore[arg-type]
         return p, m
     edges, carry = _act(a, b, m, p.edges)
@@ -379,54 +386,45 @@ def is_pseudo_free(a: IntMatrix, b: IntMatrix) -> PseudoFreeness:
     return PseudoFreeness(True)
 
 
-def _divide_along(a: IntMatrix, b: IntMatrix, value: int, edges: tuple[Edge, ...]) -> int | None:
-    """value * B(edges) / A(edges), or None if some prefix leaves Z."""
-    for e in edges:
-        a_entry = _check_edge(a, e)
-        num = value * b[e.source - 1, e.target - 1]
-        if num % a_entry:
-            return None
-        value = num // a_entry
-    return value
-
-
 def fixes_path(a: IntMatrix, b: IntMatrix, m: int, x: EventuallyPeriodicPath) -> bool:
-    """Whether kappa_m fixes the eventually periodic path x.
+    """Whether kappa_m fixes the eventually periodic path x (m an int).
 
-    That holds iff m * B(x|l) / A(x|l) is an integer for every prefix
-    length l.  Write B(period) / A(period) = p/q in lowest terms.  Once a
-    whole period passes with the running value v, q = 1 (A(period) divides
-    B(period)) settles every later period (each of its prefixes gives p
-    times an integer already seen).
-    If q > 1, a passing period maps v to v * p/q with p prime to q, which
-    lowers the valuation of v at every prime dividing q; a nonzero v thus
-    fails within log2|v| + 1 periods.  m must be an int.
+    The criterion is the action's own fixed point: under carry c, kappa_c
+    fixes e(i, j, t) iff A[i, j] divides c * B[i, j], and the next carry is
+    then c * B[i, j] / A[i, j].  So x is fixed iff `_act` gives back the
+    prefix, then each period, unchanged: iff m * B(x|l) / A(x|l) is an
+    integer for every prefix length l.  Let B(period) / A(period) = p/q in
+    lowest terms (read through `_check_edge`).  Once a period passes, q = 1
+    settles every later one (each of its prefixes gives p times an integer
+    already seen).  If q > 1, a passing period maps the carry v to v * p/q,
+    p prime to q, lowering the valuation of v at every prime dividing q: a
+    nonzero v fails within log2|v| + 1 periods.
     """
     _check_m(m)
-    period_b, period_a = 1, 1
+    period_a = period_b = 1
     for e in x.period.edges:
-        period_b *= b[e.source - 1, e.target - 1]
-        period_a *= _check_edge(a, e)
-    value = _divide_along(a, b, m, x.prefix.edges)
-    while value:
-        value = _divide_along(a, b, value, x.period.edges)
-        if value is not None and period_b % period_a == 0:
+        a_entry, b_entry = _check_edge(a, b, e)
+        period_a, period_b = period_a * a_entry, period_b * b_entry
+    image, value = _act(a, b, m, x.prefix.edges)
+    fixed = image == x.prefix.edges
+    while fixed and value:
+        image, value = _act(a, b, value, x.period.edges)
+        fixed = image == x.period.edges
+        if fixed and period_b % period_a == 0:
             return True
-    return value == 0
+    return fixed
 
 
 def phi_vertex_sum(a: IntMatrix, b: IntMatrix, m: int, v: int, w: int) -> int:
     """Sum of the carries phi(m, e) over all edges e from v to w.
 
     The residues permute {0, ..., A[v, w) - 1}, so the sum collapses to
-    m * B[v, w] whenever the edge set is nonempty.
+    m * B[v, w] whenever the edge set is nonempty.  m is checked once; then
+    `_act` checks the shapes and each edge.
     """
+    _check_m(m)
     _vertex_row(a, w)
-    total = 0
-    for t in range(_vertex_row(a, v)[w - 1]):
-        _, carry = kappa_edge(a, b, m, Edge(v, w, t))
-        total += carry
-    return total
+    return sum(_act(a, b, m, (Edge(v, w, t),))[1] for t in range(_vertex_row(a, v)[w - 1]))
 
 
 # Labels are ASCII decimal: `\d` would also match any Unicode digit.

@@ -1,19 +1,23 @@
 """Every public entry that checks the pair keeps raising on each violation
 of the standing assumptions (A square, nonnegative and without zero rows,
-and B of A's shape), and the action's entries keep their O(1) shape check.
-These pin the checks that a split of checked entries from unchecked
-kernels must keep."""
+and B of A's shape), and every entry of the action and the slice algebra
+that reads B at an edge refuses B of another shape, in O(1), where it
+reads.  These pin the checks that a split of checked entries from
+unchecked kernels must keep."""
 
 import pytest
 
 from kep import (
     Edge,
+    EventuallyPeriodicPath,
     InputValidationError,
     IntMatrix,
     Operand,
     Path,
     Slice,
     classify,
+    compose_slices,
+    fixes_path,
     hk_check,
     homology,
     is_pseudo_free,
@@ -21,9 +25,11 @@ from kep import (
     kappa_path,
     ktheory,
     limit_route_homology,
+    phi_vertex_sum,
     refine_slice,
     sft_homology,
 )
+from kep.selfsim import kappa_path_preimage
 
 ONES = IntMatrix([[1, 1], [1, 1]])
 A_VIOLATIONS = {
@@ -31,10 +37,18 @@ A_VIOLATIONS = {
     "negative-entry": (IntMatrix([[1, -1], [1, 1]]), ONES, "negative entry"),
     "zero-row": (IntMatrix([[1, 1], [0, 0]]), ONES, "zero row"),
 }
-VIOLATIONS = {**A_VIOLATIONS, "b-shape": (IntMatrix([[2, 1], [1, 2]]), IntMatrix([[1]]), "shape mismatch")}
-SHAPE_VIOLATIONS = {name: VIOLATIONS[name] for name in ("not-square", "b-shape")}
+A2 = IntMatrix([[2, 1], [1, 2]])
+VIOLATIONS = {
+    **A_VIOLATIONS,
+    "b-shape": (A2, IntMatrix([[1]]), "shape mismatch"),
+    "b-larger": (A2, IntMatrix([[1] * 3] * 3), "shape mismatch"),
+}
+SHAPE_VIOLATIONS = {name: VIOLATIONS[name] for name in ("not-square", "b-shape", "b-larger")}
 
 V1 = Path.empty(1)
+# Every violation's A has the edge e(1,1,0), so each entry below reads B
+# at an edge, not past A's edges.
+P1 = Path.of([Edge(1, 1, 0)])
 PAIR_ENTRIES = {
     "homology": homology,
     "ktheory": ktheory,
@@ -52,6 +66,12 @@ A_ENTRIES = {
 SHAPE_ENTRIES = {
     "kappa_edge": lambda a, b: kappa_edge(a, b, 1, Edge(1, 1, 0)),
     "kappa_path": lambda a, b: kappa_path(a, b, 1, Path.of([Edge(1, 1, 0)])),
+    "kappa_path-empty": lambda a, b: kappa_path(a, b, 1, V1),
+    "kappa_path_preimage": lambda a, b: kappa_path_preimage(a, b, 1, P1),
+    "phi_vertex_sum": lambda a, b: phi_vertex_sum(a, b, 1, 1, 1),
+    "fixes_path": lambda a, b: fixes_path(a, b, 1, EventuallyPeriodicPath(V1, P1)),
+    "compose_slices-forward": lambda a, b: compose_slices(a, b, Slice(V1, 1, V1), Slice(P1, 0, P1)),
+    "compose_slices-backward": lambda a, b: compose_slices(a, b, Slice(P1, 0, P1), Slice(V1, 1, V1)),
 }
 
 

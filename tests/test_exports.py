@@ -5,7 +5,7 @@ no longer uses or a private helper nothing reads, and none imports
 the formula route's determinant and cokernel code, and none of the lattice
 model's eventual kernels and Hermite bases; the slice algebra runs no
 record check on what it derives; a vertex reads its row of A through one
-checked door."""
+checked door, and the action reads B at an edge through another."""
 
 import ast
 import importlib
@@ -211,25 +211,25 @@ def test_slice_algebra_builds_plain_records(function):
     assert called_names(source, function) & {"Slice", "_extended"} == set()
 
 
-def _is_a(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "a") or (isinstance(node, ast.Attribute) and node.attr == "a")
+def _is_matrix(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
 
 
-def a_row_reads(source: str) -> set[str]:
-    """Functions and methods, by name, that index the matrix A (`a` or
-    `self.a`) or call `row` on it; iterating over all of A's rows is not
-    such a read."""
+def row_reads(source: str, matrix: str) -> set[str]:
+    """Functions and methods, by name, that index the matrix named `matrix`
+    (read as a name or an attribute, like `a` or `self.a`) or call `row` on
+    it; iterating over all of its rows is not such a read."""
     return {
         func.name
         for func in ast.walk(ast.parse(source))
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if (isinstance(node, ast.Subscript) and _is_a(node.value))
+        if (isinstance(node, ast.Subscript) and _is_matrix(node.value, matrix))
         or (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "row"
-            and _is_a(node.func.value)
+            and _is_matrix(node.func.value, matrix)
         )
     }
 
@@ -238,14 +238,25 @@ def test_a_row_reads_detects():
     source = (
         "def f(a, v):\n    return a[v - 1, 0]\n\n"
         "class G:\n    def g(self, v):\n        return self.a.row(v - 1)\n\n"
-        "def h(a, b, v):\n    return b.row(v - 1), b[v, v], [sum(row) for row in a]\n"
+        "def h(a, b, v):\n    return b.row(v - 1), [sum(row) for row in a]\n\n"
+        "def k(a, b, v):\n    return b[v, v], b.rows, [sum(row) for row in b]\n"
     )
-    assert a_row_reads(source) == {"f", "g"}
+    assert row_reads(source, "a") == {"f", "g"}
+    assert row_reads(source, "b") == {"h", "k"}
+
+
+def slice_and_action_reads(matrix: str) -> set[str]:
+    package = Path(kep.__file__).parent
+    return set().union(*(row_reads((package / name).read_text(), matrix) for name in ("selfsim.py", "groupoid.py")))
 
 
 def test_a_vertex_reads_go_through_one_door():
     # A bare index reads vertex 0 as A's last row; `_vertex_row` checks
     # 1 <= v <= n first, and `_check_edge` checks an edge's two vertices.
-    package = Path(kep.__file__).parent
-    reads = set().union(*(a_row_reads((package / name).read_text()) for name in ("selfsim.py", "groupoid.py")))
-    assert reads == {"_vertex_row", "_check_edge"}
+    assert slice_and_action_reads("a") == {"_vertex_row", "_check_edge"}
+
+
+def test_b_edge_reads_go_through_one_door():
+    # `_check_edge` compares B's shape with A's before it reads B at an
+    # edge; `refine_slice` reads B's row only after `_validate_pair`.
+    assert slice_and_action_reads("b") == {"_check_edge", "refine_slice"}

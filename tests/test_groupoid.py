@@ -127,6 +127,20 @@ class TestSliceRecord:
         with pytest.raises(TypeError, match="m must be int"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Slice((), 0, ()),
+            lambda: Slice(((), 1), 0, V),
+            lambda: Slice(V, 0, ((), 1)),
+            lambda: Slice(P0, 1, P0)._replace(alpha=((E0,), None)),
+        ],
+        ids=["empty-tuples", "plain-alpha", "plain-beta", "replace"],
+    )
+    def test_alpha_and_beta_must_be_paths(self, build):
+        with pytest.raises(TypeError, match="alpha and beta must be Paths"):
+            build()
+
     def test_fields_are_read_only(self):
         for name, value in (("alpha", V), ("m", 0), ("beta", V), ("other", 0)):
             with pytest.raises(AttributeError):
@@ -239,6 +253,12 @@ class TestRandomWalk:
                 start, length = rng.randint(1, a.rows), rng.randint(0, 6)
                 assert random_walk(g, fast, start, length) == reference_random_walk(g, slow, start, length)
                 assert fast.getstate() == slow.getstate()
+
+    def test_negative_length_raises(self):
+        # The walk loop never runs: the result would be a path with no
+        # edges and no anchor, a record `Path` refuses.
+        with pytest.raises(ValueError, match="walk length must be nonnegative"):
+            random_walk(Graph(A_PLAIN), random.Random(1), 1, -1)
 
 
 class TestCompose:
@@ -403,6 +423,10 @@ class TestInvert:
 
 
 class TestSliceImage:
+    def test_takes_only_slices(self):
+        with pytest.raises(TypeError, match="slice_image_cylinder takes a Slice"):
+            slice_image_cylinder(A_PLAIN, A_PLAIN, PLAIN, Path.empty(2))
+
     def test_zero_translation(self):
         s = Slice(P0, 0, P1)
         assert slice_image_cylinder(A1, B1, s, P1) == Path.of([E0, E1])
@@ -471,6 +495,11 @@ class TestLaws:
             direct = compose_slices(a, b, s1, s2)
             piecewise = {compose_slices(a, b, s1, child) for child in refine_slice(a, b, s2)}
             assert piecewise == set(refine_slice(a, b, direct))
+
+    def test_slices_equal_takes_only_slices(self):
+        for s1, s2 in ((PLAIN, Slice(V, 0, V)), (Slice(V, 0, V), (V, 0, V))):
+            with pytest.raises(TypeError, match="slices_equal takes two Slices"):
+                slices_equal(A_PLAIN, A_PLAIN, s1, s2)
 
     def test_slices_equal_sees_refinements(self):
         s = Slice(V, 1, V)

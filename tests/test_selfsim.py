@@ -430,6 +430,15 @@ class TestFixesPath:
         x = EventuallyPeriodicPath(Path.of([E0]), Path.of([Edge(1, 1, 0)]))
         assert not fixes_path(A1, B1, 1, x)
 
+    def test_every_edge_checked_past_the_first_unfixed(self):
+        # kappa_1 moves e(1,1,0), so the fold already knows the answer, but
+        # e(1,2,5) is no edge of A (A[1,2] = 1) and must not pass unread.
+        a, b = IntMatrix([[2, 1], [1, 2]]), IntMatrix([[1, 1], [1, 1]])
+        x = EventuallyPeriodicPath(Path.of([E0, Edge(1, 2, 5)]), Path.of([Edge(2, 2, 0)]))
+        with pytest.raises(InputValidationError) as info:
+            fixes_path(a, b, 1, x)
+        assert info.value.assumption == "unknown edge"
+
 
 class TestPhiVertexSum:
     def test_example(self):
