@@ -1,11 +1,11 @@
-"""Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
+"""Exact integer linear algebra: Smith and Hermite forms, determinants, cokernels.
 
 Everything runs over Python's arbitrary-precision integers; there is no
 floating point anywhere, so the 40-digit example at the end is as exact as
 the 2x2 one.
 """
 
-from kep import FGAbelianGroup, IntMatrix, det, from_cokernel, hnf, kernel_basis, snf
+from kep import FGAbelianGroup, IntMatrix, det, from_cokernel, hnf, snf
 
 # A small matrix with a nontrivial invariant factor structure.
 m = IntMatrix([[2, 4], [6, 8]])
@@ -26,10 +26,9 @@ print("det U =", det(decomp.U), " det V =", det(decomp.V))
 print("\ncoker(M) =", from_cokernel(m))
 print("|det M| =", abs(det(m)), "= product of invariant factors")
 
-# Kernels are lattices; the basis comes out saturated.
+# A singular matrix: its zero invariant factor is a free summand.
 singular = IntMatrix([[-1, -1], [-1, -1]])
-print("\nkernel basis of [[-1,-1],[-1,-1]]:", kernel_basis(singular))
-print("coker =", from_cokernel(singular), " (one invariant factor is 1, one is 0)")
+print("\ncoker([[-1,-1],[-1,-1]]) =", from_cokernel(singular), " (one invariant factor is 1, one is 0)")
 
 # The column Hermite form is the canonical basis of the column lattice.
 print("\nhnf(M) =")

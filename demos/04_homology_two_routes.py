@@ -8,27 +8,50 @@ when T - I is singular), without ever looking at the closed formulas.  The
 two agree on every valid input, and K0 = H0 + H2, K1 = H1 ties homology to
 K-theory.
 
-The peek inside the limit below uses the lattice model that route two is
-proven against: `eventual_kernel` and `ker_one_minus_shift` build the
-eventual kernel, the fixed sublattice and their quotient, while
-`coker_one_minus_shift` is the route's own cokernel.
+The peek inside the limit below runs route two's own step,
+`one_minus_shift`, which returns the kernel and cokernel of 1 - shift, and
+checks the kernel against the nullity of T - I over the rationals.
 """
 
 import random
+from fractions import Fraction
 
 from kep import (
+    FGAbelianGroup,
     IntMatrix,
     StationaryLimit,
     analyze,
-    coker_one_minus_shift,
-    eventual_kernel,
     hk_check,
     homology,
-    ker_one_minus_shift,
     ktheory,
     limit_route_homology,
+    one_minus_shift,
 )
 from kep.invariants import Operand
+
+
+def rational_nullity(m: IntMatrix) -> int:
+    """Columns of M minus its rank over the rationals (Gaussian elimination)."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(m.cols):
+        pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, m.rows):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return m.cols - rank
+
+
+def kernel_is_nullity_free(t: IntMatrix) -> bool:
+    """Whether the route's ker(1 - shift) over T is free of rank
+    nullity(T - I), the group the splitting L' = EK + ker(T - I) predicts."""
+    ker, _ = one_minus_shift(StationaryLimit(t))
+    return ker == FGAbelianGroup.free(rational_nullity(t - IntMatrix.identity(t.rows)))
+
 
 a = IntMatrix([[2]])
 b = IntMatrix([[1]])
@@ -46,17 +69,14 @@ print("\nK0 =", k0, "  K1 =", k1)
 evidence = hk_check(a, b)
 print("K0 == H0 + H2 and K1 == H1:", evidence.ok, "  routes agree:", evidence.routes_agree)
 
-# A peek inside the limit model for the doubling map (the 2-adic odometer
-# side of this example): the connecting map 2 is injective, so nothing
-# eventually dies, and only 0 is fixed by the shift.
-lim = StationaryLimit(IntMatrix([[2]]))
-print("\nlimit over T=(2): eventual kernel =", eventual_kernel(lim))
-print("ker(1 - shift) =", ker_one_minus_shift(lim), "  coker(1 - shift) =", coker_one_minus_shift(lim))
-
+# A peek inside the limit for the doubling map (the 2-adic odometer side of
+# this example): T - I = (1) is invertible, so only 0 is fixed by the shift.
 # For T=(1) the limit is plain Z and the shift is the identity.
-lim1 = StationaryLimit(IntMatrix([[1]]))
-print("limit over T=(1): ker(1 - shift) =", ker_one_minus_shift(lim1),
-      "  coker(1 - shift) =", coker_one_minus_shift(lim1))
+print()
+for label, t in (("(2)", IntMatrix([[2]])), ("(1)", IntMatrix([[1]]))):
+    ker, coker = one_minus_shift(StationaryLimit(t))
+    print(f"limit over T={label}: ker(1 - shift) = {ker}  coker(1 - shift) = {coker}")
+    assert kernel_is_nullity_free(t)
 
 # The agreement is not special to the example: try fresh random pairs.
 rng = random.Random(0)
@@ -74,6 +94,7 @@ for _ in range(25):
     aa, bb = IntMatrix(rows_a), IntMatrix(rows_b)
     evidence = hk_check(aa, bb)
     assert evidence.ok and evidence.routes_agree
+    assert kernel_is_nullity_free(aa.transpose()) and kernel_is_nullity_free(bb.transpose())
 print("all agree.")
 
 # The one-call summary used by the command line tool; its evidence is the

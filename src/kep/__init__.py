@@ -4,7 +4,7 @@ A square nonnegative matrix A (no zero rows) and an equal-size integer
 matrix B define a self-similar action on the paths of the graph of A and,
 through it, an ample groupoid.  This package computes, in exact integer
 arithmetic, the groupoid's homology and the K-theory of its algebra,
-cross-checks the two through an independent inductive-limit model, decides
+cross-checks the two through an independent inductive-limit route, decides
 when two pairs cannot be Kakutani equivalent, and builds pairs realizing a
 prescribed K-theory.
 """
@@ -16,9 +16,7 @@ from .abgroup import (
 )
 from .dirlimit import (
     StationaryLimit,
-    coker_one_minus_shift,
-    eventual_kernel,
-    ker_one_minus_shift,
+    one_minus_shift,
 )
 from .errors import InputValidationError, InternalError
 from .groupoid import (
@@ -34,7 +32,6 @@ from .intmat import (
     IntMatrix,
     det,
     hnf,
-    kernel_basis,
     snf,
 )
 from .invariants import (
@@ -71,9 +68,7 @@ __all__ = [
     "direct_sum",
     "from_cokernel",
     "StationaryLimit",
-    "coker_one_minus_shift",
-    "eventual_kernel",
-    "ker_one_minus_shift",
+    "one_minus_shift",
     "InputValidationError",
     "InternalError",
     "Slice",
@@ -86,7 +81,6 @@ __all__ = [
     "IntMatrix",
     "det",
     "hnf",
-    "kernel_basis",
     "snf",
     "ComparisonReport",
     "HkEvidence",

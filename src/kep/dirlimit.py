@@ -8,10 +8,16 @@ route independent of the closed matrix formulas used in
 :mod:`kep.invariants`.  `one_minus_shift`, the route, gets both from one
 adjugate of T - I: the kernel is 0 when det(T - I) != 0 and otherwise free
 of rank nullity(T - I), because the fixed sublattice L' splits as the
-eventual kernel EK plus ker(T - I).  `ker_one_minus_shift` is the lattice
-model that this splitting replaces: it builds EK, the Hermite basis of L'
-and the quotient L'/EK, at lattice-model cost, and tests hold the route
-to it.
+eventual kernel EK plus ker(T - I); `kep` exports it with
+`StationaryLimit`, its argument.
+
+`eventual_kernel` and `ker_one_minus_shift` are the lattice model that this
+splitting replaces: they build EK, the Hermite basis of L' and the quotient
+L'/EK, at lattice-model cost.  `kep` does not export them (nor
+`coker_one_minus_shift`), and no command runs them.  Outside their own
+tests they have two readers: `test_oracle_agreement`, which holds the
+route to the model, and the benchmark's tracer, which wraps them by name
+(`tests/test_bench_targets.py` requires its targets to exist).
 
 Convention: a vertex matrix M acting on basis vectors by
 1_v -> sum_w M[v, w] 1_w acts on coordinate columns through transpose(M).

@@ -164,8 +164,8 @@ def invert_slice(s: Slice) -> Slice:
 def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> Path:
     """Image of the source cylinder Z(beta.gamma) under the slice's partial
     homeomorphism over the pair (A, B): the cylinder of alpha.kappa_m(gamma)."""
-    if type(s) is not Slice:
-        raise TypeError("slice_image_cylinder takes a Slice")
+    if type(s) is not Slice or type(gamma) is not Path:
+        raise TypeError("slice_image_cylinder takes a Slice and a Path")
     if gamma.source != s.beta.range:
         raise ValueError("gamma must start where beta ends")
     image, _ = kappa_path(a, b, s.m, gamma)

@@ -11,7 +11,11 @@ a cokernel of any shape needs; `snf` runs it on M bordered by identities,
 [[M, I], [I, 0]], so the same operations build U in the right border and
 V in the lower one.  U and V grow far longer than the diagonal, so only a
 caller that reads them uses `snf`; in the library that is a nonzero
-`kernel_basis` alone, which reads the columns of V.
+`kernel_basis` alone, which reads the columns of V.  `kernel_basis` serves
+only the lattice model in `kep.dirlimit`, so `kep` does not export it, and
+outside its own tests it has the model's two readers: the test that holds
+the limit route to the model, and the benchmark's tracer, which wraps it by
+name.  `snf` and `hnf` stay exported for the normal-form acceptance check.
 `smith_diagonal_mod_det` takes a square M with its |det M| > 0 and
 gets the diagonal from a Hermite form reduced modulo a shrinking modulus,
 so no entry exceeds |det M|; it reaches `_smith` only for a cokernel

@@ -144,6 +144,8 @@ class EventuallyPeriodicPath:
     period: Path
 
     def __post_init__(self):
+        if type(self.prefix) is not Path or type(self.period) is not Path:
+            raise TypeError("prefix and period must be Paths")
         if not self.period.edges:
             raise ValueError("the period must be nonempty")
         if self.period.range != self.period.source:
@@ -159,10 +161,14 @@ class EventuallyPeriodicPath:
 
 @dataclass(frozen=True)
 class Graph:
-    """The graph of A: one vertex per row, A[i, j] edges from i to j.  A
-    method that takes a vertex reads its row through `_vertex_row`."""
+    """The graph of A: one vertex per row, A[i, j] edges from i to j.  A is
+    checked where it enters (`_validate_a`), and a method that takes a
+    vertex reads its row through `_vertex_row`."""
 
     a: IntMatrix
+
+    def __post_init__(self):
+        _validate_a(self.a)
 
     def vertices(self) -> range:
         return range(1, self.a.rows + 1)
@@ -208,15 +214,21 @@ def _check_shapes(a: IntMatrix, b: IntMatrix) -> None:
         raise InputValidationError("shape mismatch", "A and B must have the same shape")
 
 
-def _validate_pair(a: IntMatrix, b: IntMatrix) -> None:
-    """The standing assumptions on the pair: A square, nonnegative and
-    without zero rows, and B of A's shape."""
-    _check_shapes(a, a)  # A square; B's shape is checked after A's rows
+def _validate_a(a: IntMatrix) -> None:
+    """The standing assumptions on A, which define its graph: square,
+    nonnegative and without zero rows."""
+    _check_shapes(a, a)
     for i, row in enumerate(a):
         if any(x < 0 for x in row):
             raise InputValidationError("negative entry", f"A row {i + 1} has a negative entry")
         if all(x == 0 for x in row):
             raise InputValidationError("zero row", f"A row {i + 1} is identically zero")
+
+
+def _validate_pair(a: IntMatrix, b: IntMatrix) -> None:
+    """The standing assumptions on the pair: A's (`_validate_a`), and B of
+    A's shape."""
+    _validate_a(a)
     _check_shapes(a, b)
 
 
@@ -326,11 +338,14 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
     """Extend the action along a path by folding the carry left to right.
 
     kappa_m(p q) = kappa_m(p) kappa_{phi(m, p)}(q) and
-    phi(m, p q) = phi(phi(m, p), q).  m is checked as in `kappa_edge`, the
-    shapes and each edge by `_act`; the empty path reads no edge, checks the
-    shapes and its anchor (`_vertex_row`) itself, and returns (p, m).
+    phi(m, p q) = phi(phi(m, p), q).  m is checked as in `kappa_edge`, p
+    must be a `Path` (else TypeError), the shapes and each edge are checked
+    by `_act`; the empty path reads no edge, checks the shapes and its
+    anchor (`_vertex_row`) itself, and returns (p, m).
     """
     _check_m(m)
+    if type(p) is not Path:
+        raise TypeError("kappa_path takes a Path")
     if not p.edges:
         _check_shapes(a, b)
         _vertex_row(a, p.vertex)  # type: ignore[arg-type]
@@ -387,7 +402,7 @@ def is_pseudo_free(a: IntMatrix, b: IntMatrix) -> PseudoFreeness:
 
 
 def fixes_path(a: IntMatrix, b: IntMatrix, m: int, x: EventuallyPeriodicPath) -> bool:
-    """Whether kappa_m fixes the eventually periodic path x (m an int).
+    """Whether kappa_m fixes x (m an int, x an `EventuallyPeriodicPath`).
 
     The criterion is the action's own fixed point: under carry c, kappa_c
     fixes e(i, j, t) iff A[i, j] divides c * B[i, j], and the next carry is
@@ -401,6 +416,8 @@ def fixes_path(a: IntMatrix, b: IntMatrix, m: int, x: EventuallyPeriodicPath) ->
     nonzero v fails within log2|v| + 1 periods.
     """
     _check_m(m)
+    if type(x) is not EventuallyPeriodicPath:
+        raise TypeError("fixes_path takes an EventuallyPeriodicPath")
     period_a = period_b = 1
     for e in x.period.edges:
         a_entry, b_entry = _check_edge(a, b, e)

@@ -19,15 +19,20 @@ from kep import (
     IntMatrix,
     InternalError,
     StationaryLimit,
-    coker_one_minus_shift,
-    eventual_kernel,
     from_cokernel,
     homology,
-    ker_one_minus_shift,
     limit_route_homology,
+    one_minus_shift,
 )
 from kep.abgroup import kernel_group
-from kep.dirlimit import _fixed_sublattice, _lattice_basis, _solve_exact, one_minus_shift
+from kep.dirlimit import (
+    _fixed_sublattice,
+    _lattice_basis,
+    _solve_exact,
+    coker_one_minus_shift,
+    eventual_kernel,
+    ker_one_minus_shift,
+)
 
 
 def limit_of(entries) -> StationaryLimit:

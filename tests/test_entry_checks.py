@@ -10,6 +10,7 @@ import pytest
 from kep import (
     Edge,
     EventuallyPeriodicPath,
+    Graph,
     InputValidationError,
     IntMatrix,
     Operand,
@@ -60,6 +61,7 @@ PAIR_ENTRIES = {
     "Operand": lambda a, b: Operand("katsura", a, b),
 }
 A_ENTRIES = {
+    "Graph": lambda a, b: Graph(a),
     "sft_homology": lambda a, b: sft_homology(a),
     "Operand-sft": lambda a, b: Operand("sft", a),
 }

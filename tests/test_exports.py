@@ -1,11 +1,12 @@
 """Every exported name resolves, so `from kep import *` works after a
-deletion, and is read by a demo or the README; no module keeps an import it
-no longer uses or a private helper nothing reads, and none imports
-`fractions` or `decimal` or calls `float`; the limit route reaches none of
-the formula route's determinant and cokernel code, and none of the lattice
-model's eventual kernels and Hermite bases; the slice algebra runs no
-record check on what it derives; a vertex reads its row of A through one
-checked door, and the action reads B at an edge through another."""
+deletion, and is read by a demo or the README; `kep` exports the limit
+route that runs, not the lattice model it replaced; no module keeps an
+import it no longer uses or a private helper nothing reads, and none
+imports `fractions` or `decimal` or calls `float`; the limit route reaches
+none of the formula route's determinant and cokernel code, and none of the
+lattice model's eventual kernels and Hermite bases; the slice algebra runs
+no record check on what it derives; a vertex reads its row of A through
+one checked door, and the action reads B at an edge through another."""
 
 import ast
 import importlib
@@ -28,6 +29,20 @@ def test_star_import():
     namespace = {}
     exec("from kep import *", namespace)
     assert "hk_check" in namespace
+
+
+# The limit route that `limit_route_homology` runs, and its argument.
+LIMIT_ROUTE = {"one_minus_shift", "StationaryLimit"}
+# The lattice model that route replaced: no command runs it, so it stays in
+# its modules, for the tests that hold the route to it.
+LATTICE_MODEL_API = {"eventual_kernel", "ker_one_minus_shift", "coker_one_minus_shift", "kernel_basis"}
+
+
+def test_surface_is_the_route_that_runs():
+    namespace = {}
+    exec("from kep import *", namespace)
+    assert LIMIT_ROUTE <= set(kep.__all__) and LIMIT_ROUTE <= namespace.keys()
+    assert LATTICE_MODEL_API.isdisjoint(kep.__all__)
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -12,10 +12,9 @@ from kep import (
     IntMatrix,
     det,
     hnf,
-    kernel_basis,
     snf,
 )
-from kep.intmat import _xgcd, det_adjugate, rank, smith_diagonal, smith_diagonal_mod_det
+from kep.intmat import _xgcd, det_adjugate, kernel_basis, rank, smith_diagonal, smith_diagonal_mod_det
 
 small_entries = st.integers(min_value=-30, max_value=30)
 

@@ -19,6 +19,7 @@ from kep import (
     kappa_path,
     phi_vertex_sum,
     refine_slice,
+    slice_image_cylinder,
 )
 from kep.selfsim import kappa_path_preimage, parse_edge, parse_path, path_ending_at, random_walk
 
@@ -515,8 +516,9 @@ class TestVertexDoor:
 
 
 class TestIntegerFields:
-    """Records and the action take ints where they enter, as `IntMatrix`
-    does for its entries: no float reaches a label or a carry."""
+    """Records and the action take ints, and the records they name, where
+    they enter, as `IntMatrix` does for its entries: no float reaches a
+    label or a carry, and no bare tuple or list an attribute read."""
 
     A = IntMatrix([[2, 1], [1, 2]])
     B = IntMatrix([[1, 1], [1, 1]])
@@ -557,6 +559,25 @@ class TestIntegerFields:
     def test_kappa_edge_takes_an_edge_of_ints(self, edge):
         with pytest.raises(TypeError, match="Edge of ints"):
             kappa_edge(self.A, self.B, 1, edge)
+
+    @pytest.mark.parametrize(
+        ("run", "message"),
+        [
+            (lambda a, b: kappa_path(a, b, 1, [E0]), "kappa_path takes a Path"),
+            (lambda a, b: kappa_path_preimage(a, b, 1, (E0,)), "kappa_path takes a Path"),
+            (
+                lambda a, b: slice_image_cylinder(a, b, Slice(Path.empty(1), 1, Path.empty(1)), [E0]),
+                "takes a Slice and a Path",
+            ),
+            (lambda a, b: EventuallyPeriodicPath((), Path.of([E0])), "prefix and period must be Paths"),
+            (lambda a, b: EventuallyPeriodicPath(Path.empty(1), [E0]), "prefix and period must be Paths"),
+            (lambda a, b: fixes_path(a, b, 1, (Path.empty(1), Path.of([E0]))), "takes an EventuallyPeriodicPath"),
+        ],
+        ids=["kappa_path", "kappa_path_preimage", "slice_image_cylinder", "prefix", "period", "fixes_path"],
+    )
+    def test_action_takes_its_records(self, run, message):
+        with pytest.raises(TypeError, match=message):
+            run(self.A, self.B)
 
 
 class TestActionShapes:
