@@ -12,15 +12,18 @@ It equals the disjoint union of its refinements, so two slices are compared
 with `slices_equal`, which refines the shallower one to the other's beta
 depth, not by field equality; at equal depth field equality decides.
 
-A product `compose_slices` reads the two middle paths once as edge tuples:
-it compares them, folds the overhang of the longer one through the action
-(`selfsim._act`, the one edge step behind `kappa_edge` and `kappa_path`,
-which reads the pair through the checked door `_check_edge`), and builds one
-path and one slice.  Records are checked where they enter: `Slice` and
-`Path` check every record built from outside, and every operation here takes
-only `Slice`s; `refine_slice`, `compose_slices` and `invert_slice` build
-what they derive as plain records, because their construction proves the
-range and junction rules (the proof is in `compose_slices`).
+A product `compose_slices` reads the two middle paths once as their fields
+(edges, vertex): it compares the edge tuples, and an anchor vertex only
+where a middle is empty, folds the overhang of the longer one through the
+action (`selfsim._act`, the one edge step behind `kappa_edge` and
+`kappa_path`, which reads the pair through the checked door `_check_edge`),
+and builds one path and one slice.  Records are checked where they enter:
+`Slice` and `Path` check every record built from outside, and every
+operation here takes only `Slice`s; `refine_slice`, `compose_slices` and
+`invert_slice` build what they derive as plain records, each path by
+`selfsim._composed_path` and each slice by `tuple.__new__`, because their
+construction proves the range and junction rules (the proof is in
+`compose_slices`).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .selfsim import (
     _CheckedRecord,
     _act,
     _check_m,
+    _composed_path,
     _validate_pair,
     _vertex_row,
     is_pseudo_free,
@@ -101,8 +105,8 @@ def refine_slice(a: IntMatrix, b: IntMatrix, s: Slice) -> list[Slice]:
         steps = [(tuple.__new__(Edge, (v, j, t)),) for t in range(a_entry)]
         for t, step in enumerate(steps):
             carry, label = divmod(shift + t, a_entry)
-            alpha = Path._composed(alpha_edges + steps[label])
-            beta = Path._composed(beta_edges + step)
+            alpha = _composed_path((alpha_edges + steps[label], None))
+            beta = _composed_path((beta_edges + step, None))
             children.append(tuple.__new__(Slice, (alpha, carry, beta)))
     return children
 
@@ -116,41 +120,48 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
     refined along the overhang until the middles match; incomparable
     middles, or empty ones at different vertices, give the empty product.
 
-    One pass over the middles' edge tuples: sources first, then the shorter
-    one as a prefix of the longer.  A forward overhang (s2.alpha longer)
+    One pass over the middles' fields (edges, vertex): the shorter edge
+    tuple as a prefix of the longer, then, only when the shorter is empty,
+    its anchor vertex against the longer middle's first source, or against
+    the other anchor when both are empty.  A nonempty prefix that matches
+    starts with the same edge, so it already has the same source: the two
+    rules give equal, forward, backward, empty-apart and incomparable
+    middles exactly as comparing the sources first would.  A forward
+    overhang (s2.alpha longer)
     extends s1.alpha by kappa_{m1}(overhang), with carry phi(m1, overhang)
     added to m2.  A backward one (s1.beta longer) extends s2.beta by the
     preimage kappa_{-m2}(overhang), and m1 gains -phi(-m2, overhang), the
     carry of that preimage under m2 (see `kappa_path_preimage`).
 
     The product is built as a plain record, without the checks of `Slice`
-    and `Path`, because both operands are valid records.  `_act` maps
-    e(i, j, t) to e(i, j, l), so an image composes exactly as its source
-    path does.  The sources are compared first, and the shorter middle is
-    a prefix of the longer, so a forward overhang starts at range(beta1) =
-    range(alpha1) and ends at range(alpha2) = range(beta2); the backward
-    case is its mirror image.  Equal middles give range(alpha1) =
-    range(beta2) directly.
+    and `Path` (its new path by `selfsim._composed_path`), because both
+    operands are valid records.  `_act` maps e(i, j, t) to e(i, j, l), so an
+    image composes exactly as its source path does.  The shorter middle is
+    a prefix of the longer with the same source, so a forward overhang
+    starts at range(beta1) = range(alpha1) and ends at range(alpha2) =
+    range(beta2); the backward case is its mirror image.  Equal middles
+    give range(alpha1) = range(beta2) directly.
     """
     if type(s1) is not Slice or type(s2) is not Slice:
         raise TypeError("compose_slices takes two Slices")
-    alpha1, m1, middle1 = s1
-    middle2, m2, beta2 = s2
-    if middle1.source != middle2.source:
-        return None
-    edges1, edges2 = middle1.edges, middle2.edges
+    alpha1, m1, (edges1, vertex1) = s1
+    (edges2, vertex2), m2, beta2 = s2
     k1, k2 = len(edges1), len(edges2)
     if k1 <= k2:
         if edges2[:k1] != edges1:
             return None
+        if not k1 and vertex1 != (edges2[0].source if k2 else vertex2):
+            return None
         if k1 == k2:
             return tuple.__new__(Slice, (alpha1, m1 + m2, beta2))
         image, carry = _act(a, b, m1, edges2[k1:])
-        return tuple.__new__(Slice, (Path._composed(alpha1.edges + image), carry + m2, beta2))
+        return tuple.__new__(Slice, (_composed_path((alpha1.edges + image, None)), carry + m2, beta2))
     if edges1[:k2] != edges2:
         return None
+    if not k2 and vertex2 != edges1[0].source:
+        return None
     preimage, carry = _act(a, b, -m2, edges1[k2:])
-    return tuple.__new__(Slice, (alpha1, m1 - carry, Path._composed(beta2.edges + preimage)))
+    return tuple.__new__(Slice, (alpha1, m1 - carry, _composed_path((beta2.edges + preimage, None))))
 
 
 def invert_slice(s: Slice) -> Slice:
@@ -175,12 +186,13 @@ def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> P
 def slices_equal(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> bool:
     """Semantic equality of two slices over the pair (A, B), exact for
     pseudo-free pairs: refined to a common beta depth, both give the same
-    pieces.  The deeper slice is its own refinement to its depth, so only
-    the shallower one is refined, and its pieces must be the deeper slice
-    alone; at equal depth field equality decides."""
+    pieces.  The depths are read off the beta edge tuples.  The deeper
+    slice is its own refinement to its depth, so only the shallower one is
+    refined, and its pieces must be the deeper slice alone; at equal depth
+    field equality decides."""
     if type(s1) is not Slice or type(s2) is not Slice:
         raise TypeError("slices_equal takes two Slices")
-    k1, k2 = len(s1.beta), len(s2.beta)
+    k1, k2 = len(s1.beta.edges), len(s2.beta.edges)
     if k1 == k2:
         return s1 == s2
     if k1 > k2:

@@ -15,6 +15,7 @@ edge's carry into the next edge.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from random import Random
@@ -90,13 +91,6 @@ class Path(_CheckedRecord, _PathFields):
         return cls((), vertex)
 
     @classmethod
-    def _composed(cls, edges: tuple[Edge, ...]) -> "Path":
-        """A nonempty path from edges that are composable by construction,
-        without the junction scan of `__new__`: the one builder that skips
-        it, run for every path the slice algebra builds."""
-        return tuple.__new__(cls, (edges, None))
-
-    @classmethod
     def of(cls, edges: Iterable[Edge]) -> "Path":
         edges = tuple(edges)
         if not edges:
@@ -119,7 +113,7 @@ class Path(_CheckedRecord, _PathFields):
         paths are composable on their own."""
         if self.range != other.source:
             raise ValueError("paths are not composable")
-        return Path._composed(self.edges + other.edges) if other.edges else self
+        return _composed_path((self.edges + other.edges, None)) if other.edges else self
 
     def tail_after(self, prefix: "Path") -> "Path | None":
         """The remainder of this path once `prefix` is stripped, or None
@@ -128,12 +122,19 @@ class Path(_CheckedRecord, _PathFields):
         if self.source != prefix.source or self.edges[:k] != prefix.edges:
             return None
         rest = self.edges[k:]
-        return Path._composed(rest) if rest else Path.empty(self.range)
+        return _composed_path((rest, None)) if rest else Path.empty(self.range)
 
     def __str__(self) -> str:
         if not self.edges:
             return f"v({self.vertex})"
         return ".".join(str(e) for e in self.edges)
+
+
+# A nonempty path from the field pair (edges, None), for edges composable by
+# construction: the one builder that skips the junction scan of
+# `Path.__new__`, run for every path the action and the slice algebra
+# derive.  It is `tuple.__new__` bound to `Path`, so it costs no Python frame.
+_composed_path = functools.partial(tuple.__new__, Path)
 
 
 @dataclass(frozen=True)
@@ -218,10 +219,11 @@ def _validate_a(a: IntMatrix) -> None:
     """The standing assumptions on A, which define its graph: square,
     nonnegative and without zero rows."""
     _check_shapes(a, a)
+    # A square A has n > 0 entries in each of its rows, so `min` is defined.
     for i, row in enumerate(a):
-        if any(x < 0 for x in row):
+        if min(row) < 0:
             raise InputValidationError("negative entry", f"A row {i + 1} has a negative entry")
-        if all(x == 0 for x in row):
+        if not any(row):
             raise InputValidationError("zero row", f"A row {i + 1} is identically zero")
 
 
@@ -250,7 +252,7 @@ def random_walk(graph: Graph, rng: Random, start: int, length: int) -> Path:
         e = graph.out_edge(v, rng.choice(range(graph.out_degree(v))))
         edges.append(e)
         v = e.target
-    return Path._composed(tuple(edges))
+    return _composed_path((tuple(edges), None))
 
 
 def path_ending_at(graph: Graph, rng: Random, vertex: int, max_len: int) -> Path:
@@ -351,7 +353,7 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
         _vertex_row(a, p.vertex)  # type: ignore[arg-type]
         return p, m
     edges, carry = _act(a, b, m, p.edges)
-    return Path._composed(edges), carry
+    return _composed_path((edges, None)), carry
 
 
 def kappa_path_preimage(a: IntMatrix, b: IntMatrix, m: int, target: Path) -> tuple[Path, int]:

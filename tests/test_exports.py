@@ -5,7 +5,8 @@ import it no longer uses or a private helper nothing reads, and none
 imports `fractions` or `decimal` or calls `float`; the limit route reaches
 none of the formula route's determinant and cokernel code, and none of the
 lattice model's eventual kernels and Hermite bases; the slice algebra runs
-no record check on what it derives; a vertex reads its row of A through
+no record check on what it derives, and one builder makes every derived
+path without `Path`'s checks; a vertex reads its row of A through
 one checked door, and the action reads B at an edge through another."""
 
 import ast
@@ -223,7 +224,56 @@ def test_slice_algebra_builds_plain_records(function):
     # Operands are checked where they enter; what the algebra derives from
     # them meets the range and junction rules by construction.
     source = (Path(kep.__file__).parent / "groupoid.py").read_text()
-    assert called_names(source, function) & {"Slice", "_extended"} == set()
+    assert called_names(source, function) & {"Slice", "Path", "_extended"} == set()
+
+
+def _is_tuple_new(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "tuple"
+    )
+
+
+def _is_path(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "Path"
+
+
+def unchecked_path_builders(source: str) -> list[str]:
+    """Module-level names (an assignment's target, a function or a class)
+    whose code builds a `Path` by `tuple.__new__`, skipping its checks:
+    called as `tuple.__new__(Path, ...)` or bound as
+    `partial(tuple.__new__, Path)`."""
+    found = []
+    for statement in ast.parse(source).body:
+        for call in ast.walk(statement):
+            if isinstance(call, ast.Call) and (
+                (_is_tuple_new(call.func) and call.args and _is_path(call.args[0]))
+                or (len(call.args) >= 2 and _is_tuple_new(call.args[0]) and _is_path(call.args[1]))
+            ):
+                if isinstance(statement, ast.Assign):
+                    found.extend(target.id for target in statement.targets if isinstance(target, ast.Name))
+                else:
+                    found.append(statement.name)
+    return found
+
+
+def test_unchecked_path_builders_detects():
+    source = (
+        "build = functools.partial(tuple.__new__, Path)\n"
+        "def f(edges):\n    return tuple.__new__(Path, (edges, None))\n\n"
+        "class Path(tuple):\n    def __new__(cls, edges):\n        return tuple.__new__(cls, (edges, None))\n\n"
+        "def g(v):\n    return tuple.__new__(Edge, (v, v, 0)), build(((), None)), Path((), v)\n"
+    )
+    assert unchecked_path_builders(source) == ["build", "f"]
+
+
+def test_one_unchecked_path_builder():
+    # `_composed_path` is the one builder that skips the junction scan of
+    # `Path.__new__`; the classmethod it replaced is gone.
+    package = Path(kep.__file__).parent
+    assert not hasattr(kep.Path, "_composed")
+    builders = {name: unchecked_path_builders((package / name).read_text()) for name in ("selfsim.py", "groupoid.py")}
+    assert builders == {"selfsim.py": ["_composed_path"], "groupoid.py": []}
 
 
 def _is_matrix(node: ast.AST, name: str) -> bool:

@@ -364,6 +364,41 @@ class TestCompose:
                 assert_built_record(product)
         assert min(seen[key] for key in ("equal", "forward", "backward", "empty apart", "incomparable")) >= 50
 
+    # An empty middle has only its anchor vertex to compare: with the
+    # longer middle's first source, or with the other anchor when both are
+    # empty.  Rows: s1, s2 and the product; on A_PLAIN with B = 1 the
+    # overhang e(1,2,0) keeps its label and carries the translation.
+    @pytest.mark.parametrize(
+        "s1, s2, want",
+        [
+            (Slice(V, 1, V), Slice(Path.of([Edge(2, 1, 0)]), 2, Path.of([Edge(2, 1, 0)])), None),
+            (
+                Slice(V, 1, V),
+                Slice(Path.of([Edge(1, 2, 0)]), 2, Path.of([Edge(2, 2, 1)])),
+                Slice(Path.of([Edge(1, 2, 0)]), 3, Path.of([Edge(2, 2, 1)])),
+            ),
+            (Slice(Path.of([Edge(1, 1, 1)]), 1, Path.of([Edge(2, 1, 0)])), Slice(V, 2, V), None),
+            (
+                Slice(Path.of([Edge(2, 2, 1)]), 1, Path.of([Edge(1, 2, 0)])),
+                Slice(V, -3, Path.of([Edge(2, 1, 0)])),
+                Slice(Path.of([Edge(2, 2, 1)]), -2, Path.of([Edge(2, 1, 0), Edge(1, 2, 0)])),
+            ),
+            (Slice(V, 1, V), Slice(Path.empty(2), 2, Path.empty(2)), None),
+            (
+                Slice(Path.of([Edge(2, 1, 0)]), 1, V),
+                Slice(V, 2, Path.of([Edge(1, 1, 1)])),
+                Slice(Path.of([Edge(2, 1, 0)]), 3, Path.of([Edge(1, 1, 1)])),
+            ),
+        ],
+        ids=["forward-other-vertex", "forward", "backward-other-vertex", "backward", "empty-apart", "empty-equal"],
+    )
+    def test_anchor_vertex(self, s1, s2, want):
+        b = IntMatrix([[1, 1], [1, 1]])
+        product = compose_slices(A_PLAIN, b, s1, s2)
+        assert product == want == reference_compose(A_PLAIN, b, s1, s2)
+        if want is not None:
+            assert_built_record(product)
+
     @pytest.mark.parametrize("edge", [Edge(1, 1, 5), Edge(1, 2, 0)], ids=["label", "vertex"])
     def test_unknown_overhang_edge(self, edge):
         # Forward and backward overhangs report the missing edge with
