@@ -9,15 +9,15 @@ target, label): each is built, compared and hashed as the tuple of its
 fields.  The operations that read A and B take the pair as their leading
 arguments, like `kappa_path`.  A slice is stored as built, never reduced.
 It equals the disjoint union of its refinements, so two slices are compared
-with `slices_equal`, which refines the shallower one to the other's beta
-depth, not by field equality; at equal depth field equality decides.
+with `slices_equal`, which refines the shallower one toward the other's
+beta depth, not by field equality; at equal depth field equality decides.
 
 A product `compose_slices` reads the two middle paths once as their fields
 (edges, vertex): it compares the edge tuples, and an anchor vertex only
 where a middle is empty, folds the overhang of the longer one through the
 action (`selfsim._act`, the one edge step behind `kappa_edge` and
-`kappa_path`, which reads the pair through the checked door `_check_edge`),
-and builds one path and one slice.  Records are checked where they enter:
+`kappa_path`, and the one reader of the pair at an edge), and builds one
+path and one slice.  Records are checked where they enter:
 `Slice` and `Path` check every record built from outside, and every
 operation here takes only `Slice`s; `refine_slice`, `compose_slices` and
 `invert_slice` build what they derive as plain records, each path by
@@ -133,9 +133,11 @@ def compose_slices(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> Slice | 
     preimage kappa_{-m2}(overhang), and m1 gains -phi(-m2, overhang), the
     carry of that preimage under m2 (see `kappa_path_preimage`).
 
-    The product is built as a plain record, without the checks of `Slice`
-    and `Path` (its new path by `selfsim._composed_path`), because both
-    operands are valid records.  `_act` maps e(i, j, t) to e(i, j, l), so an
+    The overhang is folded by `_act`, the one reader of the pair at an
+    edge, which checks each of its edges against A.  The product is built
+    as a plain record, without the checks of `Slice` and `Path` (its new
+    path by `selfsim._composed_path`), because both operands are valid
+    records.  `_act` maps e(i, j, t) to e(i, j, l), so an
     image composes exactly as its source path does.  The shorter middle is
     a prefix of the longer with the same source, so a forward overhang
     starts at range(beta1) = range(alpha1) and ends at range(alpha2) =
@@ -186,21 +188,25 @@ def slice_image_cylinder(a: IntMatrix, b: IntMatrix, s: Slice, gamma: Path) -> P
 def slices_equal(a: IntMatrix, b: IntMatrix, s1: Slice, s2: Slice) -> bool:
     """Semantic equality of two slices over the pair (A, B), exact for
     pseudo-free pairs: refined to a common beta depth, both give the same
-    pieces.  The depths are read off the beta edge tuples.  The deeper
-    slice is its own refinement to its depth, so only the shallower one is
-    refined, and its pieces must be the deeper slice alone; at equal depth
-    field equality decides."""
+    pieces.  The depths are read off the beta edge tuples; at equal depth
+    field equality decides.  Otherwise the deeper slice is its own
+    refinement to its depth, so the shallower one must refine to that one
+    piece alone.  It is refined one level at a time along its one piece,
+    and a level of more than one piece gives False: the pieces' betas are
+    distinct paths of one length, whose cylinders are disjoint, and none
+    is empty, since A has no zero rows, so every later level also has more
+    than one piece."""
     if type(s1) is not Slice or type(s2) is not Slice:
         raise TypeError("slices_equal takes two Slices")
     k1, k2 = len(s1.beta.edges), len(s2.beta.edges)
-    if k1 == k2:
-        return s1 == s2
     if k1 > k2:
         s1, s2, k1, k2 = s2, s1, k2, k1
-    level = [s1]
     for _ in range(k2 - k1):
-        level = [child for piece in level for child in refine_slice(a, b, piece)]
-    return set(level) == {s2}
+        pieces = refine_slice(a, b, s1)
+        if len(pieces) != 1:
+            return False
+        (s1,) = pieces
+    return s1 == s2
 
 
 @dataclass(frozen=True)

@@ -287,29 +287,13 @@ def _check_m(m: int) -> None:
         raise TypeError(f"m must be int, got {type(m).__name__}")
 
 
-def _check_edge(a: IntMatrix, b: IntMatrix, e: Edge) -> tuple[int, int]:
-    """(A[source, target], B[source, target]) for an edge of the graph of A,
-    the one door through which the action reads the pair at an edge: it
-    compares the shapes inline (`_check_shapes` runs only to raise), then
-    the edge against A, and raises on any other edge."""
-    n = a.rows
-    if a.cols != n or b.rows != n or b.cols != n:
-        _check_shapes(a, b)
-    source, target, label = e
-    if not (1 <= source <= n and 1 <= target <= n):
-        raise InputValidationError("unknown edge", f"{e} has a vertex outside 1..{n}")
-    a_entry = a.row(source - 1)[target - 1]
-    if not 0 <= label < a_entry:
-        raise InputValidationError("unknown edge", f"{e} does not exist (A entry is {a_entry})")
-    return a_entry, b.row(source - 1)[target - 1]
-
-
 def kappa_edge(a: IntMatrix, b: IntMatrix, m: int, e: Edge) -> tuple[Edge, int]:
     """Apply the action to one edge; returns (kappa_m(e), phi(m, e)).
 
     This is `_act` on the one-edge tuple, the step that `kappa_path` folds.
-    It takes an int m and an `Edge` of ints (else TypeError), and `_act`'s
-    door refuses A not square or B of another shape ("shape mismatch").
+    It takes an int m and an `Edge` of ints (else TypeError), and `_act`,
+    the one reader of the pair at an edge, refuses A not square or B of
+    another shape ("shape mismatch").
     """
     _check_m(m)
     _check_edge_record(e)
@@ -319,18 +303,28 @@ def kappa_edge(a: IntMatrix, b: IntMatrix, m: int, e: Edge) -> tuple[Edge, int]:
 
 def _act(a: IntMatrix, b: IntMatrix, m: int, edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], int]:
     """The carry fold of `kappa_path` on an edge tuple: (kappa_m(edges),
-    phi(m, edges)), the one fold that reads A and B at an edge, through
-    `_check_edge`.  No edges give ((), m) and read nothing.
+    phi(m, edges)).  `_act` is the one reader of the pair at an edge: it
+    compares the shapes once (A square, B of its shape; `_check_shapes`
+    runs only to raise), then checks each edge's vertices against 1..n and
+    its label against A[source, target] before it reads B there.  No edges
+    give ((), m) and read no edge.
 
     Floor division puts each residue in [0, A[i, j]), also when
     carry * B[i, j] + label is negative.
     """
+    n = a.rows
+    if a.cols != n or b.rows != n or b.cols != n:
+        _check_shapes(a, b)
     carry = m
     out = []
     for e in edges:
-        a_entry, b_entry = _check_edge(a, b, e)
         source, target, label = e
-        carry, label = divmod(carry * b_entry + label, a_entry)
+        if not (1 <= source <= n and 1 <= target <= n):
+            raise InputValidationError("unknown edge", f"{e} has a vertex outside 1..{n}")
+        a_entry = a.row(source - 1)[target - 1]
+        if not 0 <= label < a_entry:
+            raise InputValidationError("unknown edge", f"{e} does not exist (A entry is {a_entry})")
+        carry, label = divmod(carry * b.row(source - 1)[target - 1] + label, a_entry)
         # The image edge is built as a plain tuple: Edge has no checks to run.
         out.append(tuple.__new__(Edge, (source, target, label)))
     return tuple(out), carry
@@ -341,18 +335,18 @@ def kappa_path(a: IntMatrix, b: IntMatrix, m: int, p: Path) -> tuple[Path, int]:
 
     kappa_m(p q) = kappa_m(p) kappa_{phi(m, p)}(q) and
     phi(m, p q) = phi(phi(m, p), q).  m is checked as in `kappa_edge`, p
-    must be a `Path` (else TypeError), the shapes and each edge are checked
-    by `_act`; the empty path reads no edge, checks the shapes and its
-    anchor (`_vertex_row`) itself, and returns (p, m).
+    must be a `Path` (else TypeError), and `_act`, the one reader of the
+    pair at an edge, checks the shapes and each edge, also the shapes of
+    the empty path; that path reads no edge, checks its anchor
+    (`_vertex_row`) and returns (p, m).
     """
     _check_m(m)
     if type(p) is not Path:
         raise TypeError("kappa_path takes a Path")
-    if not p.edges:
-        _check_shapes(a, b)
-        _vertex_row(a, p.vertex)  # type: ignore[arg-type]
-        return p, m
     edges, carry = _act(a, b, m, p.edges)
+    if not edges:
+        _vertex_row(a, p.vertex)  # type: ignore[arg-type]
+        return p, carry
     return _composed_path((edges, None)), carry
 
 
@@ -408,30 +402,34 @@ def fixes_path(a: IntMatrix, b: IntMatrix, m: int, x: EventuallyPeriodicPath) ->
 
     The criterion is the action's own fixed point: under carry c, kappa_c
     fixes e(i, j, t) iff A[i, j] divides c * B[i, j], and the next carry is
-    then c * B[i, j] / A[i, j].  So x is fixed iff `_act` gives back the
-    prefix, then each period, unchanged: iff m * B(x|l) / A(x|l) is an
-    integer for every prefix length l.  Let B(period) / A(period) = p/q in
-    lowest terms (read through `_check_edge`).  Once a period passes, q = 1
-    settles every later one (each of its prefixes gives p times an integer
-    already seen).  If q > 1, a passing period maps the carry v to v * p/q,
-    p prime to q, lowering the valuation of v at every prime dividing q: a
-    nonzero v fails within log2|v| + 1 periods.
+    then c * B[i, j] / A[i, j].  So x is fixed iff `_act`, the one reader
+    of the pair at an edge, gives back the prefix, then each period,
+    unchanged.  The prefix is folded once, then the period
+    max(1, v.bit_length()) times, v the carry that enters the period, and
+    that many folds decide every later one.  Let the period's B/A product
+    be p/q in lowest terms.
+
+    - If q > 1, a passing period maps the carry c to c * p/q with p prime
+      to q, so it lowers v_l(c) by at least 1 at every prime l | q.  Since
+      v_l(v) <= v.bit_length() - 1, a nonzero v fails by period number
+      v.bit_length().
+    - If q = 1, one passing period settles every later one: each prefix of
+      the next period gives p times a carry already seen.
+    - A carry of 0 is fixed.
+
+    The period is folded at least once, so each of its edges is checked
+    against the pair also when the prefix already fails, and when v = 0.
     """
     _check_m(m)
     if type(x) is not EventuallyPeriodicPath:
         raise TypeError("fixes_path takes an EventuallyPeriodicPath")
-    period_a = period_b = 1
-    for e in x.period.edges:
-        a_entry, b_entry = _check_edge(a, b, e)
-        period_a, period_b = period_a * a_entry, period_b * b_entry
     image, value = _act(a, b, m, x.prefix.edges)
     fixed = image == x.prefix.edges
-    while fixed and value:
+    for _ in range(max(1, value.bit_length())):
         image, value = _act(a, b, value, x.period.edges)
-        fixed = image == x.period.edges
-        if fixed and period_b % period_a == 0:
-            return True
-    return fixed
+        if not (fixed and image == x.period.edges):
+            return False
+    return True
 
 
 def phi_vertex_sum(a: IntMatrix, b: IntMatrix, m: int, v: int, w: int) -> int:

@@ -7,7 +7,8 @@ none of the formula route's determinant and cokernel code, and none of the
 lattice model's eventual kernels and Hermite bases; the slice algebra runs
 no record check on what it derives, and one builder makes every derived
 path without `Path`'s checks; a vertex reads its row of A through
-one checked door, and the action reads B at an edge through another."""
+one checked door, `_act` is the one reader of the pair at an edge, and
+only `_act` and `refine_slice` compute the edge step."""
 
 import ast
 import importlib
@@ -317,11 +318,54 @@ def slice_and_action_reads(matrix: str) -> set[str]:
 
 def test_a_vertex_reads_go_through_one_door():
     # A bare index reads vertex 0 as A's last row; `_vertex_row` checks
-    # 1 <= v <= n first, and `_check_edge` checks an edge's two vertices.
-    assert slice_and_action_reads("a") == {"_vertex_row", "_check_edge"}
+    # 1 <= v <= n first, and `_act`, the one reader of the pair at an edge,
+    # checks an edge's two vertices.
+    assert slice_and_action_reads("a") == {"_vertex_row", "_act"}
 
 
 def test_b_edge_reads_go_through_one_door():
-    # `_check_edge` compares B's shape with A's before it reads B at an
-    # edge; `refine_slice` reads B's row only after `_validate_pair`.
-    assert slice_and_action_reads("b") == {"_check_edge", "refine_slice"}
+    # `_act`, the one reader of the pair at an edge, compares B's shape
+    # with A's before it reads B at an edge; `refine_slice` reads B's row
+    # only after `_validate_pair`.
+    assert slice_and_action_reads("b") == {"_act", "refine_slice"}
+
+
+def edge_steps(source: str) -> set[str]:
+    """Functions and methods, by name, whose own code calls `divmod` or
+    uses `%` or `//` (also augmented); code outside every function counts
+    as "<module>"."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, (ast.Mod, ast.FloorDiv))
+            ) or (isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "divmod"):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_edge_steps_detects():
+    source = (
+        "def f(x, a):\n    return divmod(x, a)\n\n"
+        "class G:\n    def g(self, x):\n        x %= 3\n        return x\n\n"
+        "def h(x):\n    def inner(y):\n        return y // 2\n    return inner(x) * 2, x / 2\n\n"
+        "N = 7 % 3\n"
+    )
+    assert edge_steps(source) == {"f", "g", "inner", "<module>"}
+
+
+def test_one_edge_step():
+    # The edge step m*B + t = k*A + l is computed by `_act`, the one fold
+    # over edges, and inline by `refine_slice`, whose step is measured.
+    package = Path(kep.__file__).parent
+    assert set().union(*(edge_steps((package / name).read_text()) for name in ("selfsim.py", "groupoid.py"))) == {
+        "_act",
+        "refine_slice",
+    }

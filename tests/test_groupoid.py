@@ -552,6 +552,31 @@ class TestLaws:
             assert slices_equal(a, b, Slice(e, 3 * m, e), Slice(V, m, V))
             assert not slices_equal(a, b, Slice(V, m, V), Slice(e, 3 * m + 1, e))
 
+    def test_slices_equal_walks_one_path(self, monkeypatch):
+        # A = [[3]]: Z(v, 0, v) refines into three pieces at the first level,
+        # so a depth gap of 8 is decided by one refinement, not by the
+        # 3^0 + ... + 3^7 = 3280 of the whole refinement tree.
+        calls = Counter()
+
+        def counting_refine(a, b, s):
+            calls["refine_slice"] += 1
+            return refine_slice(a, b, s)
+
+        monkeypatch.setattr(groupoid, "refine_slice", counting_refine)
+        a, b = IntMatrix([[3]]), IntMatrix([[1]])
+        deep = Path.of([Edge(1, 1, 0)] * 8)
+        assert not slices_equal(a, b, Slice(V, 0, V), Slice(deep, 0, deep))
+        assert calls["refine_slice"] == 1
+
+        # Every out-degree 1: each level has one piece, one call per level.
+        # Z(v(1), m, v(1)) is Z(alpha, 15^4 * m, alpha) for the 2-cycle
+        # alpha of length 8, which picks up B[1, 2] * B[2, 1] = 15 per turn.
+        calls.clear()
+        a, b = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[0, 3], [5, 0]])
+        cycle = Path.of([Edge(1, 2, 0), Edge(2, 1, 0)] * 4)
+        assert slices_equal(a, b, Slice(V, 2, V), Slice(cycle, 2 * 15**4, cycle))
+        assert calls["refine_slice"] == 8
+
     def test_slices_equal_matches_refinement_definition(self):
         # Equal depth compares fields; other depths refine.  The reference
         # refines both slices to the deeper beta and compares the sets.

@@ -441,6 +441,69 @@ class TestFixesPath:
         assert info.value.assumption == "unknown edge"
 
 
+    @pytest.mark.parametrize("k", [1, 20, 64])
+    def test_three_halves_fails_one_period_past_the_bound(self, k):
+        # Ratio 3/2: the carry m = +-2^k enters the period with bit length
+        # k + 1.  k periods pass (the fold of k edges comes back unchanged)
+        # and period k + 1 fails, the last one `fixes_path` folds.
+        a, b = A1, IntMatrix([[3]])
+        x = EventuallyPeriodicPath(Path.empty(1), Path.of([E0]))
+        for m in (2**k, -(2**k)):
+            assert kappa_path(a, b, m, Path.of([E0] * k))[0] == Path.of([E0] * k)
+            assert kappa_path(a, b, m, Path.of([E0] * (k + 1)))[0] != Path.of([E0] * (k + 1))
+            assert not fixes_path(a, b, m, x)
+        assert fixes_path(a, b, 0, x)
+
+    def test_integral_ratio_fixes_a_large_carry(self):
+        # Ratio 2/1 doubles the carry every period, and ratio 2/2 keeps it:
+        # one passing period settles every later one.
+        x = EventuallyPeriodicPath(Path.empty(1), Path.of([E0]))
+        assert fixes_path(IntMatrix([[1]]), IntMatrix([[2]]), 2**64 + 1, x)
+        assert fixes_path(A1, A1, 2**64 + 1, x)
+
+    def test_matches_fold_past_the_bound(self):
+        # A brute-force fold over the prefix and bit_length(v) + 2 periods,
+        # v the carry entering the period, on |m| up to 2^70.
+        def fold(a, b, value, edges):
+            for e in edges:
+                num = value * b[e.source - 1, e.target - 1]
+                if num % a[e.source - 1, e.target - 1]:
+                    return value, False
+                value = num // a[e.source - 1, e.target - 1]
+            return value, True
+
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(300):
+            a, b = random_pseudo_free_pair(rng, max_n=3, a_range=(1, 4), b_range=(-4, 4))
+            g = Graph(a)
+            period = path_ending_at(g, rng, 1, 3)
+            if not period.edges or period.source != 1:
+                continue
+            prefix = path_ending_at(g, rng, 1, 2)
+            if rng.random() < 0.5:
+                m = rng.randint(-(2**70), 2**70)
+            else:
+                m = rng.choice((-1, 1)) * 2 ** rng.randint(0, 35) * 3 ** rng.randint(0, 22) * rng.randint(0, 5)
+            value, expected = fold(a, b, m, prefix.edges)
+            if expected:
+                value, expected = fold(a, b, value, period.edges * (value.bit_length() + 2))
+            assert fixes_path(a, b, m, EventuallyPeriodicPath(prefix, period)) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("m, prefix", [(1, Path.of([E0])), (0, Path.empty(1))])
+    def test_unknown_period_edge_refused(self, m, prefix):
+        # The period is folded at least once: with the prefix already moved
+        # (kappa_1 sends e(1,1,0) to e(1,1,1)) and with m = 0 alike, its
+        # edge e(1,1,5) is checked against A[1,1] = 2.
+        a, b = IntMatrix([[2, 1], [1, 2]]), IntMatrix([[1, 1], [1, 1]])
+        x = EventuallyPeriodicPath(prefix, Path.of([Edge(1, 1, 5)]))
+        with pytest.raises(InputValidationError) as info:
+            fixes_path(a, b, m, x)
+        assert info.value.assumption == "unknown edge"
+
+
 class TestPhiVertexSum:
     def test_example(self):
         assert phi_vertex_sum(A1, B1, 1, 1, 1) == 1
