@@ -2,10 +2,11 @@
 
 Route one: closed formulas through Smith forms of I - A and I - B.
 Route two: the stationary inductive limit Z^n -> Z^n -> ... with the shift
-endomorphism; `limit_route_homology` reads the kernel and cokernel of
-(identity - shift) off one fraction-free adjugate of T - I (and one rank
-when T - I is singular), without ever looking at the closed formulas.  The
-two agree on every valid input, and K0 = H0 + H2, K1 = H1 ties homology to
+endomorphism; `limit_route_homology` reads the cokernel of 1 - shift off
+one fraction-free adjugate of T - I (and a Smith form when T - I is
+singular or its cokernel is not cyclic), and the kernel off that
+cokernel's free rank, without ever looking at the closed formulas.  The two
+agree on every valid input, and K0 = H0 + H2, K1 = H1 ties homology to
 K-theory.
 
 The peek inside the limit below runs route two's own step,

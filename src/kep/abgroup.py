@@ -108,7 +108,10 @@ def from_cokernel(m: IntMatrix) -> FGAbelianGroup:
 
 
 def kernel_group(m: IntMatrix) -> FGAbelianGroup:
-    """The kernel {x : M x = 0} as an abstract group: free of rank nullity(M)."""
+    """The kernel {x : M x = 0} as an abstract group: free of rank nullity(M),
+    from one fraction-free rank.  Its one library reader is the lattice
+    model's `ker_one_minus_shift`; both routes read a square M's kernel off
+    the free rank of coker M instead."""
     return FGAbelianGroup.free(m.cols - rank(m))
 
 

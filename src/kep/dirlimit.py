@@ -6,8 +6,8 @@ The one-step translation ("shift") sends [x, i] to [x, i+1].  This module
 computes the kernel and cokernel of (identity - shift) on the limit, the
 route independent of the closed matrix formulas used in
 :mod:`kep.invariants`.  `one_minus_shift`, the route, gets both from one
-adjugate of T - I: the kernel is 0 when det(T - I) != 0 and otherwise free
-of rank nullity(T - I), because the fixed sublattice L' splits as the
+adjugate of T - I: the kernel is free of rank nullity(T - I), which is the
+free rank of the cokernel, because the fixed sublattice L' splits as the
 eventual kernel EK plus ker(T - I); `kep` exports it with
 `StationaryLimit`, its argument.
 
@@ -146,7 +146,8 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
     it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and coker M is Z/|d|
     with no Smith form.  A singular or non-cyclic M takes `_smith` through
     `from_cokernel`.  `det_adjugate` shares no code with the formula
-    route's `det` and its diagonal modulo |det|.
+    route's `det` and its diagonal modulo |det|, so `_smith`, on a
+    singular or non-cyclic M, is all the two routes share.
 
     Kernel.  The fixed subgroup is L'/EK, with EK the eventual kernel and
     L' = {x : M x in EK}: L' surjects onto it with kernel exactly EK, and
@@ -154,15 +155,14 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
     restricted to EK is N - I with N nilpotent, which has the integer
     inverse -(I + N + N^2 + ...): M maps EK onto EK.  So for x in L' some
     y in EK has M y = M x, and x - y lies in ker M; and EK meets ker M in
-    0, since M is injective on EK.  Hence L' = EK ⊕ ker M, and L'/EK is
-    isomorphic to ker M, free of rank nullity(M): 0 when d != 0, and
-    otherwise `kernel_group` reads it off one fraction-free rank.  Neither
-    EK nor L' is computed; `ker_one_minus_shift` builds both.
+    0, since M is injective on EK.  Hence L' = EK ⊕ ker M, and L'/EK ≅
+    ker M, free of rank nullity(M), the free rank of coker M.  Neither EK
+    nor L' is computed; `ker_one_minus_shift` builds both.
     """
     m = limit.matrix - IntMatrix.identity(limit.dim)
     d, adj = det_adjugate(m)
     coker = FGAbelianGroup.from_cyclic_orders((d,)) if d and gcd(*adj.entries) == 1 else from_cokernel(m)
-    return FGAbelianGroup.trivial() if d else kernel_group(m), coker
+    return FGAbelianGroup.free(coker.free_rank), coker
 
 
 def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:

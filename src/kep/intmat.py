@@ -28,8 +28,9 @@ A third algorithm, not a Smith form, certifies cyclic cokernels:
 `det_adjugate` runs one fraction-free Gauss-Jordan elimination for det M
 and adj M, whose entries' gcd is the determinantal divisor D_(n-1), and
 D_(n-1) = 1 shows that coker M is cyclic of order |det M|.
-Injectivity and nullity come from the fraction-free `rank`, whose entries
-are minors of the input.
+The lattice model's injectivity and nullity tests use the fraction-free
+`rank`, whose entries are minors of the input; neither homology route runs
+it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ also runs the stationary-limit model of :mod:`kep.dirlimit` - a computation
 that never touches the closed formulas.  Per limit it takes one
 Gauss-Jordan adjugate of T - I: cokernels are read off the adjugate when
 they are cyclic and come from the other Smith algorithm otherwise, and the
-kernel is 0 when det(T - I) != 0 and otherwise free of rank nullity(T - I),
-from one rank, with no eventual kernel and no lattice basis.  Its evidence
+kernel is free of rank nullity(T - I), the cokernel's free rank, with no
+rank, no eventual kernel and no lattice basis.  Its evidence
 confirms K0 = H0 ⊕ H2, K1 = H1 and the routes' agreement for
 :func:`analyze` and ``kep check``.
 

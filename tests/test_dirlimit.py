@@ -255,9 +255,9 @@ class TestShiftKernelCokernel:
         }
 
     def test_nonsingular_one_minus_t_takes_no_eventual_kernel(self, monkeypatch):
-        # L' = EK ⊕ ker(T - I), so the route reads the kernel off d and one
-        # rank in every kernel case, the repeated-row maps' nonzero
-        # eventual kernel with d = 0 too.
+        # L' = EK ⊕ ker(T - I), so the route reads the kernel off its own
+        # cokernel's free rank in every kernel case, the repeated-row maps'
+        # nonzero eventual kernel with d = 0 too.
         rng = random.Random(28)
         maps = [IntMatrix([[0, 0], [0, 2]]), IntMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 3]])]
         for n in (4, 8, 12):
@@ -304,7 +304,8 @@ class TestLowRankConstruction:
     @pytest.mark.parametrize("n", [8, 12])
     def test_no_lattice_transforms(self, monkeypatch, n):
         # A and B are injective at these sizes, so both eventual kernels are
-        # 0, and the nonzero kernel of I - A is read off one rank.
+        # 0, and the nonzero kernel of I - A is the free part of its
+        # cokernel.
         a, b = low_rank_pair(n)
         assert rational_rank(a) == rational_rank(b) == n
         expected = homology(a, b)
@@ -322,7 +323,7 @@ class TestLowRankConstruction:
     def test_repeated_row_takes_the_fixed_sublattice(self, monkeypatch, n):
         # Row 1 = row 0 makes Aᵗ singular with an eventual kernel of rank 1,
         # so the lattice model builds L' once and takes the quotient L'/EK,
-        # which the route reads off one rank.
+        # which the route reads off its cokernel's free rank.
         a, _ = low_rank_pair(n, repeat_row=True)
         lim = StationaryLimit.from_row_action(a)
         assert len(eventual_kernel(lim)) == 1

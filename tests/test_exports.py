@@ -2,13 +2,15 @@
 deletion, and is read by a demo or the README; `kep` exports the limit
 route that runs, not the lattice model it replaced; no module keeps an
 import it no longer uses or a private helper nothing reads, and none
-imports `fractions` or `decimal` or calls `float`; the limit route reaches
-none of the formula route's determinant and cokernel code, and none of the
-lattice model's eventual kernels and Hermite bases; the slice algebra runs
-no record check on what it derives, and one builder makes every derived
-path without `Path`'s checks; a vertex reads its row of A through
-one checked door, `_act` is the one reader of the pair at an edge, and
-only `_act` and `refine_slice` compute the edge step."""
+imports `fractions` or `decimal` or calls `float`; on the package's call
+graph the limit route reaches none of the formula route's determinant, rank
+and cokernel code, and the formula route not the limit route's adjugate;
+the limit route calls none of the lattice model's eventual kernels and
+Hermite bases; the slice algebra runs no record check on what it derives,
+and one builder makes every derived path without `Path`'s checks; a
+vertex reads its row of A through one checked door, `_act` is the one
+reader of the pair at an edge, and only `_act` and `refine_slice` compute
+the edge step."""
 
 import ast
 import importlib
@@ -209,13 +211,91 @@ def test_limit_route_shares_no_formula_route_code():
     assert called_names((package / "intmat.py").read_text(), "det_adjugate") & ADJUGATE_BARRED == set()
 
 
+CONSTRUCTORS = ("__init__", "__new__", "__post_init__")
+
+
+def call_closure(sources: list[str], root: str) -> set[str]:
+    """Names of the functions and methods that the function or method `root`
+    reaches by static calls inside a package, given as the sources of its
+    modules, `root` included.  A call resolves by name: `f(...)` and
+    `x.f(...)` reach every function and method named `f`, and a call of a
+    class (or of `cls` inside one) reaches its `__init__`, `__new__` and
+    `__post_init__`."""
+    functions: dict[str, list[ast.FunctionDef]] = {}
+    constructors: dict[str, list[ast.FunctionDef]] = {}
+    owner: dict[ast.FunctionDef, str] = {}
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                owner.update((method, node.name) for method in methods)
+                constructors.setdefault(node.name, []).extend(m for m in methods if m.name in CONSTRUCTORS)
+    reached: set[ast.FunctionDef] = set()
+    todo = list(functions.get(root, ()))
+    while todo:
+        func = todo.pop()
+        if func in reached:
+            continue
+        reached.add(func)
+        for call in ast.walk(func):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                if name == "cls" and func in owner:
+                    name = owner[func]
+                todo.extend(functions.get(name, ()))
+                todo.extend(constructors.get(name, ()))
+    return {func.name for func in reached}
+
+
+def test_call_closure_detects():
+    route = (
+        "from .b import g\n\n"
+        "def f(m):\n    return g(m) + Box(m).size()\n\n"
+        "def unrelated():\n    return h()\n"
+    )
+    library = (
+        "def g(m):\n    return m.rank()\n\n"
+        "class Box:\n"
+        "    def __post_init__(self):\n        check(self)\n\n"
+        "    def size(self):\n        return 1\n\n"
+        "    def other(self):\n        return h()\n\n"
+        "    @classmethod\n    def make(cls):\n        return cls()\n\n"
+        "def rank(m):\n    return _bareiss(m)\n\n"
+        "def _bareiss(m):\n    return m\n\n"
+        "def check(box):\n    pass\n\n"
+        "def h():\n    pass\n"
+    )
+    assert call_closure([route, library], "f") == {"f", "g", "rank", "_bareiss", "__post_init__", "size", "check"}
+    assert call_closure([route, library], "make") == {"make", "__post_init__", "check"}
+    assert call_closure([route, library], "missing") == set()
+
+
+# The formula route's determinant and cokernel code, and the rank that a
+# kernel rule could read: the limit route reaches `det_adjugate` and, on a
+# singular or non-cyclic T - I, `_smith`, and nothing else that eliminates.
+LIMIT_ROUTE_UNREACHED = {"det", "_bareiss", "rank", "kernel_group", "smith_diagonal_mod_det"}
+
+
+def test_routes_share_no_elimination_on_the_call_graph():
+    # An import list misses an elimination two calls deep, such as
+    # `kernel_group`'s `rank`; the call graph does not.  The first assert
+    # keeps the guard from passing on an empty closure.
+    sources = [path.read_text() for path in sorted(Path(kep.__file__).parent.glob("*.py"))]
+    limit_route, formula_route = call_closure(sources, "limit_route_homology"), call_closure(sources, "homology")
+    assert {"det_adjugate", "_smith"} <= limit_route and {"det", "_bareiss", "_smith"} <= formula_route
+    assert limit_route & LIMIT_ROUTE_UNREACHED == set()
+    assert "det_adjugate" not in formula_route
+
+
 LATTICE_MODEL = {"eventual_kernel", "_fixed_sublattice", "_solve_exact", "_preimage", "kernel_basis", "hnf", "snf"}
 
 
 def test_limit_route_takes_no_lattice_model():
     # The fixed sublattice splits as EK ⊕ ker(T - I), so the route reads its
-    # kernel off det(T - I) and one rank; the lattice model, whose Hermite
-    # bases are unbounded, stays in `ker_one_minus_shift`.
+    # kernel off the free rank of its own cokernel; the lattice model, whose
+    # Hermite bases are unbounded, stays in `ker_one_minus_shift`.
     source = (Path(kep.__file__).parent / "dirlimit.py").read_text()
     assert called_names(source, "one_minus_shift") & LATTICE_MODEL == set()
 

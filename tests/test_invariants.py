@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+import kep.abgroup
 import kep.dirlimit
 import kep.intmat
 import kep.invariants
-from conftest import random_pseudo_free_pair, rational_nullity
+from conftest import low_rank_pair, random_pseudo_free_pair, rational_nullity
 from kep import (
     FGAbelianGroup,
     InputValidationError,
@@ -113,6 +114,26 @@ class TestHkCheck:
             assert hk_check(a, b).ok
 
 
+def unit_row_sum_pair(seed: int) -> tuple[IntMatrix, IntMatrix]:
+    """A seeded pair (`random_pseudo_free_pair`, n <= 6) whose B has its
+    diagonal moved so that every row sums to 1: B fixes the all-ones
+    vector, so I - B is singular."""
+    a, b = random_pseudo_free_pair(random.Random(seed), max_n=6)
+    rows = b.to_lists()
+    for i, row in enumerate(rows):
+        row[i] += 1 - sum(row)
+    return a, IntMatrix(rows)
+
+
+# Pairs with a singular I - A or I - B: B = I makes Bᵗ - I = 0, and
+# `low_rank_pair` gives I - A a kernel of rank about n/2.
+SINGULAR_PAIRS = [
+    pytest.param(A2, IntMatrix.identity(2), id="identity-b"),
+    *(pytest.param(*low_rank_pair(n), id=f"low-rank-{n}") for n in (4, 6, 8)),
+    *(pytest.param(*unit_row_sum_pair(seed), id=f"unit-row-sum-b-{seed}") for seed in range(3)),
+]
+
+
 class TestRouteIndependence:
     # A, B, I - A and I - B all nonsingular, and coker(Aᵗ - I) = Z/2 and
     # coker(Bᵗ - I) = Z/10 cyclic: neither route may then call the other's
@@ -128,7 +149,7 @@ class TestRouteIndependence:
             assert homology(a, b) == limit_route_homology(a, b)
 
     @staticmethod
-    def forbid(monkeypatch, name, modules=(kep.intmat, kep.dirlimit, kep.invariants)):
+    def forbid(monkeypatch, name, modules=(kep.intmat, kep.abgroup, kep.dirlimit, kep.invariants)):
         def forbidden(*args):
             raise AssertionError(f"{name} called")
 
@@ -151,6 +172,23 @@ class TestRouteIndependence:
             self.forbid(monkeypatch, name)
         h = limit_route_homology(self.A, self.B)
         assert (h.h0, h.h1, h.h2) == self.EXPECTED
+
+    @pytest.mark.parametrize(("a", "b"), SINGULAR_PAIRS)
+    def test_singular_limit_route_takes_no_formula_elimination(self, monkeypatch, a, b):
+        # The kernel of 1 - shift is the free part of the route's own
+        # cokernel, so a singular T - I runs `det_adjugate` and `_smith`,
+        # and no determinant, rank or diagonal modulo |det|.
+        expected = homology(a, b)
+        assert 0 in expected.dets
+        for name in ("det", "_bareiss", "rank", "kernel_group", "smith_diagonal_mod_det"):
+            self.forbid(monkeypatch, name)
+        assert limit_route_homology(a, b) == expected
+
+    @pytest.mark.parametrize(("a", "b"), SINGULAR_PAIRS)
+    def test_singular_formula_route_takes_no_adjugate(self, monkeypatch, a, b):
+        expected = limit_route_homology(a, b)
+        self.forbid(monkeypatch, "det_adjugate")
+        assert homology(a, b) == expected
 
 
 class TestSftHomology:

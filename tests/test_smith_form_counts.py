@@ -1,6 +1,6 @@
 """Each invariant is computed once: the number of Smith forms, determinants,
-adjugates and integer kernels per command is pinned, so a second run of
-either homology route shows up here, and so are the number of derived
+adjugates, integer kernels and ranks per command is pinned, so a second run
+of either homology route shows up here, and so are the number of derived
 groups (`direct_sum`) and of slice products `check` composes."""
 
 import json
@@ -21,7 +21,8 @@ A = [[2, 1, 3], [1, 4, 1], [2, 2, 5]]
 B = [[1, -1, 2], [3, 1, -2], [1, 1, 1]]
 PAIR = Operand("katsura", IntMatrix(A), IntMatrix(B))
 SFT = Operand("sft", IntMatrix(A))
-COUNTED = ("snf", "smith_diagonal", "smith_diagonal_mod_det", "det", "det_adjugate", "kernel_basis")
+SINGULAR = Operand("katsura", IntMatrix(A), IntMatrix.identity(3))
+COUNTED = ("snf", "smith_diagonal", "smith_diagonal_mod_det", "det", "det_adjugate", "kernel_basis", "rank")
 
 
 @pytest.fixture
@@ -45,23 +46,28 @@ def smith_calls(monkeypatch):
 
 
 # (snf, smith_diagonal, smith_diagonal_mod_det, det, det_adjugate,
-# kernel_basis) per command.  The formula route takes det(I - A) and
+# kernel_basis, rank) per command.  The formula route takes det(I - A) and
 # det(I - B) once each, and the diagonal modulo each nonzero one; `analyze`
 # reports those same determinants.  The limit route takes one Gauss-Jordan
 # adjugate of each T - I, and `smith_diagonal` only where T - I is singular
 # or its adjugate's entries share a factor: here Aᵗ - I has |det| 4 and
 # adjugate gcd 2, so it falls back, while Bᵗ - I has det 8 and gcd 1, so
-# its cokernel is Z/8 with no Smith form.  The kernel of 1 - shift is 0
-# when det(T - I) != 0 and otherwise one rank of T - I; the route takes no
-# eventual kernel, so no `kernel_basis` runs.  Both limits of both operands
-# here have det(T - I) != 0, the sft operand's nilpotent B = 0 too, whose
-# Bᵗ - I = -I has det +-1 and is cyclic.
-KATSURA = (0, 1, 2, 2, 2, 0)
-SFT_COUNTS = (0, 1, 2, 2, 2, 0)
+# its cokernel is Z/8 with no Smith form.  The kernel of 1 - shift is the
+# free part of that cokernel, so no rank runs; the route takes no eventual
+# kernel, so no `kernel_basis` runs.  The sft operand's nilpotent B = 0
+# has Bᵗ - I = -I, of det +-1 and cyclic.  The singular operand's B = I
+# makes I - B = 0, which has no modulus: the formula route runs
+# `smith_diagonal` on it, and the limit route on Bᵗ - I = 0, whose kernel
+# Z^3 is again the free part of its cokernel, with no rank.
+KATSURA = (0, 1, 2, 2, 2, 0, 0)
+SFT_COUNTS = (0, 1, 2, 2, 2, 0, 0)
+SINGULAR_COUNTS = (0, 3, 1, 2, 2, 0, 0)
 
 
 @pytest.mark.parametrize(
-    ("operand", "expected"), [(PAIR, KATSURA), (SFT, SFT_COUNTS)], ids=["katsura", "sft"]
+    ("operand", "expected"),
+    [(PAIR, KATSURA), (SFT, SFT_COUNTS), (SINGULAR, SINGULAR_COUNTS)],
+    ids=["katsura", "sft", "singular"],
 )
 def test_analyze(smith_calls, operand, expected):
     analyze(operand)
@@ -72,13 +78,17 @@ def test_compare(smith_calls):
     # The formula route alone: one determinant and one diagonal modulo it
     # per matrix, no transforms.
     compare(PAIR, SFT)
-    assert smith_calls() == (0, 0, 4, 4, 0, 0)
+    assert smith_calls() == (0, 0, 4, 4, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
     ("doc", "expected"),
-    [({"mode": "katsura", "n": 3, "A": A, "B": B}, KATSURA), ({"mode": "sft", "n": 3, "A": A}, SFT_COUNTS)],
-    ids=["katsura", "sft"],
+    [
+        ({"mode": "katsura", "n": 3, "A": A, "B": B}, KATSURA),
+        ({"mode": "sft", "n": 3, "A": A}, SFT_COUNTS),
+        ({"mode": "katsura", "n": 3, "A": A, "B": IntMatrix.identity(3).to_lists()}, SINGULAR_COUNTS),
+    ],
+    ids=["katsura", "sft", "singular"],
 )
 def test_check(smith_calls, capsys, tmp_path, doc, expected):
     path = tmp_path / "in.json"
@@ -94,7 +104,7 @@ def test_realize(smith_calls, capsys):
     # limit cokernels, Z/3 and Z/5, are cyclic, so no eventual kernel runs.
     main(["realize", "--rank", "0", "--t0", "3", "--t1", "5"])
     capsys.readouterr()
-    assert smith_calls() == (0, 0, 2, 2, 2, 0)
+    assert smith_calls() == (0, 0, 2, 2, 2, 0, 0)
 
 
 @pytest.fixture
