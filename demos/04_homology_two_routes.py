@@ -3,7 +3,7 @@
 Route one: closed formulas through Smith forms of I - A and I - B.
 Route two: the stationary inductive limit Z^n -> Z^n -> ... with the shift
 endomorphism; `limit_route_homology` reads the cokernel of 1 - shift off
-one fraction-free adjugate of T - I (and a Smith form when T - I is
+one fraction-free adjugate of 1 - T (and a Smith form when 1 - T is
 singular or its cokernel is not cyclic), and the kernel off that
 cokernel's free rank, without ever looking at the closed formulas.  The two
 agree on every valid input, and K0 = H0 + H2, K1 = H1 ties homology to
@@ -11,7 +11,7 @@ K-theory.
 
 The peek inside the limit below runs route two's own step,
 `one_minus_shift`, which returns the kernel and cokernel of 1 - shift, and
-checks the kernel against the nullity of T - I over the rationals.
+checks the kernel against the nullity of 1 - T over the rationals.
 """
 
 import random

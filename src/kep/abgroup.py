@@ -44,6 +44,9 @@ def _invariant_chain(factors: list[int]) -> tuple[int, ...]:
 class FGAbelianGroup:
     """Isomorphism class of a finitely generated abelian group.
 
+    The free rank and every torsion factor are `int`s; a float or a bool
+    raises TypeError where the group is built.
+
     >>> FGAbelianGroup(1, ())
     FGAbelianGroup(free_rank=1, torsion=())
     >>> print(FGAbelianGroup(0, (2, 4)))
@@ -56,6 +59,9 @@ class FGAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for x in (self.free_rank, *self.torsion):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise TypeError(f"free rank and torsion factors must be int, got {type(x).__name__}")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         prev = 1

@@ -34,12 +34,14 @@ from .groupoid import (
 )
 from .intmat import IntMatrix
 from .invariants import (
+    REALIZE_MAX_BLOCKS,
     ComparisonReport,
     InvariantReport,
     Operand,
     analyze,
     compare,
     hk_check,
+    _refuse_oversized,
     realize,
 )
 from .selfsim import (
@@ -363,6 +365,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         raise InputValidationError("bad rank", "--rank must be nonnegative")
     t0 = _parse_torsion(args.t0, "--t0")
     t1 = _parse_torsion(args.t1, "--t1")
+    # The factors are counted as given, before canonicalizing them costs time.
+    _refuse_oversized(args.rank + len(t0) + len(t1))
     target0 = FGAbelianGroup.from_cyclic_orders(t0, free_rank=args.rank)
     target1 = FGAbelianGroup.from_cyclic_orders(t1, free_rank=args.rank)
     result = realize(target0, target1)
@@ -522,8 +526,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("--path", required=True, help='e.g. "e(1,1,0).e(1,1,1)" or "v(1)"')
     p_kappa.set_defaults(func=_cmd_kappa)
 
-    p_realize = sub.add_parser("realize", help="build a pair with prescribed K-theory")
-    p_realize.add_argument("--rank", type=_int_flag, required=True)
+    p_realize = sub.add_parser(
+        "realize",
+        help="build a pair with prescribed K-theory",
+        description=(
+            "Build a pair with prescribed K-theory, one diagonal block per unit of --rank and per "
+            f"--t0 and --t1 factor; more than {REALIZE_MAX_BLOCKS} blocks exits 3 "
+            '("realize block bound").'
+        ),
+    )
+    p_realize.add_argument("--rank", type=_int_flag, required=True, help="free rank of K0 and K1")
     p_realize.add_argument("--t0", default="", help="comma-separated torsion factors for K0")
     p_realize.add_argument("--t1", default="", help="comma-separated torsion factors for K1")
     p_realize.set_defaults(func=_cmd_realize)

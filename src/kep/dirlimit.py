@@ -6,10 +6,13 @@ The one-step translation ("shift") sends [x, i] to [x, i+1].  This module
 computes the kernel and cokernel of (identity - shift) on the limit, the
 route independent of the closed matrix formulas used in
 :mod:`kep.invariants`.  `one_minus_shift`, the route, gets both from one
-adjugate of T - I: the kernel is free of rank nullity(T - I), which is the
-free rank of the cokernel, because the fixed sublattice L' splits as the
-eventual kernel EK plus ker(T - I); `kep` exports it with
-`StationaryLimit`, its argument.
+adjugate of I - T, which `intmat.one_minus` builds, as it builds the
+formula route's I - A and I - B: the kernel is free of rank
+nullity(I - T), which is the free rank of the cokernel, because the fixed
+sublattice L' splits as the eventual kernel EK plus ker(I - T); `kep`
+exports it with `StationaryLimit`, its argument.  ker(I - T) and
+coker(I - T) are ker(T - I) and coker(T - I): a matrix and its negative
+share both.
 
 `eventual_kernel` and `ker_one_minus_shift` are the lattice model that this
 splitting replaces: they build EK, the Hermite basis of L' and the quotient
@@ -32,7 +35,7 @@ from math import gcd
 
 from .abgroup import FGAbelianGroup, from_cokernel, kernel_group
 from .errors import InternalError
-from .intmat import IntMatrix, det_adjugate, hnf, kernel_basis
+from .intmat import IntMatrix, det_adjugate, hnf, kernel_basis, one_minus
 
 Vector = tuple[int, ...]
 
@@ -53,10 +56,6 @@ class StationaryLimit:
         sum_w M[v, w] 1_w; on coordinate columns that is transpose(M)."""
         return cls(m.transpose())
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
 
 def eventual_kernel(limit: StationaryLimit) -> list[Vector]:
     """Canonical basis of ker(T^n), the vectors that eventually die in the
@@ -73,7 +72,7 @@ def eventual_kernel(limit: StationaryLimit) -> list[Vector]:
     ek: list[Vector] = []
     while True:
         nxt = _preimage(t, ek)
-        if len(nxt) == len(ek) or len(nxt) == limit.dim:
+        if len(nxt) == len(ek) or len(nxt) == t.rows:
             return nxt
         ek = nxt
 
@@ -127,17 +126,17 @@ def _solve_exact(basis: IntMatrix, targets: list[Vector]) -> list[Vector]:
 
 
 def _fixed_sublattice(limit: StationaryLimit, ek: list[Vector]) -> list[Vector]:
-    """Basis of L' = {x : (T - I) x lies in the eventual kernel}, given a
+    """Basis of L' = {x : (I - T) x lies in the eventual kernel}, given a
     basis `ek` of the eventual kernel."""
-    return _preimage(limit.matrix - IntMatrix.identity(limit.dim), ek)
+    return _preimage(one_minus(limit.matrix), ek)
 
 
 def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGroup]:
     """(kernel, cokernel) of (identity - shift) on the limit, from one
-    `det_adjugate` of M = T - I: the bounded route that
-    `limit_route_homology` runs.
+    `det_adjugate` of M = I - T, built by `one_minus`: the bounded route
+    that `limit_route_homology` runs.
 
-    Cokernel.  T acts as the identity on coker M (T x = x + M x), so the
+    Cokernel.  T acts as the identity on coker M (T x = x - M x), so the
     stationary system of cokernels is constant and the limit cokernel is
     just coker M.  With M nonsingular, `det_adjugate` gives d = det M and
     adj M, whose entries are the (n-1)-minors of M up to sign.  So gcd(adj M)
@@ -146,20 +145,21 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
     it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and coker M is Z/|d|
     with no Smith form.  A singular or non-cyclic M takes `_smith` through
     `from_cokernel`.  `det_adjugate` shares no code with the formula
-    route's `det` and its diagonal modulo |det|, so `_smith`, on a
-    singular or non-cyclic M, is all the two routes share.
+    route's `det` and its diagonal modulo |det|, so the two routes share
+    the builder `one_minus` and, on a singular or non-cyclic M, `_smith`,
+    and no other elimination.
 
     Kernel.  The fixed subgroup is L'/EK, with EK the eventual kernel and
     L' = {x : M x in EK}: L' surjects onto it with kernel exactly EK, and
     T EK lies in EK, so EK lies in L'.  T is nilpotent on EK, so M
-    restricted to EK is N - I with N nilpotent, which has the integer
-    inverse -(I + N + N^2 + ...): M maps EK onto EK.  So for x in L' some
+    restricted to EK is I - N with N nilpotent, which has the integer
+    inverse I + N + N^2 + ...: M maps EK onto EK.  So for x in L' some
     y in EK has M y = M x, and x - y lies in ker M; and EK meets ker M in
     0, since M is injective on EK.  Hence L' = EK ⊕ ker M, and L'/EK ≅
     ker M, free of rank nullity(M), the free rank of coker M.  Neither EK
     nor L' is computed; `ker_one_minus_shift` builds both.
     """
-    m = limit.matrix - IntMatrix.identity(limit.dim)
+    m = one_minus(limit.matrix)
     d, adj = det_adjugate(m)
     coker = FGAbelianGroup.from_cyclic_orders((d,)) if d and gcd(*adj.entries) == 1 else from_cokernel(m)
     return FGAbelianGroup.free(coker.free_rank), coker
@@ -168,19 +168,19 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
 def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
     """Group of limit elements fixed by the shift, L'/EK, built from the
     lattice model: the eventual kernel EK, the Hermite basis of
-    L' = {x : (T - I) x in EK} (`_fixed_sublattice`), EK solved for in that
-    basis, and the quotient.  With EK = 0, L' is ker(T - I) itself.
+    L' = {x : (I - T) x in EK} (`_fixed_sublattice`), EK solved for in that
+    basis, and the quotient.  With EK = 0, L' is ker(I - T) itself.
 
     It costs what the lattice model costs, whose Hermite bases can take
     minutes on a dense kernel lattice at n = 64; `one_minus_shift` is the
-    bounded route, and its splitting L' = EK ⊕ ker(T - I) makes the two
+    bounded route, and its splitting L' = EK ⊕ ker(I - T) makes the two
     groups equal.  The quotient is torsion free because EK is saturated, so
     torsion there, or an empty L' over a nonempty EK, signals an internal
     defect.
     """
     ek = eventual_kernel(limit)
     if not ek:
-        return kernel_group(limit.matrix - IntMatrix.identity(limit.dim))
+        return kernel_group(one_minus(limit.matrix))
     fixed = _fixed_sublattice(limit, ek)
     if not fixed:
         raise InternalError("eventual kernel escaped the fixed sublattice")

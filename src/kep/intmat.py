@@ -357,6 +357,19 @@ def smith_diagonal_mod_det(m: IntMatrix, d: int) -> tuple[int, ...]:
     return tuple(h[t][t] for t in range(n))
 
 
+def one_minus(m: IntMatrix) -> IntMatrix:
+    """I - M for a square M, built in one pass: the operator whose kernel
+    and cokernel both homology routes read, I - A and I - B on the formula
+    route and 1 - T on the limit route.
+
+    >>> one_minus(IntMatrix([[2, 1], [0, 1]]))
+    IntMatrix([[-1, -1], [0, 0]])
+    """
+    if not m.is_square:
+        raise ValueError("I - M requires a square matrix")
+    return IntMatrix([[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)])
+
+
 def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
     """Fraction-free (Bareiss) row echelon elimination of M.
 

@@ -25,7 +25,7 @@ from kep.cli import (
 )
 from kep.errors import InputValidationError, InternalError
 from kep.intmat import IntMatrix
-from kep.invariants import HomologyTuple, Operand
+from kep.invariants import REALIZE_MAX_BLOCKS, HomologyTuple, Operand
 
 PAIR_DOC = '{"mode":"katsura","n":1,"A":[[2]],"B":[[1]]}'
 SFT_DOC = '{"mode":"sft","n":2,"A":[[2,1],[1,2]]}'
@@ -548,6 +548,30 @@ class TestRealize:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ea40aa350ae5690f70cdfaaa3a9299edfdf59babc39104f9a562f603a6b65ed4"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rank", str(REALIZE_MAX_BLOCKS + 1)],
+            ["--rank", "1000000000000"],
+            ["--rank", "0", "--t0", ",".join(["2"] * REALIZE_MAX_BLOCKS), "--t1", "3"],
+        ],
+        ids=["rank-over-bound", "rank-1e12", "raw-factors-over-bound"],
+    )
+    def test_oversized_target_exits_3(self, capsys, monkeypatch, argv):
+        # A rank of 10^12 would ask for a list of 10^12 blocks.  The
+        # factors are counted as given, before either target is
+        # canonicalized, so a long factor list costs no gcd sweep.
+        monkeypatch.setattr(cli.FGAbelianGroup, "from_cyclic_orders", None)
+        assert main(["realize", *argv]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["exit_code"] == EXIT_VALIDATION and err["assumption"] == "realize block bound"
+
+    def test_help_names_the_block_bound(self, capsys):
+        assert main(["realize", "--help"]) == EXIT_OK
+        assert f"more than {REALIZE_MAX_BLOCKS} blocks exits 3" in " ".join(capsys.readouterr().out.split())
 
     def test_reports_block_construction_properties(self, capsys):
         code, doc = run_json(capsys, ["realize", "--rank", "2"])

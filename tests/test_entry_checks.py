@@ -3,13 +3,15 @@ of the standing assumptions (A square, nonnegative and without zero rows,
 and B of A's shape), and every entry of the action and the slice algebra
 that reads B at an edge refuses B of another shape, in O(1), where it
 reads.  These pin the checks that a split of checked entries from
-unchecked kernels must keep."""
+unchecked kernels must keep.  A group refuses a free rank or torsion
+factor that is not an int where it is built."""
 
 import pytest
 
 from kep import (
     Edge,
     EventuallyPeriodicPath,
+    FGAbelianGroup,
     Graph,
     InputValidationError,
     IntMatrix,
@@ -100,3 +102,20 @@ def test_a_only_entry_refuses(entry, violation):
 @pytest.mark.parametrize("entry", sorted(SHAPE_ENTRIES))
 def test_action_entry_refuses_shapes(entry, violation):
     assert_refused(SHAPE_ENTRIES[entry], SHAPE_VIOLATIONS[violation])
+
+
+# A float prints as `Z^1.5` or `Z/2.0` (and `Z/2.0` equals `Z/2`), and a
+# bool reaches JSON as `true`; `cli._as_int` refuses a bool the same way.
+NOT_INT_FIELDS = {
+    "float-rank": (1.5, ()),
+    "float-factor": (0, (2.0,)),
+    "bool-rank": (True, ()),
+    "bool-factor": (0, (True,)),
+    "string-factor": (0, ("2",)),
+}
+
+
+@pytest.mark.parametrize("fields", sorted(NOT_INT_FIELDS))
+def test_group_refuses_fields_that_are_not_int(fields):
+    with pytest.raises(TypeError, match="must be int"):
+        FGAbelianGroup(*NOT_INT_FIELDS[fields])

@@ -5,6 +5,8 @@ import it no longer uses or a private helper nothing reads, and none
 imports `fractions` or `decimal` or calls `float`; on the package's call
 graph the limit route reaches none of the formula route's determinant, rank
 and cokernel code, and the formula route not the limit route's adjugate;
+both build their operator with `one_minus`, and `_smith` is the one
+elimination both reach;
 the limit route calls none of the lattice model's eventual kernels and
 Hermite bases; the slice algebra runs no record check on what it derives,
 and one builder makes every derived path without `Path`'s checks; a
@@ -203,7 +205,7 @@ ADJUGATE_BARRED = {"_bareiss", "det", "rank", "_smith"}
 
 
 def test_limit_route_shares_no_formula_route_code():
-    # On a nonsingular T - I with a cyclic cokernel the limit route runs
+    # On a nonsingular 1 - T with a cyclic cokernel the limit route runs
     # `det_adjugate` alone, so it shares no determinant and no cokernel code
     # with the formula route's `det` and `smith_diagonal_mod_det`.
     package = Path(kep.__file__).parent
@@ -274,7 +276,7 @@ def test_call_closure_detects():
 
 # The formula route's determinant and cokernel code, and the rank that a
 # kernel rule could read: the limit route reaches `det_adjugate` and, on a
-# singular or non-cyclic T - I, `_smith`, and nothing else that eliminates.
+# singular or non-cyclic 1 - T, `_smith`, and nothing else that eliminates.
 LIMIT_ROUTE_UNREACHED = {"det", "_bareiss", "rank", "kernel_group", "smith_diagonal_mod_det"}
 
 
@@ -287,6 +289,32 @@ def test_routes_share_no_elimination_on_the_call_graph():
     assert {"det_adjugate", "_smith"} <= limit_route and {"det", "_bareiss", "_smith"} <= formula_route
     assert limit_route & LIMIT_ROUTE_UNREACHED == set()
     assert "det_adjugate" not in formula_route
+
+
+# Every function of `intmat` that eliminates: its Smith, Hermite and
+# fraction-free algorithms and the entries that run them.
+ELIMINATIONS = {
+    "_smith",
+    "smith_diagonal",
+    "snf",
+    "smith_diagonal_mod_det",
+    "_bareiss",
+    "det",
+    "rank",
+    "det_adjugate",
+    "kernel_basis",
+    "hnf",
+}
+
+
+def test_routes_share_exactly_one_elimination():
+    # Both routes build their operator I - M with `one_minus`, and the one
+    # elimination both reach is `_smith`, through `smith_diagonal`, on a
+    # singular or non-cyclic operator.
+    sources = [path.read_text() for path in sorted(Path(kep.__file__).parent.glob("*.py"))]
+    limit_route, formula_route = call_closure(sources, "limit_route_homology"), call_closure(sources, "homology")
+    assert "one_minus" in limit_route and "one_minus" in formula_route
+    assert limit_route & formula_route & ELIMINATIONS == {"smith_diagonal", "_smith"}
 
 
 LATTICE_MODEL = {"eventual_kernel", "_fixed_sublattice", "_solve_exact", "_preimage", "kernel_basis", "hnf", "snf"}

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from kep import (
 )
 from kep.abgroup import direct_sum
 from kep.invariants import (
+    REALIZE_MAX_BLOCKS,
     VALIDITY_FORMULA_ONLY,
     VALIDITY_OK,
     VERDICT_DISTINGUISHED,
@@ -176,7 +178,7 @@ class TestRouteIndependence:
     @pytest.mark.parametrize(("a", "b"), SINGULAR_PAIRS)
     def test_singular_limit_route_takes_no_formula_elimination(self, monkeypatch, a, b):
         # The kernel of 1 - shift is the free part of the route's own
-        # cokernel, so a singular T - I runs `det_adjugate` and `_smith`,
+        # cokernel, so a singular 1 - T runs `det_adjugate` and `_smith`,
         # and no determinant, rank or diagonal modulo |det|.
         expected = homology(a, b)
         assert 0 in expected.dets
@@ -357,6 +359,33 @@ class TestRealize:
         assert not result.ok
         assert "unrealizable at finite N" in result.reason
         assert "free rank" in result.reason
+
+    @pytest.mark.parametrize(
+        ("rank", "k0_factors", "k1_factors"),
+        [(REALIZE_MAX_BLOCKS + 1, 0, 0), (10**12, 0, 0), (1, REALIZE_MAX_BLOCKS // 2, REALIZE_MAX_BLOCKS // 2)],
+        ids=["rank-over-bound", "rank-1e12", "factors-over-bound"],
+    )
+    def test_oversized_target_refused_before_building(self, monkeypatch, rank, k0_factors, k1_factors):
+        # A rank of 10^12 would ask for a list of 10^12 blocks; neither
+        # target's block list nor its pair is built, and no analysis runs.
+        monkeypatch.setattr(kep.invariants, "analyze", None)
+        k0, k1 = FGAbelianGroup(rank, (3,) * k0_factors), FGAbelianGroup(rank, (5,) * k1_factors)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputValidationError) as info:
+                realize(k0, k1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.assumption == "realize block bound"
+        assert str(REALIZE_MAX_BLOCKS) in str(info.value)
+        assert peak < 64 * 1024
+
+    def test_target_at_the_bound_is_realized(self):
+        k = FGAbelianGroup(REALIZE_MAX_BLOCKS, ())
+        result = realize(k, k)
+        assert result.ok and result.a.rows == REALIZE_MAX_BLOCKS
+        assert (result.report.evidence.k0, result.report.evidence.k1) == (k, k)
 
     def test_round_trip_random(self):
         rng = random.Random(55)

@@ -49,15 +49,15 @@ def smith_calls(monkeypatch):
 # kernel_basis, rank) per command.  The formula route takes det(I - A) and
 # det(I - B) once each, and the diagonal modulo each nonzero one; `analyze`
 # reports those same determinants.  The limit route takes one Gauss-Jordan
-# adjugate of each T - I, and `smith_diagonal` only where T - I is singular
-# or its adjugate's entries share a factor: here Aᵗ - I has |det| 4 and
-# adjugate gcd 2, so it falls back, while Bᵗ - I has det 8 and gcd 1, so
+# adjugate of each 1 - T, and `smith_diagonal` only where 1 - T is singular
+# or its adjugate's entries share a factor: here 1 - Aᵗ has |det| 4 and
+# adjugate gcd 2, so it falls back, while 1 - Bᵗ has |det| 8 and gcd 1, so
 # its cokernel is Z/8 with no Smith form.  The kernel of 1 - shift is the
 # free part of that cokernel, so no rank runs; the route takes no eventual
 # kernel, so no `kernel_basis` runs.  The sft operand's nilpotent B = 0
-# has Bᵗ - I = -I, of det +-1 and cyclic.  The singular operand's B = I
+# has 1 - Bᵗ = I, of det 1 and cyclic.  The singular operand's B = I
 # makes I - B = 0, which has no modulus: the formula route runs
-# `smith_diagonal` on it, and the limit route on Bᵗ - I = 0, whose kernel
+# `smith_diagonal` on it, and the limit route on 1 - Bᵗ = 0, whose kernel
 # Z^3 is again the free part of its cokernel, with no rank.
 KATSURA = (0, 1, 2, 2, 2, 0, 0)
 SFT_COUNTS = (0, 1, 2, 2, 2, 0, 0)
