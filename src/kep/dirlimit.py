@@ -145,9 +145,9 @@ def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGr
     it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and coker M is Z/|d|
     with no Smith form.  A singular or non-cyclic M takes `_smith` through
     `from_cokernel`.  `det_adjugate` shares no code with the formula
-    route's `det` and its diagonal modulo |det|, so the two routes share
-    the builder `one_minus` and, on a singular or non-cyclic M, `_smith`,
-    and no other elimination.
+    route's `det_smith_diagonal` (its Bareiss pass and its elimination
+    modulo g), so the two routes share the builder `one_minus` and, on a
+    singular or non-cyclic M, `_smith`, and no other elimination.
 
     Kernel.  The fixed subgroup is L'/EK, with EK the eventual kernel and
     L' = {x : M x in EK}: L' surjects onto it with kernel exactly EK, and

@@ -16,18 +16,21 @@ only the lattice model in `kep.dirlimit`, so `kep` does not export it, and
 outside its own tests it has the model's two readers: the test that holds
 the limit route to the model, and the benchmark's tracer, which wraps it by
 name.  `snf` and `hnf` stay exported for the normal-form acceptance check.
-`smith_diagonal_mod_det` takes a square M with its |det M| > 0 and
-gets the diagonal from a Hermite form reduced modulo a shrinking modulus,
-so no entry exceeds |det M|; it reaches `_smith` only for a cokernel
-that is not cyclic, and then on that bounded triangular form.  Its Bezout
-coefficients, and those of `hnf`, come from `_xgcd`: `math.gcd` and the
-modular inverse of `pow`, both computed in C.  Both results are canonical
-(a Smith diagonal, a Hermite basis), so they do not depend on which Bezout
-pair is used.
-A third algorithm, not a Smith form, certifies cyclic cokernels:
-`det_adjugate` runs one fraction-free Gauss-Jordan elimination for det M
-and adj M, whose entries' gcd is the determinantal divisor D_(n-1), and
-D_(n-1) = 1 shows that coker M is cyclic of order |det M|.
+`det_smith_diagonal` gives a square M's determinant and diagonal together:
+the fraction-free `_bareiss` pass that yields det M also holds four
+(n-1)-minors, and when their gcd g with det M is 1 the cokernel is cyclic
+of order |det M| with no further work.  Otherwise `_hermite_mod` reduces
+M's rows modulo the constant g, so no entry reaches g, and the pairwise-
+coprime shortcut or `_smith` on that triangular form gives the first n - 1
+entries.  Its Bezout coefficients, and those of `hnf`, come from `_xgcd`:
+`math.gcd` and the modular inverse of `pow`, both computed in C.  Both
+results are canonical (a Smith diagonal, a Hermite basis), so they do not
+depend on which Bezout pair is used.
+A third algorithm, not a Smith form, certifies cyclic cokernels on the
+limit route, with no code shared with `_bareiss`: `det_adjugate` runs one
+fraction-free Gauss-Jordan elimination for det M and adj M, whose entries'
+gcd is the determinantal divisor D_(n-1), and D_(n-1) = 1 shows that
+coker M is cyclic of order |det M|.
 The lattice model's injectivity and nullity tests use the fraction-free
 `rank`, whose entries are minors of the input; neither homology route runs
 it.
@@ -36,7 +39,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -287,76 +290,6 @@ def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
 
 
-def smith_diagonal_mod_det(m: IntMatrix, d: int) -> tuple[int, ...]:
-    """The Smith diagonal of a square M, given d = |det M| > 0, by Hermite
-    elimination modulo d (Domich-Kannan-Trotter, Math. Oper. Res. 12 (1987);
-    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.4.8).
-
-    It works on the row lattice L = Z^n M, whose quotient Z^n / L has the
-    Smith form of M, as the column lattice M Z^n does.  Why the reductions
-    are sound:
-
-    - A sublattice of index R in Z^k contains R Z^k, since R annihilates a
-      quotient group of order R.  So L and M Z^n, of index d, contain
-      d Z^n (as adj(M) M = M adj(M) = det(M) I shows directly), and a
-      generator of L may be reduced entrywise modulo d.
-    - Column t is cleared by one 2x2 unimodular row combination per entry,
-      whose Bezout coefficients `_xgcd` takes from `math.gcd` and a modular
-      inverse (`pow(a/g, -1, |b/g|)`); the diagonal does not depend on
-      which Bezout pair is used.  With R the index of the remaining
-      sublattice (coordinates t..n-1), R e_t lies in it, so the pivot is
-      g = gcd(column t, R).  The remaining sublattice then has index R/g,
-      and by the first point it contains (R/g) Z^{n-t-1}: the remaining
-      rows and the pivot row's tail are reduced modulo the new modulus R/g.
-    - The triangular form H has diagonal g_0, ..., g_{n-1} with product d.
-      If these are pairwise coprime, then localising at each prime p only
-      one diagonal entry is not a unit, so eliminating with the unit pivots
-      leaves one entry and each p-part of the cokernel is cyclic; the
-      cokernel is then cyclic of order d.  This covers the case where at
-      most one entry exceeds 1.
-    - Otherwise `_smith` runs on H, whose entries are at most d.
-
-    >>> smith_diagonal_mod_det(IntMatrix([[2, 4], [6, 8]]), 8)
-    (2, 4)
-    >>> smith_diagonal_mod_det(IntMatrix([[3, 1], [1, 3]]), 8)
-    (1, 8)
-    """
-    if not m.is_square or d <= 0:
-        raise ValueError("need a square matrix and its |det| > 0")
-    n = m.rows
-    r = d
-    rest = [[x % r for x in row] for row in m]
-    h = []
-    for t in range(n):
-        pivot = rest[0]
-        for i in range(1, len(rest)):
-            row = rest[i]
-            a, b = pivot[0], row[0]
-            if b == 0:
-                continue
-            if a and b % a == 0:
-                # The usual case once the pivot is 1: one row operation,
-                # the pivot row unchanged.
-                q = b // a
-                rest[i] = [(v - q * u) % r for u, v in zip(pivot, row)]
-                continue
-            g, x, y = _xgcd(a, b)
-            p, q = -(b // g), a // g
-            pivot, rest[i] = (
-                [(x * u + y * v) % r for u, v in zip(pivot, row)],
-                [(p * u + q * v) % r for u, v in zip(pivot, row)],
-            )
-        g, x, _ = _xgcd(pivot[0], r)
-        r //= g
-        h.append([0] * t + [g] + [x * u % r for u in pivot[1:]])
-        rest = [[v % r for v in row[1:]] for row in rest[1:]]
-    diagonal = [h[t][t] for t in range(n)]
-    if lcm(*diagonal) == d:
-        return (1,) * (n - 1) + (d,)
-    _smith(h, n, n)
-    return tuple(h[t][t] for t in range(n))
-
-
 def one_minus(m: IntMatrix) -> IntMatrix:
     """I - M for a square M, built in one pass: the operator whose kernel
     and cokernel both homology routes read, I - A and I - B on the formula
@@ -370,23 +303,29 @@ def one_minus(m: IntMatrix) -> IntMatrix:
     return IntMatrix([[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)])
 
 
-def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
+def _bareiss(m: IntMatrix) -> tuple[int, int, int, tuple[int, ...]]:
     """Fraction-free (Bareiss) row echelon elimination of M.
 
-    Returns (rank, sign, pivot): sign is that of the row permutation used,
-    and pivot is the last nonzero pivot, which for a nonsingular square M
-    equals sign * det(M).  After k pivots every entry is a (k+1)-minor of M,
-    so division by the previous pivot is exact and entries stay as short as
-    those minors.
+    Returns (rank, sign, pivot, minors): sign is that of the row permutation
+    used, and pivot is the last nonzero pivot, which for a nonsingular square
+    M equals sign * det(M).  After k pivots every entry is a (k+1)-minor of
+    M, so division by the previous pivot is exact and entries stay as short
+    as those minors.  minors is the trailing 2x2 block when rows - 2 pivots
+    fill the first cols - 2 columns, which for a nonsingular square M with
+    n >= 2 they do: four (n-1)-minors of M's rows in the order reached, so
+    (n-1)-minors of M up to sign.  Otherwise it is empty.
     """
     a = m.to_lists()
     rows, cols = m.rows, m.cols
     sign = 1
     prev = 1
     r = 0
+    minors = ()
     for c in range(cols):
         if r == rows:
             break
+        if r == rows - 2 and c == cols - 2:
+            minors = (*a[r][c:], *a[r + 1][c:])
         p = next((i for i in range(r, rows) if a[i][c]), None)
         if p is None:
             continue
@@ -403,7 +342,7 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
                 row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
         prev = pivot
         r += 1
-    return r, sign, prev
+    return r, sign, prev, minors
 
 
 def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
@@ -468,8 +407,100 @@ def det(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    r, sign, pivot = _bareiss(m)
+    r, sign, pivot, _ = _bareiss(m)
     return sign * pivot if r == m.rows else 0
+
+
+def det_smith_diagonal(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """(det M, the Smith diagonal s_1 | ... | s_n of M) for a square M, from
+    one Bareiss pass and at most one Hermite elimination modulo a divisor g
+    of det M (Domich-Kannan-Trotter, Math. Oper. Res. 12 (1987)).  A singular
+    M takes `smith_diagonal`.
+
+    With D_k = s_1 ... s_k the gcd of M's k-minors, the result is M's
+    diagonal because:
+
+    - `_bareiss` returns four (n-1)-minors of M up to sign (M itself when
+      n = 2), so g = gcd(det M, those four) is a multiple of D_(n-1).  When
+      n = 1 there is no such minor, and the diagonal is (|det M|).
+    - If g = 1, then D_(n-1) = 1, so s_1 = ... = s_(n-1) = 1 and
+      s_n = |det M|, with no further elimination.
+    - Otherwise take the row lattice L = Z^n M + g Z^n.  With U M V = S the
+      Smith form, L V = Z^n S + g Z^n, so L's diagonal is gcd(s_i, g).  Each
+      s_i with i < n divides D_(n-1) and so g: s_1, ..., s_(n-1) are the
+      first n - 1 entries of L's diagonal, and s_n = |det M| / D_(n-1).
+    - `_hermite_mod` gives a triangular basis H of L with entries below g.
+      If H's diagonal is pairwise coprime, then localising at each prime p
+      only one diagonal entry is not a unit, so eliminating with the unit
+      pivots leaves one entry: L's quotient is cyclic and
+      s_1 = ... = s_(n-1) = 1.  Otherwise `_smith` runs on H.
+
+    >>> det_smith_diagonal(IntMatrix([[2, 4], [6, 8]]))
+    (-8, (2, 4))
+    >>> det_smith_diagonal(IntMatrix([[3, 1], [1, 3]]))
+    (8, (1, 8))
+    >>> det_smith_diagonal(IntMatrix([[1, 2], [2, 4]]))
+    (0, (1, 0))
+    """
+    if not m.is_square:
+        raise ValueError("determinant requires a square matrix")
+    n = m.rows
+    r, sign, pivot, minors = _bareiss(m)
+    if r < n:
+        return 0, smith_diagonal(m)
+    d = sign * pivot
+    g = gcd(d, *minors)
+    head = (1,) * (n - 1)
+    if g > 1 and n > 1:
+        h = _hermite_mod(m, g)
+        diagonal = [h[t][t] for t in range(n)]
+        if lcm(*diagonal) != prod(diagonal):
+            _smith(h, n, n)
+            head = tuple(h[t][t] for t in range(n - 1))
+    return d, head + (abs(d) // prod(head),)
+
+
+def _hermite_mod(m: IntMatrix, g: int) -> list[list[int]]:
+    """An upper triangular basis H of the row lattice L = Z^n M + g Z^n of a
+    square M, with entries reduced modulo g (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.4.8, with a constant
+    modulus).  Why it spans L:
+
+    - L contains g Z^n, so a generator may be reduced entrywise modulo g.
+    - Column t seeds its pivot row with g e_t and folds each remaining row
+      into it by a 2x2 unimodular row operation: one subtraction when the
+      pivot divides the row's entry (the usual case once the pivot is 1),
+      else the Bezout pair of `_xgcd`.  The span is unchanged, the pivot
+      ends as g_t = gcd(g, column t), and every other row has 0 there.
+    - The vectors of the span with 0 at t are spanned by the other rows and
+      the g e_j with j > t, which later columns seed.  That includes
+      (g / g_t) times the pivot row's tail, since g e_t and (g / g_t) times
+      the pivot row both lie in the span.  So the pivot row is kept whole
+      and g never shrinks: Cohen's shrinking modulus R / g_t holds only when
+      R is the lattice's index, which g need not be.
+    """
+    n = m.rows
+    rest = [[x % g for x in row] for row in m]
+    h = []
+    for t in range(n):
+        pivot = [g] + [0] * (n - t - 1)
+        for i, row in enumerate(rest):
+            a, b = pivot[0], row[0]
+            if b == 0:
+                continue
+            if b % a == 0:
+                q = b // a
+                rest[i] = [(v - q * u) % g for u, v in zip(pivot, row)]
+                continue
+            e, x, y = _xgcd(a, b)
+            p, q = -(b // e), a // e
+            pivot, rest[i] = (
+                [(x * u + y * v) % g for u, v in zip(pivot, row)],
+                [(p * u + q * v) % g for u, v in zip(pivot, row)],
+            )
+        h.append([0] * t + pivot)
+        rest = [row[1:] for row in rest]
+    return h
 
 
 def rank(m: IntMatrix) -> int:

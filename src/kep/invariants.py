@@ -5,19 +5,20 @@ For a valid pair (A, B) the groupoid invariants are
     H2 = ker(I - B),     H_i = 0 for i >= 3,
     K0 = coker(I - A) ⊕ ker(I - B),   K1 = coker(I - B) ⊕ ker(I - A).
 These formulas are what :func:`homology` and :func:`ktheory` compute through
-Smith diagonals: for nonsingular I - A and I - B by Hermite elimination
-modulo |det|, which is computed once and also reported.  :func:`hk_check`
-also runs the stationary-limit model of :mod:`kep.dirlimit` - a computation
-that never touches the closed formulas.  Per limit it takes one
-Gauss-Jordan adjugate of 1 - T, with T = A^t or B^t: cokernels are read
-off the adjugate when they are cyclic and come from `_smith`, the other
-Smith algorithm, otherwise, and the kernel is free of rank nullity(1 - T),
-the cokernel's free rank, with no rank, no eventual kernel and no lattice
-basis.  Both routes build their operator I - M with `intmat.one_minus`;
-they share that builder and, on singular or non-cyclic inputs, `_smith`,
-and no other elimination.  Its evidence
-confirms K0 = H0 ⊕ H2, K1 = H1 and the routes' agreement for
-:func:`analyze` and ``kep check``.
+Smith diagonals, one `det_smith_diagonal` per matrix: its Bareiss pass gives
+det, which is also reported, and minors whose gcd g with det certifies a
+cyclic cokernel when g = 1; otherwise a Hermite elimination modulo g
+follows.  :func:`hk_check` also runs the stationary-limit model of
+:mod:`kep.dirlimit` - a computation that never touches the closed formulas.
+Per limit it takes one Gauss-Jordan adjugate of 1 - T, with T = A^t or B^t:
+cokernels are read off the adjugate when they are cyclic and come from
+`_smith`, the other Smith algorithm, otherwise, and the kernel is free of
+rank nullity(1 - T), the cokernel's free rank, with no rank, no eventual
+kernel and no lattice basis.  Both routes build their operator I - M with
+`intmat.one_minus`; they share that builder and, on singular or non-cyclic
+inputs, `_smith`, and no other elimination.  Its evidence confirms
+K0 = H0 ⊕ H2, K1 = H1 and the routes' agreement for :func:`analyze` and
+``kep check``.
 
 All formulas assume A nonnegative with no zero rows.  They are evaluated
 for any such pair, but when the matching-support criterion for
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abgroup import FGAbelianGroup, direct_sum, from_cokernel
+from .abgroup import FGAbelianGroup, direct_sum
 from .dirlimit import StationaryLimit, one_minus_shift
 from .errors import InputValidationError, InternalError
 from .groupoid import PropertyReport, classify
-from .intmat import IntMatrix, det, one_minus, smith_diagonal_mod_det
+from .intmat import IntMatrix, det_smith_diagonal, one_minus
 from .selfsim import _validate_pair, supports_match
 
 VALIDITY_OK = "ok"
@@ -95,24 +96,18 @@ class Operand:
         return self.b if self.b is not None else IntMatrix.zeros(self.a.rows, self.a.cols)
 
 
-def _cokernel(m: IntMatrix, d: int) -> FGAbelianGroup:
-    """coker(M) for a square M with det(M) = d: modulo |d| when d != 0."""
-    if d == 0:
-        return from_cokernel(m)
-    return FGAbelianGroup.from_cyclic_orders(smith_diagonal_mod_det(m, abs(d)))
-
-
 def homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
     """Homology of the groupoid of (A, B) by the closed matrix formulas.
 
-    One determinant and one Smith diagonal per matrix: for square M the
-    kernel lattice is free of rank nullity(M), which is the free rank of
-    coker(M).
+    One `det_smith_diagonal` per matrix, which gives its determinant and
+    Smith diagonal from one Bareiss pass and, unless the minors it holds
+    show the cokernel cyclic, one elimination modulo their gcd with the
+    determinant.  For square M the kernel lattice is free of rank
+    nullity(M), which is the free rank of coker(M).
     """
     _validate_pair(a, b)
-    ia, ib = one_minus(a), one_minus(b)
-    dets = det(ia), det(ib)
-    coker_ia, coker_ib = _cokernel(ia, dets[0]), _cokernel(ib, dets[1])
+    dets, diagonals = zip(*(det_smith_diagonal(one_minus(m)) for m in (a, b)))
+    coker_ia, coker_ib = map(FGAbelianGroup.from_cyclic_orders, diagonals)
     return HomologyTuple(
         h0=coker_ia,
         h1=direct_sum(FGAbelianGroup.free(coker_ia.free_rank), coker_ib),
@@ -308,6 +303,12 @@ def _refuse_oversized(blocks: int) -> None:
         )
 
 
+def _rank_text(rank: int) -> str:
+    """A free rank for a message: in decimal up to 64 bits, else by its bit
+    length, so the message stays short and never meets the digit limit."""
+    return str(rank) if rank.bit_length() <= 64 else f"a {rank.bit_length()}-bit rank"
+
+
 def realize(target_k0: FGAbelianGroup, target_k1: FGAbelianGroup) -> RealizeResult:
     """Construct a pair (A, B) whose K-theory is the given pair of groups.
 
@@ -332,7 +333,7 @@ def realize(target_k0: FGAbelianGroup, target_k1: FGAbelianGroup) -> RealizeResu
             reason=(
                 "unrealizable at finite N: free_rank(K0) = nullity(I-A) + nullity(I-B) "
                 "= free_rank(K1) for square matrices, so the two targets must share "
-                f"their free rank (got {target_k0.free_rank} and {target_k1.free_rank})"
+                f"their free rank (got {_rank_text(target_k0.free_rank)} and {_rank_text(target_k1.free_rank)})"
             ),
         )
     _refuse_oversized(target_k0.free_rank + len(target_k0.torsion) + len(target_k1.torsion))

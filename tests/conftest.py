@@ -40,6 +40,18 @@ def low_rank_pair(n: int, repeat_row: bool = False) -> tuple[IntMatrix, IntMatri
     return IntMatrix(a), b
 
 
+def seeded_pair(n: int, bits: int = 0) -> tuple[IntMatrix, IntMatrix]:
+    """A dense n x n pair drawn row by row from `random.Random(1000 + n)`, A
+    first: with bits = 0, A in 1..9 and B in ±1..3; otherwise A in
+    1..2^bits and B in ±(1..2^bits)."""
+    rng = random.Random(1000 + n)
+    if bits:
+        a = random_matrix(rng, n, n, 1, 1 << bits)
+        return a, IntMatrix([[rng.choice((-1, 1)) * rng.randint(1, 1 << bits) for _ in range(n)] for _ in range(n)])
+    a = random_matrix(rng, n, n, 1, 9)
+    return a, IntMatrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(n)])
+
+
 def random_pseudo_free_pair(
     rng: random.Random,
     max_n: int = 5,

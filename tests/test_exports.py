@@ -200,14 +200,15 @@ def test_route_guards_detect():
     assert called_names(source, "f") == {"det", "rank"}
 
 
-LIMIT_ROUTE_BARRED = {"det", "_bareiss", "smith_diagonal_mod_det"}
+LIMIT_ROUTE_BARRED = {"det", "_bareiss", "det_smith_diagonal", "_hermite_mod"}
 ADJUGATE_BARRED = {"_bareiss", "det", "rank", "_smith"}
 
 
 def test_limit_route_shares_no_formula_route_code():
     # On a nonsingular 1 - T with a cyclic cokernel the limit route runs
     # `det_adjugate` alone, so it shares no determinant and no cokernel code
-    # with the formula route's `det` and `smith_diagonal_mod_det`.
+    # with the formula route's `det_smith_diagonal`, its `_hermite_mod` and
+    # its `_bareiss`, nor with `det`.
     package = Path(kep.__file__).parent
     assert imported_names((package / "dirlimit.py").read_text()) & LIMIT_ROUTE_BARRED == set()
     assert called_names((package / "intmat.py").read_text(), "det_adjugate") & ADJUGATE_BARRED == set()
@@ -277,7 +278,7 @@ def test_call_closure_detects():
 # The formula route's determinant and cokernel code, and the rank that a
 # kernel rule could read: the limit route reaches `det_adjugate` and, on a
 # singular or non-cyclic 1 - T, `_smith`, and nothing else that eliminates.
-LIMIT_ROUTE_UNREACHED = {"det", "_bareiss", "rank", "kernel_group", "smith_diagonal_mod_det"}
+LIMIT_ROUTE_UNREACHED = {"det", "_bareiss", "rank", "kernel_group", "det_smith_diagonal", "_hermite_mod"}
 
 
 def test_routes_share_no_elimination_on_the_call_graph():
@@ -286,7 +287,8 @@ def test_routes_share_no_elimination_on_the_call_graph():
     # keeps the guard from passing on an empty closure.
     sources = [path.read_text() for path in sorted(Path(kep.__file__).parent.glob("*.py"))]
     limit_route, formula_route = call_closure(sources, "limit_route_homology"), call_closure(sources, "homology")
-    assert {"det_adjugate", "_smith"} <= limit_route and {"det", "_bareiss", "_smith"} <= formula_route
+    assert {"det_adjugate", "_smith"} <= limit_route
+    assert {"det_smith_diagonal", "_bareiss", "_hermite_mod", "_smith"} <= formula_route
     assert limit_route & LIMIT_ROUTE_UNREACHED == set()
     assert "det_adjugate" not in formula_route
 
@@ -297,7 +299,8 @@ ELIMINATIONS = {
     "_smith",
     "smith_diagonal",
     "snf",
-    "smith_diagonal_mod_det",
+    "det_smith_diagonal",
+    "_hermite_mod",
     "_bareiss",
     "det",
     "rank",

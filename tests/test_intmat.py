@@ -14,7 +14,7 @@ from kep import (
     hnf,
     snf,
 )
-from kep.intmat import _xgcd, det_adjugate, kernel_basis, rank, smith_diagonal, smith_diagonal_mod_det
+from kep.intmat import _xgcd, det_adjugate, det_smith_diagonal, kernel_basis, rank, smith_diagonal
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -208,35 +208,46 @@ class TestSmithDiagonal:
     def test_determinantal_divisors(self, monkeypatch):
         # d_1 ... d_k = D_k, the gcd of the k x k minors, for every k; this
         # fixes each d_k, zeros included.  `smith_diagonal` answers on every
-        # case, and `smith_diagonal_mod_det` on every nonsingular square one
-        # with |det| = D_n.  Cases: square and n x (n + 1) with small
-        # entries, a share scaled by a common factor, and a rank-deficient
-        # share (a row copied and scaled); 64- to 160-bit entries, plain and
-        # scaled by 6; block-diagonal matrices and Z/p ⊕ Z/pq, both under a
-        # unimodular conjugation; and |det| = 1.  Scaled, block and
-        # repeated-prime cokernels are not cyclic: the modular diagonal must
-        # reach its `_smith` fallback on some and its cyclic shortcut on
-        # others.  On every nonsingular square case the Gauss-Jordan
-        # adjugate gives |det| = D_n and gcd(adj) = D_(n-1), and both its
-        # outcomes occur: gcd 1 (a cyclic cokernel) and gcd > 1.
+        # case, and `det_smith_diagonal` on every square one, with det M.
+        # Cases: square and n x (n + 1) with small entries, a share scaled
+        # by a common factor, and a rank-deficient share (a row copied and
+        # scaled); 64- to 160-bit entries, plain and scaled by 6;
+        # block-diagonal matrices and Z/p ⊕ Z/pq, both under a unimodular
+        # conjugation; and |det| = 1.  On nonsingular squares with n >= 2,
+        # `det_smith_diagonal` must take each of its three branches on some
+        # case: g = 1 with no elimination after `_bareiss`, the pairwise-
+        # coprime shortcut after the elimination modulo g (a cyclic
+        # cokernel whose four minors share a factor with det), and `_smith`
+        # on that elimination's triangular form.  On every nonsingular
+        # square case the Gauss-Jordan adjugate gives |det| = D_n and
+        # gcd(adj) = D_(n-1), and both its outcomes occur: gcd 1 (a cyclic
+        # cokernel) and gcd > 1.
         rng = random.Random(61)
-        smith_runs = [0]
-        real_smith = kep.intmat._smith
+        runs = {"_smith": 0, "_hermite_mod": 0}
+        for name in runs:
+            real = getattr(kep.intmat, name)
 
-        def counted(*args):
-            smith_runs[0] += 1
-            return real_smith(*args)
+            def counted(*args, name=name, real=real):
+                runs[name] += 1
+                return real(*args)
 
-        monkeypatch.setattr(kep.intmat, "_smith", counted)
+            monkeypatch.setattr(kep.intmat, name, counted)
         branches, adjugate_branches = set(), set()
 
         def check(m):
             divisors = determinantal_divisors(m)
             diagonals = [smith_diagonal(m)]
+            if m.is_square:
+                before = dict(runs)
+                d, diagonal = det_smith_diagonal(m)
+                assert abs(d) == divisors[-1] and d == cofactor_det(m), m
+                diagonals.append(diagonal)
+                if d and m.rows > 1:
+                    if runs["_hermite_mod"] == before["_hermite_mod"]:
+                        branches.add("g = 1")
+                    else:
+                        branches.add("smith on H" if runs["_smith"] > before["_smith"] else "coprime")
             if m.is_square and divisors[-1]:
-                before = smith_runs[0]
-                diagonals.append(smith_diagonal_mod_det(m, divisors[-1]))
-                branches.add("fallback" if smith_runs[0] > before else "cyclic")
                 d, adj = det_adjugate(m)
                 minor_gcd = gcd(*adj.entries)
                 assert (abs(d), minor_gcd) == (divisors[-1], divisors[-2] if m.rows > 1 else 1), m
@@ -276,22 +287,120 @@ class TestSmithDiagonal:
         for n in range(1, 5):
             for _ in range(3):
                 check(random_unimodular(rng, n))
-        assert branches == {"cyclic", "fallback"}
+        assert branches == {"g = 1", "coprime", "smith on H"}
         assert adjugate_branches == {"cyclic", "non-cyclic"}
+
+
+class TestDetSmithDiagonal:
+    """(det M, Smith diagonal) from one Bareiss pass and an elimination
+    modulo g = gcd(det M, four (n-1)-minors), against the library-free
+    determinantal divisors and cofactor determinant of `conftest`."""
+
+    @staticmethod
+    def moduli(monkeypatch):
+        """The moduli g that `_hermite_mod` is called with, in order."""
+        seen = []
+        real = kep.intmat._hermite_mod
+
+        def recorded(m, g):
+            seen.append(g)
+            return real(m, g)
+
+        monkeypatch.setattr(kep.intmat, "_hermite_mod", recorded)
+        return seen
+
+    @staticmethod
+    def assert_oracle(m, diagonal):
+        divisors = determinantal_divisors(m)
+        assert det_smith_diagonal(m) == (cofactor_det(m), diagonal), m
+        product = 1
+        for d, divisor in zip(diagonal, divisors, strict=True):
+            product *= d
+            assert product == divisor, m
+
+    def test_planted_products(self):
+        # P diag(c) Q with P, Q unimodular has the divisor chain c as its
+        # diagonal; the chains include 1s, repeated and coprime-looking
+        # factors that are not coprime, and one 64-bit factor.
+        rng = random.Random(34)
+        chains = [(2, 4), (1, 3, 6), (2, 2, 2), (1, 1, 5, 10), (3, 3, 6, 12), (1, 2, (1 << 64) + 2),
+                  (6, 6), (1, 1, 1, 7)]
+        for chain in chains * 4:
+            n = len(chain)
+            planted = IntMatrix([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            m = random_unimodular(rng, n) @ planted @ random_unimodular(rng, n)
+            self.assert_oracle(m, chain)
+
+    def test_cyclic_with_g_above_one(self, monkeypatch):
+        # Cyclic cokernels (D_(n-1) = 1) whose four minors share a factor
+        # with det, so the elimination modulo g runs.  Its pairwise-coprime
+        # shortcut answers on most; a Hermite diagonal such as (2, 1, 2) is
+        # not coprime though its quotient is cyclic, and `_smith` answers.
+        moduli = self.moduli(monkeypatch)
+        smith_runs = [0]
+        real_smith = kep.intmat._smith
+
+        def counted(*args):
+            smith_runs[0] += 1
+            return real_smith(*args)
+
+        monkeypatch.setattr(kep.intmat, "_smith", counted)
+        rng = random.Random(3)
+        outcomes = []
+        while len(outcomes) < 16:
+            n = rng.randint(3, 4)
+            m = random_matrix(rng, n, n, -4, 4)
+            divisors = determinantal_divisors(m)
+            if not divisors[-1] or divisors[-2] != 1:
+                continue
+            before = (len(moduli), smith_runs[0])
+            self.assert_oracle(m, (1,) * (n - 1) + (divisors[-1],))
+            if len(moduli) > before[0]:
+                assert moduli[-1] > 1, m
+                outcomes.append(smith_runs[0] > before[1])
+        assert outcomes.count(False) > outcomes.count(True) > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_scalar_matrix(self, monkeypatch, n, k):
+        # M = kI: the four minors are k^(n-1), 0, 0, k^(n-1), so
+        # g = k^(n-1), and H = kI sends the diagonal through `_smith`.
+        moduli = self.moduli(monkeypatch)
+        m = IntMatrix([[k * (i == j) for j in range(n)] for i in range(n)])
+        self.assert_oracle(m, (k,) * n)
+        assert moduli == [k ** (n - 1)]
+
+    @pytest.mark.parametrize("x", [1, -1, 2, -12, 0, (1 << 200) + 1])
+    def test_one_by_one(self, monkeypatch, x):
+        # No minor: the diagonal is (|x|) with no elimination modulo g.
+        moduli = self.moduli(monkeypatch)
+        assert det_smith_diagonal(IntMatrix([[x]])) == (x, (abs(x),))
+        assert moduli == []
+
+    @pytest.mark.parametrize(
+        ("rows", "g"),
+        [([[2, 4], [6, 8]], 2), ([[3, 1], [1, 3]], 1), ([[4, 6], [6, 4]], 2), ([[0, 3], [5, 0]], 1), ([[1, 2], [2, 4]], None)],
+    )
+    def test_two_by_two(self, monkeypatch, rows, g):
+        # The four minors are M's entries: g = gcd(det M, entries).
+        moduli = self.moduli(monkeypatch)
+        m = IntMatrix(rows)
+        divisors = determinantal_divisors(m)
+        self.assert_oracle(m, (divisors[0], divisors[1] // divisors[0] if divisors[0] else 0))
+        assert moduli == ([g] if g not in (None, 1) else [])
 
     @given(square_matrices(6), st.sampled_from((1, 2, 6)))
     @settings(max_examples=150, deadline=None)
-    def test_mod_det_matches_smith_diagonal(self, m, scale):
+    @example(IntMatrix([[0]]), 1)
+    def test_matches_det_and_smith_diagonal(self, m, scale):
         m = IntMatrix([[scale * x for x in row] for row in m])
-        d = abs(det(m))
-        assume(d)
-        assert smith_diagonal_mod_det(m, d) == smith_diagonal(m)
+        assert det_smith_diagonal(m) == (det(m), smith_diagonal(m))
 
-    def test_mod_det_rejects_bad_input(self):
+    def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            smith_diagonal_mod_det(IntMatrix([[1, 2]]), 1)
+            det_smith_diagonal(IntMatrix([[1, 2]]))
         with pytest.raises(ValueError):
-            smith_diagonal_mod_det(IntMatrix([[0]]), 0)
+            det_smith_diagonal(IntMatrix([[1], [2]]))
 
 
 class TestDetAdjugate:

@@ -8,7 +8,7 @@ import kep.abgroup
 import kep.dirlimit
 import kep.intmat
 import kep.invariants
-from conftest import low_rank_pair, random_pseudo_free_pair, rational_nullity
+from conftest import low_rank_pair, random_pseudo_free_pair, rational_nullity, seeded_pair
 from kep import (
     FGAbelianGroup,
     InputValidationError,
@@ -16,6 +16,7 @@ from kep import (
     IntMatrix,
     analyze,
     compare,
+    det,
     hk_check,
     homology,
     ktheory,
@@ -24,6 +25,7 @@ from kep import (
     sft_homology,
 )
 from kep.abgroup import direct_sum
+from kep.intmat import one_minus
 from kep.invariants import (
     REALIZE_MAX_BLOCKS,
     VALIDITY_FORMULA_ONLY,
@@ -150,6 +152,15 @@ class TestRouteIndependence:
             a, b = random_pseudo_free_pair(rng)
             assert homology(a, b) == limit_route_homology(a, b)
 
+    @pytest.mark.parametrize(("n", "bits"), [(12, 0), (6, 512)], ids=["dense-12", "wide-6x512"])
+    def test_seeded_pairs_match_det_and_limit_route(self, n, bits):
+        # The formula route's determinants are `det`'s, and its groups the
+        # limit route's, on a dense pair and on one with 512-bit entries.
+        a, b = seeded_pair(n, bits)
+        h = homology(a, b)
+        assert h.dets == (det(one_minus(a)), det(one_minus(b)))
+        assert h == limit_route_homology(a, b)
+
     @staticmethod
     def forbid(monkeypatch, name, modules=(kep.intmat, kep.abgroup, kep.dirlimit, kep.invariants)):
         def forbidden(*args):
@@ -167,10 +178,10 @@ class TestRouteIndependence:
         assert (h.h0, h.h1, h.h2) == self.EXPECTED
         assert h.dets == (-2, 10)
 
-    def test_limit_route_runs_without_the_diagonal_mod_det(self, monkeypatch):
+    def test_limit_route_runs_without_the_formula_diagonal(self, monkeypatch):
         # Nor `det`, nor `_smith`: both limit cokernels are cyclic, so the
         # adjugate alone certifies them.
-        for name in ("_smith", "smith_diagonal_mod_det", "det"):
+        for name in ("_smith", "det_smith_diagonal", "_hermite_mod", "_bareiss", "det"):
             self.forbid(monkeypatch, name)
         h = limit_route_homology(self.A, self.B)
         assert (h.h0, h.h1, h.h2) == self.EXPECTED
@@ -179,10 +190,10 @@ class TestRouteIndependence:
     def test_singular_limit_route_takes_no_formula_elimination(self, monkeypatch, a, b):
         # The kernel of 1 - shift is the free part of the route's own
         # cokernel, so a singular 1 - T runs `det_adjugate` and `_smith`,
-        # and no determinant, rank or diagonal modulo |det|.
+        # and no Bareiss pass, determinant, rank or elimination modulo g.
         expected = homology(a, b)
         assert 0 in expected.dets
-        for name in ("det", "_bareiss", "rank", "kernel_group", "smith_diagonal_mod_det"):
+        for name in ("det", "_bareiss", "rank", "kernel_group", "det_smith_diagonal", "_hermite_mod"):
             self.forbid(monkeypatch, name)
         assert limit_route_homology(a, b) == expected
 
@@ -359,6 +370,16 @@ class TestRealize:
         assert not result.ok
         assert "unrealizable at finite N" in result.reason
         assert "free rank" in result.reason
+        assert "(got 2 and 1)" in result.reason
+
+    def test_rank_mismatch_past_the_digit_limit_rejected(self):
+        # A rank of 5000 digits cannot be written in decimal; the reason
+        # names its bit length instead and stays short.
+        result = realize(FGAbelianGroup(10**5000, ()), FGAbelianGroup(0, ()))
+        assert not result.ok
+        assert "unrealizable at finite N" in result.reason
+        assert f"(got a {(10**5000).bit_length()}-bit rank and 0)" in result.reason
+        assert len(result.reason) < 300
 
     @pytest.mark.parametrize(
         ("rank", "k0_factors", "k1_factors"),
