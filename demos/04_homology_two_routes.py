@@ -3,15 +3,17 @@
 Route one: closed formulas through Smith forms of I - A and I - B.
 Route two: the stationary inductive limit Z^n -> Z^n -> ... with the shift
 endomorphism; `limit_route_homology` reads the cokernel of 1 - shift off
-one fraction-free adjugate of 1 - T (and a Smith form when 1 - T is
+one fraction-free Gauss-Jordan elimination of 1 - T, its determinant and
+the gcd of its adjugate's entries (and a Smith form when 1 - T is
 singular or its cokernel is not cyclic), and the kernel off that
 cokernel's free rank, without ever looking at the closed formulas.  The two
 agree on every valid input, and K0 = H0 + H2, K1 = H1 ties homology to
 K-theory.
 
 The peek inside the limit below runs route two's own step,
-`one_minus_shift`, which returns the kernel and cokernel of 1 - shift, and
-checks the kernel against the nullity of 1 - T over the rationals.
+`coker_one_minus_shift`, which returns the cokernel of 1 - shift, and
+checks its free rank, the rank of the kernel of 1 - shift, against the
+nullity of 1 - T over the rationals.
 """
 
 import random
@@ -22,11 +24,11 @@ from kep import (
     IntMatrix,
     StationaryLimit,
     analyze,
+    coker_one_minus_shift,
     hk_check,
     homology,
     ktheory,
     limit_route_homology,
-    one_minus_shift,
 )
 from kep.invariants import Operand
 
@@ -47,11 +49,12 @@ def rational_nullity(m: IntMatrix) -> int:
     return m.cols - rank
 
 
-def kernel_is_nullity_free(t: IntMatrix) -> bool:
-    """Whether the route's ker(1 - shift) over T is free of rank
-    nullity(T - I), the group the splitting L' = EK + ker(T - I) predicts."""
-    ker, _ = one_minus_shift(StationaryLimit(t))
-    return ker == FGAbelianGroup.free(rational_nullity(t - IntMatrix.identity(t.rows)))
+def free_rank_is_nullity(t: IntMatrix) -> bool:
+    """Whether the route's coker(1 - shift) over T has free rank
+    nullity(T - I): the rank of ker(1 - shift), which the splitting
+    L' = EK + ker(T - I) shows free of that rank."""
+    coker = coker_one_minus_shift(StationaryLimit(t))
+    return coker.free_rank == rational_nullity(t - IntMatrix.identity(t.rows))
 
 
 a = IntMatrix([[2]])
@@ -75,9 +78,10 @@ print("K0 == H0 + H2 and K1 == H1:", evidence.ok, "  routes agree:", evidence.ro
 # For T=(1) the limit is plain Z and the shift is the identity.
 print()
 for label, t in (("(2)", IntMatrix([[2]])), ("(1)", IntMatrix([[1]]))):
-    ker, coker = one_minus_shift(StationaryLimit(t))
+    coker = coker_one_minus_shift(StationaryLimit(t))
+    ker = FGAbelianGroup.free(coker.free_rank)
     print(f"limit over T={label}: ker(1 - shift) = {ker}  coker(1 - shift) = {coker}")
-    assert kernel_is_nullity_free(t)
+    assert free_rank_is_nullity(t)
 
 # The agreement is not special to the example: try fresh random pairs.
 rng = random.Random(0)
@@ -95,7 +99,7 @@ for _ in range(25):
     aa, bb = IntMatrix(rows_a), IntMatrix(rows_b)
     evidence = hk_check(aa, bb)
     assert evidence.ok and evidence.routes_agree
-    assert kernel_is_nullity_free(aa.transpose()) and kernel_is_nullity_free(bb.transpose())
+    assert free_rank_is_nullity(aa.transpose()) and free_rank_is_nullity(bb.transpose())
 print("all agree.")
 
 # The one-call summary used by the command line tool; its evidence is the

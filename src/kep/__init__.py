@@ -16,7 +16,7 @@ from .abgroup import (
 )
 from .dirlimit import (
     StationaryLimit,
-    one_minus_shift,
+    coker_one_minus_shift,
 )
 from .errors import InputValidationError, InternalError
 from .groupoid import (
@@ -68,7 +68,7 @@ __all__ = [
     "direct_sum",
     "from_cokernel",
     "StationaryLimit",
-    "one_minus_shift",
+    "coker_one_minus_shift",
     "InputValidationError",
     "InternalError",
     "Slice",

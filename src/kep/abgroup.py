@@ -117,7 +117,8 @@ def kernel_group(m: IntMatrix) -> FGAbelianGroup:
     """The kernel {x : M x = 0} as an abstract group: free of rank nullity(M),
     from one fraction-free rank.  Its one library reader is the lattice
     model's `ker_one_minus_shift`; both routes read a square M's kernel off
-    the free rank of coker M instead."""
+    the free rank of coker M instead: `homology` off M's Smith diagonal,
+    `limit_route_homology` off `dirlimit.coker_one_minus_shift`."""
     return FGAbelianGroup.free(m.cols - rank(m))
 
 

@@ -120,7 +120,10 @@ def _parse_matrix(raw: Any, n: int, name: str) -> IntMatrix:
             raise InputValidationError(
                 "shape mismatch", f"{name} row {i + 1} must have {n} entries, got {len(row)}"
             )
-        rows.append([_as_int(x, f"{name}[{i + 1}][{j + 1}]") for j, x in enumerate(row)])
+        # A plain int passes as it is; only another entry needs its location.
+        rows.append(
+            [x if type(x) is int else _as_int(x, f"{name}[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
+        )
     return IntMatrix(rows)
 
 

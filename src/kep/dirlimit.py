@@ -3,24 +3,24 @@
 A square matrix T defines the direct system Z^n -T-> Z^n -T-> ...; its limit
 is the group of pairs [x, stage] under the identification [x, i] = [T x, i+1].
 The one-step translation ("shift") sends [x, i] to [x, i+1].  This module
-computes the kernel and cokernel of (identity - shift) on the limit, the
-route independent of the closed matrix formulas used in
-:mod:`kep.invariants`.  `one_minus_shift`, the route, gets both from one
-adjugate of I - T, which `intmat.one_minus` builds, as it builds the
-formula route's I - A and I - B: the kernel is free of rank
-nullity(I - T), which is the free rank of the cokernel, because the fixed
-sublattice L' splits as the eventual kernel EK plus ker(I - T); `kep`
-exports it with `StationaryLimit`, its argument.  ker(I - T) and
-coker(I - T) are ker(T - I) and coker(T - I): a matrix and its negative
-share both.
+computes the cokernel of (identity - shift) on the limit, the route
+independent of the closed matrix formulas used in :mod:`kep.invariants`.
+`coker_one_minus_shift`, the route, reads it off one Gauss-Jordan
+elimination of I - T, which `intmat.one_minus` builds, as it builds the
+formula route's I - A and I - B; `kep` exports it with `StationaryLimit`,
+its argument.  The kernel of (identity - shift) is free of rank
+nullity(I - T), the free rank of that cokernel, and
+`invariants.limit_route_homology` reads it there (the proof is in its
+docstring).  ker(I - T) and coker(I - T) are ker(T - I) and coker(T - I):
+a matrix and its negative share both.
 
-`eventual_kernel` and `ker_one_minus_shift` are the lattice model that this
-splitting replaces: they build EK, the Hermite basis of L' and the quotient
-L'/EK, at lattice-model cost.  `kep` does not export them (nor
-`coker_one_minus_shift`), and no command runs them.  Outside their own
-tests they have two readers: `test_oracle_agreement`, which holds the
-route to the model, and the benchmark's tracer, which wraps them by name
-(`tests/test_bench_targets.py` requires its targets to exist).
+`eventual_kernel` and `ker_one_minus_shift` are the lattice model that the
+kernel rule replaces: they build the eventual kernel EK, the Hermite basis
+of L' = {x : (I - T) x in EK} and the quotient L'/EK, at lattice-model
+cost.  `kep` does not export them, and no command runs them.  Outside
+their own tests they have two readers: `test_oracle_agreement`, which
+holds the route to the model, and the benchmark's tracer, which wraps them
+by name (`tests/test_bench_targets.py` requires its targets to exist).
 
 Convention: a vertex matrix M acting on basis vectors by
 1_v -> sum_w M[v, w] 1_w acts on coordinate columns through transpose(M).
@@ -31,11 +31,10 @@ does not change its Smith diagonal or nullity), so callers never see it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .abgroup import FGAbelianGroup, from_cokernel, kernel_group
 from .errors import InternalError
-from .intmat import IntMatrix, det_adjugate, hnf, kernel_basis, one_minus
+from .intmat import IntMatrix, det_adjugate_gcd, hnf, kernel_basis, one_minus
 
 Vector = tuple[int, ...]
 
@@ -131,38 +130,28 @@ def _fixed_sublattice(limit: StationaryLimit, ek: list[Vector]) -> list[Vector]:
     return _preimage(one_minus(limit.matrix), ek)
 
 
-def one_minus_shift(limit: StationaryLimit) -> tuple[FGAbelianGroup, FGAbelianGroup]:
-    """(kernel, cokernel) of (identity - shift) on the limit, from one
-    `det_adjugate` of M = I - T, built by `one_minus`: the bounded route
-    that `limit_route_homology` runs.
+def coker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
+    """Cokernel of (identity - shift) on the limit, coker(T - I), from one
+    `det_adjugate_gcd` of M = I - T, built by `one_minus`: the route that
+    `limit_route_homology` runs.
 
-    Cokernel.  T acts as the identity on coker M (T x = x - M x), so the
-    stationary system of cokernels is constant and the limit cokernel is
-    just coker M.  With M nonsingular, `det_adjugate` gives d = det M and
-    adj M, whose entries are the (n-1)-minors of M up to sign.  So gcd(adj M)
-    is the determinantal divisor D_(n-1) = s_1 ... s_(n-1) of M's Smith form
-    (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4).  If
-    it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and coker M is Z/|d|
-    with no Smith form.  A singular or non-cyclic M takes `_smith` through
-    `from_cokernel`.  `det_adjugate` shares no code with the formula
-    route's `det_smith_diagonal` (its Bareiss pass and its elimination
-    modulo g), so the two routes share the builder `one_minus` and, on a
-    singular or non-cyclic M, `_smith`, and no other elimination.
-
-    Kernel.  The fixed subgroup is L'/EK, with EK the eventual kernel and
-    L' = {x : M x in EK}: L' surjects onto it with kernel exactly EK, and
-    T EK lies in EK, so EK lies in L'.  T is nilpotent on EK, so M
-    restricted to EK is I - N with N nilpotent, which has the integer
-    inverse I + N + N^2 + ...: M maps EK onto EK.  So for x in L' some
-    y in EK has M y = M x, and x - y lies in ker M; and EK meets ker M in
-    0, since M is injective on EK.  Hence L' = EK ⊕ ker M, and L'/EK ≅
-    ker M, free of rank nullity(M), the free rank of coker M.  Neither EK
-    nor L' is computed; `ker_one_minus_shift` builds both.
+    T acts as the identity on coker M (T x = x - M x), so the stationary
+    system of cokernels is constant and the limit cokernel is just coker M.
+    With M nonsingular, `det_adjugate_gcd` gives d = det M and the gcd of
+    adj M's entries, which are the (n-1)-minors of M up to sign.  So that
+    gcd is the determinantal divisor D_(n-1) = s_1 ... s_(n-1) of M's Smith
+    form (Cohen, *A Course in Computational Algebraic Number Theory*,
+    §2.4).  If it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and
+    coker M is Z/|d| with no Smith form.  A singular M (gcd 0) or a
+    non-cyclic one takes `_smith` through `from_cokernel`.
+    `det_adjugate_gcd` shares no code with the formula route's
+    `det_smith_diagonal` (its Bareiss pass and its elimination modulo g),
+    so the two routes share the builder `one_minus` and, on a singular or
+    non-cyclic M, `_smith`, and no other elimination.
     """
     m = one_minus(limit.matrix)
-    d, adj = det_adjugate(m)
-    coker = FGAbelianGroup.from_cyclic_orders((d,)) if d and gcd(*adj.entries) == 1 else from_cokernel(m)
-    return FGAbelianGroup.free(coker.free_rank), coker
+    d, minor_gcd = det_adjugate_gcd(m)
+    return FGAbelianGroup.from_cyclic_orders((d,)) if minor_gcd == 1 else from_cokernel(m)
 
 
 def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
@@ -172,11 +161,11 @@ def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
     basis, and the quotient.  With EK = 0, L' is ker(I - T) itself.
 
     It costs what the lattice model costs, whose Hermite bases can take
-    minutes on a dense kernel lattice at n = 64; `one_minus_shift` is the
-    bounded route, and its splitting L' = EK ⊕ ker(I - T) makes the two
-    groups equal.  The quotient is torsion free because EK is saturated, so
-    torsion there, or an empty L' over a nonempty EK, signals an internal
-    defect.
+    minutes on a dense kernel lattice at n = 64; the bounded route reads
+    the kernel off `coker_one_minus_shift`, and the splitting
+    L' = EK ⊕ ker(I - T) makes the two groups equal.  The quotient is
+    torsion free because EK is saturated, so torsion there, or an empty L'
+    over a nonempty EK, signals an internal defect.
     """
     ek = eventual_kernel(limit)
     if not ek:
@@ -189,9 +178,3 @@ def ker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
     if quotient.torsion:
         raise InternalError("fixed-point quotient acquired torsion")
     return quotient
-
-
-def coker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
-    """Cokernel of (identity - shift) on the limit, coker(T - I): the
-    cokernel that `one_minus_shift` computes."""
-    return one_minus_shift(limit)[1]

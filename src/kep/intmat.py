@@ -1,5 +1,5 @@
 """Exact dense integer matrices: Smith/Hermite normal forms, determinants,
-adjugates, ranks and integer kernels.
+ranks and integer kernels.
 
 All arithmetic is over Python ints, so nothing here can overflow.  Matrices
 are immutable; every operation returns fresh values.
@@ -27,10 +27,11 @@ entries.  Its Bezout coefficients, and those of `hnf`, come from `_xgcd`:
 results are canonical (a Smith diagonal, a Hermite basis), so they do not
 depend on which Bezout pair is used.
 A third algorithm, not a Smith form, certifies cyclic cokernels on the
-limit route, with no code shared with `_bareiss`: `det_adjugate` runs one
-fraction-free Gauss-Jordan elimination for det M and adj M, whose entries'
-gcd is the determinantal divisor D_(n-1), and D_(n-1) = 1 shows that
-coker M is cyclic of order |det M|.
+limit route, with no code shared with `_bareiss`: `det_adjugate_gcd` runs
+one fraction-free Gauss-Jordan elimination, whose last block is adj M up
+to sign and column order, and returns det M and the gcd of that block,
+the determinantal divisor D_(n-1); D_(n-1) = 1 shows that coker M is
+cyclic of order |det M|.
 The lattice model's injectivity and nullity tests use the fraction-free
 `rank`, whose entries are minors of the input; neither homology route runs
 it.
@@ -345,9 +346,10 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int, tuple[int, ...]]:
     return r, sign, prev, minors
 
 
-def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
-    """(det M, adj M) of a square M by one fraction-free (Bareiss)
-    Gauss-Jordan elimination; (0, None) when M is singular.
+def det_adjugate_gcd(m: IntMatrix) -> tuple[int, int]:
+    """(det M, gcd of adj M's entries) of a square M by one fraction-free
+    (Bareiss) Gauss-Jordan elimination; (0, 0) when M is singular.  The
+    gcd is the determinantal divisor D_(n-1), 1 when n = 1.
 
     The arithmetic is that of Bareiss on [M | I], clearing each pivot's
     column in every other row: after the last step the left block is p I
@@ -356,36 +358,36 @@ def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
     has only been scaled, to p_(k-1) e_k, so after the step it reads -a_ik
     in row i != k and p_(k-1) in row k.  It is stored where M's column k
     was, which the step turns into p_k e_k and need not be kept.  Each step
-    touches n entries per row, not 2n.  After k pivots every entry is a (k+1)-minor of [M | I], so
-    every division by the previous pivot is exact.
+    touches n entries per row, not 2n.  After k pivots every entry is a
+    (k+1)-minor of [M | I], so every division by the previous pivot is
+    exact.
 
     A zero pivot swaps in a lower row with a nonzero entry in its column;
     if there is none, the first k + 1 columns are dependent and M is
-    singular.  With the swaps' sign s, p = s det M and p M^-1 = s adj M,
-    and the column stored at slot k belongs to the row swapped into
-    position k, so the result is scaled by s and its columns are put back.
+    singular.  With the swaps' sign s, p = s det M and p M^-1 = s adj M.
+    The stored block is s adj M with its columns in the order the swaps
+    left them; a gcd depends on neither that order nor that sign, so the
+    block gives D_(n-1) as it stands.
 
-    >>> det_adjugate(IntMatrix([[2, 1], [4, 3]]))
-    (2, IntMatrix([[3, -1], [-4, 2]]))
-    >>> det_adjugate(IntMatrix([[0, 1], [1, 0]]))
-    (-1, IntMatrix([[0, -1], [-1, 0]]))
-    >>> det_adjugate(IntMatrix([[1, 2], [2, 4]]))
-    (0, None)
+    >>> det_adjugate_gcd(IntMatrix([[2, 1], [4, 3]]))
+    (2, 1)
+    >>> det_adjugate_gcd(IntMatrix([[0, 2], [2, 0]]))
+    (-4, 2)
+    >>> det_adjugate_gcd(IntMatrix([[1, 2], [2, 4]]))
+    (0, 0)
     """
     if not m.is_square:
         raise ValueError("adjugate requires a square matrix")
     a = m.to_lists()
     n = m.rows
-    order = list(range(n))
     sign = 1
     prev = 1
     for k in range(n):
         if a[k][k] == 0:
             r = next((i for i in range(k + 1, n) if a[i][k]), None)
             if r is None:
-                return 0, None
+                return 0, 0
             a[k], a[r] = a[r], a[k]
-            order[k], order[r] = order[r], order[k]
             sign = -sign
         pivot_row = a[k]
         p = pivot_row[k]
@@ -397,10 +399,7 @@ def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
                 a[i][k] = -x
         pivot_row[k] = prev
         prev = p
-    slot = [0] * n
-    for k, j in enumerate(order):
-        slot[j] = k
-    return sign * prev, IntMatrix([[sign * row[slot[j]] for j in range(n)] for row in a])
+    return sign * prev, gcd(*(gcd(*row) for row in a))
 
 
 def det(m: IntMatrix) -> int:

@@ -10,15 +10,16 @@ det, which is also reported, and minors whose gcd g with det certifies a
 cyclic cokernel when g = 1; otherwise a Hermite elimination modulo g
 follows.  :func:`hk_check` also runs the stationary-limit model of
 :mod:`kep.dirlimit` - a computation that never touches the closed formulas.
-Per limit it takes one Gauss-Jordan adjugate of 1 - T, with T = A^t or B^t:
-cokernels are read off the adjugate when they are cyclic and come from
-`_smith`, the other Smith algorithm, otherwise, and the kernel is free of
-rank nullity(1 - T), the cokernel's free rank, with no rank, no eventual
-kernel and no lattice basis.  Both routes build their operator I - M with
-`intmat.one_minus`; they share that builder and, on singular or non-cyclic
-inputs, `_smith`, and no other elimination.  Its evidence confirms
-K0 = H0 ⊕ H2, K1 = H1 and the routes' agreement for :func:`analyze` and
-``kep check``.
+Per limit it takes one `coker_one_minus_shift`, with T = A^t or B^t: one
+Gauss-Jordan elimination of 1 - T gives det(1 - T) and the gcd of its
+adjugate's entries, which certify a cyclic cokernel when the gcd is 1,
+and `_smith`, the other Smith algorithm, gives it otherwise.  The kernel
+is free of rank nullity(1 - T), the cokernel's free rank, with no rank,
+no eventual kernel and no lattice basis.  Both routes build their
+operator I - M with `intmat.one_minus`; they share that builder and, on
+singular or non-cyclic inputs, `_smith`, and no other elimination.  Its
+evidence confirms K0 = H0 ⊕ H2, K1 = H1 and the routes' agreement for
+:func:`analyze` and ``kep check``.
 
 All formulas assume A nonnegative with no zero rows.  They are evaluated
 for any such pair, but when the matching-support criterion for
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abgroup import FGAbelianGroup, direct_sum
-from .dirlimit import StationaryLimit, one_minus_shift
+from .dirlimit import StationaryLimit, coker_one_minus_shift
 from .errors import InputValidationError, InternalError
 from .groupoid import PropertyReport, classify
 from .intmat import IntMatrix, det_smith_diagonal, one_minus
@@ -133,12 +134,28 @@ def limit_route_homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
     The degree-0 group is the cokernel of (I - shift) on the limit over A,
     degree 2 the kernel of (I - shift) on the limit over B, and degree 1
     the sum of the two cross terms.  No closed cokernel/kernel formula for
-    the pair enters this route.
+    the pair enters this route.  Each cokernel is `coker_one_minus_shift`
+    of the limit over T = A^t or B^t.  Each kernel is free of rank
+    nullity(M), with M = I - T, which is the free rank of coker M.
+
+    Why: the kernel, the subgroup the shift fixes, is L'/EK, with EK the eventual kernel and
+    L' = {x : M x in EK}: L' surjects onto it with kernel exactly EK, and
+    T EK lies in EK, so EK lies in L'.  T is nilpotent on EK, so M
+    restricted to EK is I - N with N nilpotent, which has the integer
+    inverse I + N + N^2 + ...: M maps EK onto EK.  So for x in L' some
+    y in EK has M y = M x, and x - y lies in ker M; and EK meets ker M in
+    0, since M is injective on EK.  Hence L' = EK ⊕ ker M, and L'/EK ≅
+    ker M, free of rank nullity(M), the free rank of coker M.  Neither EK
+    nor L' is computed; `dirlimit.ker_one_minus_shift` builds both.
     """
     _validate_pair(a, b)
-    ker_a, coker_a = one_minus_shift(StationaryLimit.from_row_action(a))
-    ker_b, coker_b = one_minus_shift(StationaryLimit.from_row_action(b))
-    return HomologyTuple(h0=coker_a, h1=direct_sum(ker_a, coker_b), h2=ker_b)
+    coker_a = coker_one_minus_shift(StationaryLimit.from_row_action(a))
+    coker_b = coker_one_minus_shift(StationaryLimit.from_row_action(b))
+    return HomologyTuple(
+        h0=coker_a,
+        h1=direct_sum(FGAbelianGroup.free(coker_a.free_rank), coker_b),
+        h2=FGAbelianGroup.free(coker_b.free_rank),
+    )
 
 
 @dataclass(frozen=True)

@@ -115,17 +115,19 @@ class TestParseInput:
             parse_input(doc)
 
     @pytest.mark.parametrize(
-        ("a", "message"),
+        ("a", "b", "message"),
         [
-            ('[[1,"x"],[1,1]]', "A[1][2]: not a decimal integer: 'x'"),
-            ("[[1,1],[true,1]]", "A[2][1] must be an integer"),
-            ('[[1,1],[1,"1.5"]]', "A[2][2]: not a decimal integer: '1.5'"),
+            ('[[1,"x"],[1,1]]', "[[1,1],[1,1]]", "A[1][2]: not a decimal integer: 'x'"),
+            ("[[1,1],[true,1]]", "[[1,1],[1,1]]", "A[2][1] must be an integer"),
+            ('[[1,1],[1,"1.5"]]', "[[1,1],[1,1]]", "A[2][2]: not a decimal integer: '1.5'"),
+            ("[[1,1.5],[1,1]]", "[[1,1],[1,1]]", "A[1][2] must be an integer"),
+            ("[[1,1],[1,1]]", '[[1,1],["y",1]]', "B[2][1]: not a decimal integer: 'y'"),
         ],
-        ids=["letter", "bool", "decimal-point"],
+        ids=["letter", "bool", "decimal-point", "json-float", "bad-b"],
     )
-    def test_bad_entry_named_by_row_and_column(self, a, message):
+    def test_bad_entry_named_by_row_and_column(self, a, b, message):
         with pytest.raises(ParseError) as info:
-            parse_input('{"mode":"katsura","n":2,"A":' + a + ',"B":[[1,1],[1,1]]}')
+            parse_input('{"mode":"katsura","n":2,"A":' + a + ',"B":' + b + "}")
         assert str(info.value) == message
 
     def test_zero_row_named(self):

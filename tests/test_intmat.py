@@ -14,7 +14,7 @@ from kep import (
     hnf,
     snf,
 )
-from kep.intmat import _xgcd, det_adjugate, det_smith_diagonal, kernel_basis, rank, smith_diagonal
+from kep.intmat import _xgcd, det_adjugate_gcd, det_smith_diagonal, kernel_basis, rank, smith_diagonal
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -219,7 +219,7 @@ class TestSmithDiagonal:
         # coprime shortcut after the elimination modulo g (a cyclic
         # cokernel whose four minors share a factor with det), and `_smith`
         # on that elimination's triangular form.  On every nonsingular
-        # square case the Gauss-Jordan adjugate gives |det| = D_n and
+        # square case the Gauss-Jordan certificate gives |det| = D_n and
         # gcd(adj) = D_(n-1), and both its outcomes occur: gcd 1 (a cyclic
         # cokernel) and gcd > 1.
         rng = random.Random(61)
@@ -248,8 +248,7 @@ class TestSmithDiagonal:
                     else:
                         branches.add("smith on H" if runs["_smith"] > before["_smith"] else "coprime")
             if m.is_square and divisors[-1]:
-                d, adj = det_adjugate(m)
-                minor_gcd = gcd(*adj.entries)
+                d, minor_gcd = det_adjugate_gcd(m)
                 assert (abs(d), minor_gcd) == (divisors[-1], divisors[-2] if m.rows > 1 else 1), m
                 adjugate_branches.add("cyclic" if minor_gcd == 1 else "non-cyclic")
             for diagonal in diagonals:
@@ -404,25 +403,25 @@ class TestDetSmithDiagonal:
 
 
 class TestDetAdjugate:
-    """(det M, adj M) by in-place Gauss-Jordan against cofactor expansion."""
+    """(det M, gcd of adj M's entries) by in-place Gauss-Jordan against
+    cofactor expansion: the determinant and the gcd of the cofactor
+    adjugate's entries, D_(n-1)."""
 
     @staticmethod
     def check(m):
-        d, adj = det_adjugate(m)
+        d, minor_gcd = det_adjugate_gcd(m)
         assert d == cofactor_det(m), m
-        if d == 0:
-            assert adj is None, m
-        else:
-            assert adj == cofactor_adjugate(m), m
+        assert minor_gcd == (gcd(*cofactor_adjugate(m).entries) if d else 0), m
         return d
 
     def test_one_by_one(self):
-        assert det_adjugate(IntMatrix([[-7]])) == (-7, IntMatrix([[1]]))
-        assert det_adjugate(IntMatrix([[0]])) == (0, None)
+        assert det_adjugate_gcd(IntMatrix([[-7]])) == (-7, 1)
+        assert det_adjugate_gcd(IntMatrix([[0]])) == (0, 0)
+        assert self.check(IntMatrix([[12]])) == 12
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            det_adjugate(IntMatrix([[1, 2]]))
+            det_adjugate_gcd(IntMatrix([[1, 2]]))
 
     def test_random_small(self):
         rng = random.Random(71)
@@ -463,8 +462,8 @@ class TestDetAdjugate:
             i, j = rng.sample(range(n), 2)
             q = rng.randint(-3, 3)
             rows[i] = [q * x for x in rows[j]]
-            assert det_adjugate(IntMatrix(rows)) == (0, None)
-        assert det_adjugate(IntMatrix([[0, 0], [0, 5]])) == (0, None)
+            assert det_adjugate_gcd(IntMatrix(rows)) == (0, 0)
+        assert det_adjugate_gcd(IntMatrix([[0, 0], [0, 5]])) == (0, 0)
 
     def test_wide_entries(self):
         rng = random.Random(74)

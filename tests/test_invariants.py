@@ -171,8 +171,8 @@ class TestRouteIndependence:
                 monkeypatch.setattr(module, name, forbidden)
 
     def test_formula_route_runs_without_smith(self, monkeypatch):
-        # Nor the limit route's adjugate.
-        for name in ("_smith", "det_adjugate"):
+        # Nor the limit route's certificate.
+        for name in ("_smith", "det_adjugate_gcd"):
             self.forbid(monkeypatch, name)
         h = homology(self.A, self.B)
         assert (h.h0, h.h1, h.h2) == self.EXPECTED
@@ -180,7 +180,7 @@ class TestRouteIndependence:
 
     def test_limit_route_runs_without_the_formula_diagonal(self, monkeypatch):
         # Nor `det`, nor `_smith`: both limit cokernels are cyclic, so the
-        # adjugate alone certifies them.
+        # Gauss-Jordan certificate alone shows them.
         for name in ("_smith", "det_smith_diagonal", "_hermite_mod", "_bareiss", "det"):
             self.forbid(monkeypatch, name)
         h = limit_route_homology(self.A, self.B)
@@ -189,7 +189,7 @@ class TestRouteIndependence:
     @pytest.mark.parametrize(("a", "b"), SINGULAR_PAIRS)
     def test_singular_limit_route_takes_no_formula_elimination(self, monkeypatch, a, b):
         # The kernel of 1 - shift is the free part of the route's own
-        # cokernel, so a singular 1 - T runs `det_adjugate` and `_smith`,
+        # cokernel, so a singular 1 - T runs `det_adjugate_gcd` and `_smith`,
         # and no Bareiss pass, determinant, rank or elimination modulo g.
         expected = homology(a, b)
         assert 0 in expected.dets
@@ -200,7 +200,7 @@ class TestRouteIndependence:
     @pytest.mark.parametrize(("a", "b"), SINGULAR_PAIRS)
     def test_singular_formula_route_takes_no_adjugate(self, monkeypatch, a, b):
         expected = limit_route_homology(a, b)
-        self.forbid(monkeypatch, "det_adjugate")
+        self.forbid(monkeypatch, "det_adjugate_gcd")
         assert homology(a, b) == expected
 
 

@@ -1,7 +1,7 @@
 """Each invariant is computed once: the number of Smith forms, determinants,
-adjugates, integer kernels and ranks per command is pinned, so a second run
-of either homology route shows up here, and so are the number of derived
-groups (`direct_sum`) and of slice products `check` composes."""
+adjugate gcds, integer kernels and ranks per command is pinned, so a second
+run of either homology route shows up here, and so are the number of
+derived groups (`direct_sum`) and of slice products `check` composes."""
 
 import json
 from collections import Counter
@@ -22,7 +22,7 @@ B = [[1, -1, 2], [3, 1, -2], [1, 1, 1]]
 PAIR = Operand("katsura", IntMatrix(A), IntMatrix(B))
 SFT = Operand("sft", IntMatrix(A))
 SINGULAR = Operand("katsura", IntMatrix(A), IntMatrix.identity(3))
-COUNTED = ("snf", "smith_diagonal", "det_smith_diagonal", "det", "det_adjugate", "kernel_basis", "rank")
+COUNTED = ("snf", "smith_diagonal", "det_smith_diagonal", "det", "det_adjugate_gcd", "kernel_basis", "rank")
 
 
 @pytest.fixture
@@ -45,15 +45,15 @@ def smith_calls(monkeypatch):
     return lambda: tuple(calls[name] for name in COUNTED)
 
 
-# (snf, smith_diagonal, det_smith_diagonal, det, det_adjugate,
+# (snf, smith_diagonal, det_smith_diagonal, det, det_adjugate_gcd,
 # kernel_basis, rank) per command.  The formula route takes one
 # `det_smith_diagonal` of I - A and one of I - B, each a determinant and a
 # Smith diagonal from one Bareiss pass, so it runs no `det`; `analyze`
 # reports those same determinants.  (Before, each matrix took a `det` and,
 # where that was nonzero, a diagonal modulo it: the `det` column read 2 per
 # route run, and this column counts the one call per matrix that replaced
-# both.)  The limit route takes one Gauss-Jordan adjugate of each 1 - T,
-# and `smith_diagonal` only where 1 - T is singular or its adjugate's
+# both.)  The limit route takes one Gauss-Jordan `det_adjugate_gcd` of each
+# 1 - T, and `smith_diagonal` only where 1 - T is singular or its adjugate's
 # entries share a factor: here 1 - Aᵗ has |det| 4 and adjugate gcd 2, so it
 # falls back, while 1 - Bᵗ has |det| 8 and gcd 1, so its cokernel is Z/8
 # with no Smith form.  The kernel of 1 - shift is the free part of that
