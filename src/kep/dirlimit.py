@@ -143,11 +143,13 @@ def coker_one_minus_shift(limit: StationaryLimit) -> FGAbelianGroup:
     form (Cohen, *A Course in Computational Algebraic Number Theory*,
     §2.4).  If it is 1, then s_1 = ... = s_(n-1) = 1, s_n = |d|, and
     coker M is Z/|d| with no Smith form.  A singular M (gcd 0) or a
-    non-cyclic one takes `_smith` through `from_cokernel`.
-    `det_adjugate_gcd` shares no code with the formula route's
-    `det_smith_diagonal` (its Bareiss pass and its elimination modulo g),
-    so the two routes share the builder `one_minus` and, on a singular or
-    non-cyclic M, `_smith`, and no other elimination.
+    non-cyclic one takes `_smith` on the whole of M through
+    `from_cokernel`.  `det_adjugate_gcd` shares no code with the formula
+    route's `det_smith_diagonal` (its Bareiss pass and its elimination
+    modulo g, which a singular M takes too), so the two routes share the
+    builder `one_minus` and, on a singular or non-cyclic M, `_smith`, and
+    no other elimination: on a singular M, this route's `_smith` on M
+    checks that elimination modulo g.
     """
     m = one_minus(limit.matrix)
     d, minor_gcd = det_adjugate_gcd(m)

@@ -16,13 +16,15 @@ only the lattice model in `kep.dirlimit`, so `kep` does not export it, and
 outside its own tests it has the model's two readers: the test that holds
 the limit route to the model, and the benchmark's tracer, which wraps it by
 name.  `snf` and `hnf` stay exported for the normal-form acceptance check.
-`det_smith_diagonal` gives a square M's determinant and diagonal together:
-the fraction-free `_bareiss` pass that yields det M also holds four
-(n-1)-minors, and when their gcd g with det M is 1 the cokernel is cyclic
-of order |det M| with no further work.  Otherwise `_hermite_mod` reduces
-M's rows modulo the constant g, so no entry reaches g, and the pairwise-
-coprime shortcut or `_smith` on that triangular form gives the first n - 1
-entries.  Its Bezout coefficients, and those of `hnf`, come from `_xgcd`:
+`det_smith_diagonal` gives a square M's determinant and diagonal together,
+singular or not: the fraction-free `_bareiss` pass that yields det M also
+holds minors, four (n-1)-minors when M is nonsingular and r-minors when
+its rank r is below n.  When their gcd g with det M is 1 the first
+min(r, n - 1) entries are 1 with no further work.  Otherwise
+`_hermite_mod` reduces M's rows modulo the constant g, so no entry reaches
+g, and the pairwise-coprime shortcut or `_smith` on that triangular form
+gives those entries; the rest is |det M| over their product, or n - r
+zeros.  Its Bezout coefficients, and those of `hnf`, come from `_xgcd`:
 `math.gcd` and the modular inverse of `pow`, both computed in C.  Both
 results are canonical (a Smith diagonal, a Hermite basis), so they do not
 depend on which Bezout pair is used.
@@ -65,7 +67,8 @@ class IntMatrix:
             if len(row) != width:
                 raise ValueError("ragged rows")
             for x in row:
-                if not isinstance(x, int):
+                # A bool is an int to isinstance, and would reach JSON as true.
+                if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
                     raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
         self.rows = len(rows)
         self.cols = width
@@ -311,16 +314,23 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int, tuple[int, ...]]:
     used, and pivot is the last nonzero pivot, which for a nonsingular square
     M equals sign * det(M).  After k pivots every entry is a (k+1)-minor of
     M, so division by the previous pivot is exact and entries stay as short
-    as those minors.  minors is the trailing 2x2 block when rows - 2 pivots
-    fill the first cols - 2 columns, which for a nonsingular square M with
-    n >= 2 they do: four (n-1)-minors of M's rows in the order reached, so
-    (n-1)-minors of M up to sign.  Otherwise it is empty.
+    as those minors.  minors is, up to sign, a tuple of minors of M:
+
+    - the trailing 2x2 block when rows - 2 pivots fill the first cols - 2
+      columns, which for a nonsingular square M with n >= 2 they do: four
+      (n-1)-minors of M's rows in the order reached;
+    - when 0 < rank r < rows, the last pivot's row from the pivot column on
+      and the entries below that pivot, all r-minors, the pivot among them.
+      The pivot's step writes only right of its column in the rows below,
+      and no later step runs, so these entries stand as it found them;
+    - otherwise empty.
     """
     a = m.to_lists()
     rows, cols = m.rows, m.cols
     sign = 1
     prev = 1
     r = 0
+    last = 0
     minors = ()
     for c in range(cols):
         if r == rows:
@@ -342,7 +352,10 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int, tuple[int, ...]]:
                 # Exact by the Bareiss identity: prev divides the numerator.
                 row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
         prev = pivot
+        last = c
         r += 1
+    if 0 < r < rows:
+        minors = (*a[r - 1][last:], *(row[last] for row in a[r:]))
     return r, sign, prev, minors
 
 
@@ -412,27 +425,31 @@ def det(m: IntMatrix) -> int:
 
 def det_smith_diagonal(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """(det M, the Smith diagonal s_1 | ... | s_n of M) for a square M, from
-    one Bareiss pass and at most one Hermite elimination modulo a divisor g
-    of det M (Domich-Kannan-Trotter, Math. Oper. Res. 12 (1987)).  A singular
-    M takes `smith_diagonal`.
+    one Bareiss pass and at most one Hermite elimination modulo a multiple g
+    of a determinantal divisor of M (Domich-Kannan-Trotter, Math. Oper. Res.
+    12 (1987)), singular or not.
 
-    With D_k = s_1 ... s_k the gcd of M's k-minors, the result is M's
-    diagonal because:
+    With r = rank M, D_k = s_1 ... s_k the gcd of M's k-minors and
+    k = min(r, n - 1), the result is M's diagonal because:
 
-    - `_bareiss` returns four (n-1)-minors of M up to sign (M itself when
-      n = 2), so g = gcd(det M, those four) is a multiple of D_(n-1).  When
-      n = 1 there is no such minor, and the diagonal is (|det M|).
-    - If g = 1, then D_(n-1) = 1, so s_1 = ... = s_(n-1) = 1 and
-      s_n = |det M|, with no further elimination.
+    - `_bareiss` returns minors of M up to sign: four (n-1)-minors (M itself
+      when n = 2) when r = n >= 2, and r-minors with a nonzero one among
+      them when 0 < r < n.  With d = det M, 0 when r < n, g = gcd(d, those
+      minors) is then a nonzero multiple of D_k, so s_i divides g for
+      i <= k.  When k = 0, that is r = 0 or n = 1, nothing is left to find:
+      the diagonal is n zeros, or (|d|).
+    - If g = 1, then s_1 = ... = s_k = 1 with no further elimination.
     - Otherwise take the row lattice L = Z^n M + g Z^n.  With U M V = S the
-      Smith form, L V = Z^n S + g Z^n, so L's diagonal is gcd(s_i, g).  Each
-      s_i with i < n divides D_(n-1) and so g: s_1, ..., s_(n-1) are the
-      first n - 1 entries of L's diagonal, and s_n = |det M| / D_(n-1).
+      Smith form, L V = Z^n S + g Z^n, so L's diagonal is gcd(s_i, g):
+      s_1, ..., s_k, then n - k copies of g when r < n, or gcd(s_n, g) when
+      r = n.  Its first k entries are M's, and the rest of M's diagonal is
+      s_n = |d| / D_(n-1) when r = n, else n - r zeros.
     - `_hermite_mod` gives a triangular basis H of L with entries below g.
       If H's diagonal is pairwise coprime, then localising at each prime p
       only one diagonal entry is not a unit, so eliminating with the unit
-      pivots leaves one entry: L's quotient is cyclic and
-      s_1 = ... = s_(n-1) = 1.  Otherwise `_smith` runs on H.
+      pivots leaves one entry: L's quotient is cyclic.  Then L's diagonal has
+      at most one entry other than 1, which forces r >= n - 1 (g > 1 appears
+      n - r times) and s_1 = ... = s_k = 1.  Otherwise `_smith` runs on H.
 
     >>> det_smith_diagonal(IntMatrix([[2, 4], [6, 8]]))
     (-8, (2, 4))
@@ -445,18 +462,17 @@ def det_smith_diagonal(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
     r, sign, pivot, minors = _bareiss(m)
-    if r < n:
-        return 0, smith_diagonal(m)
-    d = sign * pivot
+    d = sign * pivot if r == n else 0
+    k = min(r, n - 1)
     g = gcd(d, *minors)
-    head = (1,) * (n - 1)
-    if g > 1 and n > 1:
+    head = (1,) * k
+    if g > 1 and k:
         h = _hermite_mod(m, g)
         diagonal = [h[t][t] for t in range(n)]
         if lcm(*diagonal) != prod(diagonal):
             _smith(h, n, n)
-            head = tuple(h[t][t] for t in range(n - 1))
-    return d, head + (abs(d) // prod(head),)
+            head = tuple(h[t][t] for t in range(k))
+    return d, head + ((abs(d) // prod(head),) if r == n else (0,) * (n - r))
 
 
 def _hermite_mod(m: IntMatrix, g: int) -> list[list[int]]:

@@ -5,11 +5,14 @@ For a valid pair (A, B) the groupoid invariants are
     H2 = ker(I - B),     H_i = 0 for i >= 3,
     K0 = coker(I - A) ⊕ ker(I - B),   K1 = coker(I - B) ⊕ ker(I - A).
 These formulas are what :func:`homology` and :func:`ktheory` compute through
-Smith diagonals, one `det_smith_diagonal` per matrix: its Bareiss pass gives
-det, which is also reported, and minors whose gcd g with det certifies a
-cyclic cokernel when g = 1; otherwise a Hermite elimination modulo g
-follows.  :func:`hk_check` also runs the stationary-limit model of
-:mod:`kep.dirlimit` - a computation that never touches the closed formulas.
+Smith diagonals, one `det_smith_diagonal` per matrix, singular or not: its
+Bareiss pass gives det, which is also reported, and minors whose gcd g with
+det gives the leading Smith entries as ones when g = 1; otherwise a
+Hermite elimination modulo g follows.  A singular matrix of rank r takes
+that same path, with r-minors, and its other n - r entries are the zeros
+of the cokernel's free part.  :func:`hk_check` also runs the
+stationary-limit model of :mod:`kep.dirlimit` - a computation that never
+touches the closed formulas.
 Per limit it takes one `coker_one_minus_shift`, with T = A^t or B^t: one
 Gauss-Jordan elimination of 1 - T gives det(1 - T) and the gcd of its
 adjugate's entries, which certify a cyclic cokernel when the gcd is 1,
@@ -100,10 +103,10 @@ class Operand:
 def homology(a: IntMatrix, b: IntMatrix) -> HomologyTuple:
     """Homology of the groupoid of (A, B) by the closed matrix formulas.
 
-    One `det_smith_diagonal` per matrix, which gives its determinant and
-    Smith diagonal from one Bareiss pass and, unless the minors it holds
-    show the cokernel cyclic, one elimination modulo their gcd with the
-    determinant.  For square M the kernel lattice is free of rank
+    One `det_smith_diagonal` per matrix, singular or not, which gives its
+    determinant and Smith diagonal from one Bareiss pass and, unless the
+    minors it holds have gcd 1 with the determinant, one elimination
+    modulo that gcd.  For square M the kernel lattice is free of rank
     nullity(M), which is the free rank of coker(M).
     """
     _validate_pair(a, b)

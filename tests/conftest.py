@@ -52,6 +52,22 @@ def seeded_pair(n: int, bits: int = 0) -> tuple[IntMatrix, IntMatrix]:
     return a, IntMatrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(n)])
 
 
+def unit_row_sums(b: IntMatrix) -> IntMatrix:
+    """B with its diagonal shifted so that every row sums to 1: B fixes the
+    all-ones vector, so I - B is singular."""
+    rows = b.to_lists()
+    for i, row in enumerate(rows):
+        row[i] += 1 - sum(row)
+    return IntMatrix(rows)
+
+
+def seeded_singular_pair(n: int, bits: int = 0) -> tuple[IntMatrix, IntMatrix]:
+    """`seeded_pair(n, bits)` with B's rows summing to 1 (`unit_row_sums`):
+    the ladder's singular rung, whose I - B has the all-ones kernel."""
+    a, b = seeded_pair(n, bits)
+    return a, unit_row_sums(b)
+
+
 def random_pseudo_free_pair(
     rng: random.Random,
     max_n: int = 5,

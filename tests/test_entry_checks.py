@@ -4,7 +4,8 @@ and B of A's shape), and every entry of the action and the slice algebra
 that reads B at an edge refuses B of another shape, in O(1), where it
 reads.  These pin the checks that a split of checked entries from
 unchecked kernels must keep.  A group refuses a free rank or torsion
-factor that is not an int where it is built."""
+factor that is not an int where it is built, and a matrix an entry that
+is not."""
 
 import pytest
 
@@ -119,3 +120,13 @@ NOT_INT_FIELDS = {
 def test_group_refuses_fields_that_are_not_int(fields):
     with pytest.raises(TypeError, match="must be int"):
         FGAbelianGroup(*NOT_INT_FIELDS[fields])
+
+
+# A bool entry would reach an analysis report as `true`.
+NOT_INT_ENTRIES = {"bool": True, "float": 1.0, "string": "1"}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_INT_ENTRIES))
+def test_matrix_refuses_entries_that_are_not_int(entry):
+    with pytest.raises(TypeError, match="matrix entries must be int"):
+        IntMatrix([[1, 1], [1, NOT_INT_ENTRIES[entry]]])

@@ -314,12 +314,13 @@ ELIMINATIONS = {
 
 def test_routes_share_exactly_one_elimination():
     # Both routes build their operator I - M with `one_minus`, and the one
-    # elimination both reach is `_smith`, through `smith_diagonal`, on a
-    # singular or non-cyclic operator.
+    # elimination both reach is `_smith`: the limit route runs it through
+    # `smith_diagonal` on a singular or non-cyclic operator, the formula
+    # route on a Hermite form modulo g, singular M included.
     sources = [path.read_text() for path in sorted(Path(kep.__file__).parent.glob("*.py"))]
     limit_route, formula_route = call_closure(sources, "limit_route_homology"), call_closure(sources, "homology")
     assert "one_minus" in limit_route and "one_minus" in formula_route
-    assert limit_route & formula_route & ELIMINATIONS == {"smith_diagonal", "_smith"}
+    assert limit_route & formula_route & ELIMINATIONS == {"_smith"}
 
 
 LATTICE_MODEL = {"eventual_kernel", "_fixed_sublattice", "_solve_exact", "_preimage", "kernel_basis", "hnf", "snf"}

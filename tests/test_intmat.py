@@ -292,8 +292,10 @@ class TestSmithDiagonal:
 
 class TestDetSmithDiagonal:
     """(det M, Smith diagonal) from one Bareiss pass and an elimination
-    modulo g = gcd(det M, four (n-1)-minors), against the library-free
-    determinantal divisors and cofactor determinant of `conftest`."""
+    modulo g, the gcd of det M and the minors that pass leaves (four
+    (n-1)-minors of a nonsingular M, r-minors of one of rank r < n),
+    against the library-free determinantal divisors and cofactor
+    determinant of `conftest`."""
 
     @staticmethod
     def moduli(monkeypatch):
@@ -387,6 +389,51 @@ class TestDetSmithDiagonal:
         divisors = determinantal_divisors(m)
         self.assert_oracle(m, (divisors[0], divisors[1] // divisors[0] if divisors[0] else 0))
         assert moduli == ([g] if g not in (None, 1) else [])
+
+    @staticmethod
+    def forbid_smith_diagonal(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("smith_diagonal called")
+
+        monkeypatch.setattr(kep.intmat, "smith_diagonal", forbidden)
+
+    def test_planted_products_of_every_rank(self, monkeypatch):
+        # P diag(c, 0, ..., 0) Q of rank r = 0..n for n <= 6, c a divisor
+        # chain of r factors: a singular M takes the same Bareiss pass and
+        # elimination modulo g as a nonsingular one, never the whole-matrix
+        # `smith_diagonal`.
+        self.forbid_smith_diagonal(monkeypatch)
+        rng = random.Random(7)
+        for n in range(1, 7):
+            for r in range(n + 1):
+                for _ in range(3):
+                    chain = []
+                    for _ in range(r):
+                        chain.append((chain[-1] if chain else 1) * rng.choice((1, 1, 2, 3, 6)))
+                    chain += [0] * (n - r)
+                    planted = IntMatrix([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
+                    m = random_unimodular(rng, n) @ planted @ random_unimodular(rng, n)
+                    self.assert_oracle(m, tuple(chain))
+
+    @pytest.mark.parametrize(
+        ("rows", "diagonal", "moduli"),
+        [
+            ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], (1, 1, 0), []),
+            ([[2, 0, 2], [0, 2, 2], [2, 2, 4]], (2, 2, 0), [4]),
+            ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (0, 0, 0), []),
+            ([[0]], (0,), []),
+        ],
+        ids=["rank-n-1-g-1", "rank-n-1-non-cyclic-head", "zero-matrix", "zero-1x1"],
+    )
+    def test_singular(self, monkeypatch, rows, diagonal, moduli):
+        # Rank n - 1 with g = 1 needs no elimination after `_bareiss`; with
+        # g = 4 = D_2 and head (2, 2), the elimination modulo g and `_smith`
+        # on its Hermite form give the head.  Rank 0 has no minor and no
+        # elimination.
+        self.forbid_smith_diagonal(monkeypatch)
+        seen = self.moduli(monkeypatch)
+        self.assert_oracle(IntMatrix(rows), diagonal)
+        assert seen == moduli
 
     @given(square_matrices(6), st.sampled_from((1, 2, 6)))
     @settings(max_examples=150, deadline=None)

@@ -60,12 +60,13 @@ def smith_calls(monkeypatch):
 # cokernel, so no rank runs; the route takes no eventual kernel, so no
 # `kernel_basis` runs.  The sft operand's nilpotent B = 0 has 1 - Bᵗ = I,
 # of det 1 and cyclic.  The singular operand's B = I makes I - B = 0,
-# whose `det_smith_diagonal` finds det 0 and runs `smith_diagonal` on it;
-# the limit route runs it on 1 - Bᵗ = 0, whose kernel Z^3 is again the
-# free part of its cokernel, with no rank.
+# whose `det_smith_diagonal` finds rank 0 and so the diagonal (0, 0, 0)
+# from its one Bareiss pass, with no `smith_diagonal`; the limit route runs
+# `smith_diagonal` on 1 - Bᵗ = 0, whose kernel Z^3 is again the free part
+# of its cokernel, with no rank.
 KATSURA = (0, 1, 2, 0, 2, 0, 0)
 SFT_COUNTS = (0, 1, 2, 0, 2, 0, 0)
-SINGULAR_COUNTS = (0, 3, 2, 0, 2, 0, 0)
+SINGULAR_COUNTS = (0, 2, 2, 0, 2, 0, 0)
 
 
 @pytest.mark.parametrize(
